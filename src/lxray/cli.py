@@ -3,8 +3,7 @@ counting reports, CSV export.
 
 Exit codes: 0 success, 2 precondition violation (including bad flags),
 3 budget exceeded, 4 malformed input file. Identical flags and seed give
-byte-identical output files. LXRAY_THREADS caps the worker processes the
-counting commands may use (default 1, serial).
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -12,32 +11,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
 
 from . import io as lio
 from .continuum import forward_continuous_family, chord_weight, iterate_recon
-from .counting import (count_connecting_lines, farey_asymptotic_report,
-                       separation_margin, verify_count_bounds)
+from .counting import (DEFAULT_LENS_BUDGET, count_connecting_lines,
+                       farey_asymptotic_report, separation_margin,
+                       verify_count_bounds)
 from .errors import (BudgetError, FileFormatError, LxrayError,
                      MissingDataError, PlanError, PreconditionError)
 from .lattice import as_fraction, enumerate_ball, farey_count, norm2, totient_sum
 from .rays import Plane
 from .recon import (make_plan, recon_annulus, recon_one_point, recon_shells)
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
-
-
-def _threads() -> int:
-    raw = os.environ.get("LXRAY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError(f"LXRAY_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise PreconditionError("LXRAY_THREADS must be >= 1")
-    return n
 
 
 def _parse_vec(text: str, d: int, what: str) -> tuple[int, ...]:
@@ -221,10 +209,9 @@ def _emit_report(lines: list[str], payload: dict) -> None:
 
 
 def cmd_count(args) -> int:
-    workers = _threads()
     if args.what == "tmin":
         count = count_connecting_lines(as_fraction(args.r), args.d,
-                                       budget=args.budget, workers=workers)
+                                       budget=args.budget)
         _emit_report(
             [f"lines through >= 2 lattice points of the {args.d}-ball, "
              f"radius {args.r}: {count}"],
@@ -253,7 +240,7 @@ def cmd_count(args) -> int:
         return 0
     if args.what == "bounds":
         report = verify_count_bounds(as_fraction(args.r), args.d,
-                                     budget=args.budget, workers=workers)
+                                     budget=args.budget)
         _emit_report(
             [f"two-point-line count at radius {args.r} (d={args.d}): "
              f"{report.lower_bound} < {report.count} < {report.upper_bound}: "
@@ -316,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("tmin", help="lines through >= 2 ball points")
     c.add_argument("--r", required=True)
     c.add_argument("--d", type=int, default=2)
-    c.add_argument("--budget", type=int, default=90_000_000)
+    c.add_argument("--budget", type=int, default=DEFAULT_LENS_BUDGET)
     c.set_defaults(func=cmd_count)
     c = csub.add_parser("farey", help="Farey count and asymptotic ratio")
     c.add_argument("--n", type=int, required=True)
@@ -328,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("bounds", help="sandwich bounds for the line count")
     c.add_argument("--r", required=True)
     c.add_argument("--d", type=int, default=2)
-    c.add_argument("--budget", type=int, default=90_000_000)
+    c.add_argument("--budget", type=int, default=DEFAULT_LENS_BUDGET)
     c.set_defaults(func=cmd_count)
 
     return parser

@@ -4,14 +4,16 @@ Exhaustive, exact-arithmetic checks: the number of lines through at least
 two ball lattice points (sandwiched between its proved bounds),
 the line count through the origin, the Farey asymptotic ratio, and the
 integer separation estimate for projections of the lattice along a
-rational direction. All counts deduplicate lines by their reduced key;
-pair enumeration is O(N_r^2) and guarded by an explicit budget.
+rational direction. The two-point-line count sums lens sizes over
+directions, O(r^(2d-1)) exact integer steps guarded by an explicit budget;
+the tests check it against a pair-scan oracle. The origin count deduplicates
+lines by their reduced key.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -21,8 +23,8 @@ from .lattice import (IntVec, as_fraction, ball_count, dot, enumerate_ball,
                       farey_count, norm2, primitive)
 from .rays import Ray, ray_key
 
-# default ceiling on enumerated point pairs (d=2 radius 64 fits under it)
-DEFAULT_PAIR_BUDGET = 90_000_000
+# default ceiling on lens steps, directions x rows (d=4 radius 7 fits under it)
+DEFAULT_LENS_BUDGET = 150_000_000
 # default ceiling on (primitive direction, point) tests in the separation scan
 DEFAULT_SEPARATION_BUDGET = 50_000_000
 
@@ -49,61 +51,46 @@ class CountReport:
         }
 
 
-def _pack_key(key, offset: int, span: int) -> int:
-    """Encode a ray key as one int to keep dedup sets compact."""
-    code = 0
-    for c in key.dir + key.base:
-        c += offset
-        if not 0 <= c < span:
-            raise AssertionError("pack range too small")
-        code = code * span + c
-    return code
+def _lens(rows: dict[IntVec, int], v: IntVec) -> int:
+    """P(v) = #{z in B : z + v in B}, one intersection of two integer
+    intervals of the last coordinate per row of the ball."""
+    head, t = v[:-1], v[-1]
+    total = 0
+    for p, m in rows.items():
+        m2 = rows.get(tuple(a + b for a, b in zip(p, head)))
+        if m2 is not None:
+            total += max(0, min(m, m2 - t) - max(-m, -m2 - t) + 1)
+    return total
 
 
-def _anchor_lines(points: list[IntVec], lo: int, hi: int,
-                  offset: int, span: int) -> set[int]:
-    keys: set[int] = set()
-    n = len(points)
-    for i in range(lo, hi):
-        zi = points[i]
-        for j in range(i + 1, n):
-            zj = points[j]
-            delta = tuple(a - b for a, b in zip(zj, zi))
-            ray = Ray(zi, primitive(delta))
-            keys.add(_pack_key(ray_key(ray), offset, span))
-    return keys
-
-
-def count_connecting_lines(r, d: int = 2, *, budget: int = DEFAULT_PAIR_BUDGET,
-                           workers: int = 1) -> int:
+def count_connecting_lines(r, d: int = 2, *,
+                           budget: int = DEFAULT_LENS_BUDGET) -> int:
     """Number of distinct lines through >= 2 lattice points of the r-ball.
 
-    Pair enumeration with dedup by reduced line key. Workers > 1 partition
-    the anchor index across processes; the merged count is deterministic.
+    The ball is convex, so the ball points of a line with primitive
+    direction theta form one run of consecutive multiples of theta, and the
+    lines in direction theta holding >= 2 of them number P(theta) - P(2 theta)
+    (lens sizes, see ``_lens``). The sum runs over the canonical primitive
+    directions of norm <= 2r. P is invariant under permuting and negating
+    coordinates, so each orbit's lens is computed once. ``budget`` caps the
+    lens steps, directions x rows, and is checked before the scan.
     """
-    points = enumerate_ball(d, r)
-    n = len(points)
-    npairs = n * (n - 1) // 2
-    if npairs > budget:
-        raise BudgetError(f"{npairs} point pairs exceed the budget of {budget}")
-    rceil = math.isqrt(math.floor(as_fraction(r) ** 2)) + 1
-    offset = 4 * rceil + 4
-    span = 2 * offset + 1
-    if workers <= 1 or n < 256:
-        return len(_anchor_lines(points, 0, n - 1, offset, span))
-    workers = min(workers, 32)
-    bounds = [round(i * (n - 1) / workers) for i in range(workers + 1)]
-    chunks = [(points, lo, hi, offset, span)
-              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    keys: set[int] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_anchor_lines_star, chunks):
-            keys |= part
-    return len(keys)
-
-
-def _anchor_lines_star(args) -> set[int]:
-    return _anchor_lines(*args)
+    rf = as_fraction(r)
+    # a row is the first d-1 coordinates; lexicographic order leaves its max last
+    rows = {z[:-1]: z[-1] for z in enumerate_ball(d, rf)}
+    dirs = canonical_primitives(2 * rf, d)
+    steps = len(dirs) * len(rows)
+    if steps > budget:
+        raise BudgetError(f"{steps} lens steps exceed the budget of {budget}")
+    orbits = Counter(tuple(sorted(map(abs, theta))) for theta in dirs)
+    r2 = rf * rf
+    total = 0
+    for theta, mult in orbits.items():
+        lines = _lens(rows, theta)
+        if norm2(theta) <= r2:  # else |2 theta| > 2r and P(2 theta) = 0
+            lines -= _lens(rows, tuple(2 * c for c in theta))
+        total += mult * lines
+    return total
 
 
 def count_lines_through_origin(r, d: int = 2) -> int:
@@ -122,8 +109,8 @@ def count_lines_through_origin(r, d: int = 2) -> int:
     return len(keys)
 
 
-def verify_count_bounds(r, d: int = 2, *, budget: int = DEFAULT_PAIR_BUDGET,
-                        workers: int = 1) -> CountReport:
+def verify_count_bounds(r, d: int = 2, *,
+                        budget: int = DEFAULT_LENS_BUDGET) -> CountReport:
     """Sandwich the two-point-line count between the proved bounds.
 
     Lower: N_{r/2} (1 + N_{r/2}) / 2, strict. Upper: N_r^2, strict.
@@ -131,7 +118,7 @@ def verify_count_bounds(r, d: int = 2, *, budget: int = DEFAULT_PAIR_BUDGET,
     rf = as_fraction(r)
     if rf < 1:
         raise PreconditionError("radius must be >= 1")
-    count = count_connecting_lines(rf, d, budget=budget, workers=workers)
+    count = count_connecting_lines(rf, d, budget=budget)
     n_half = ball_count(d, rf / 2)
     n_full = ball_count(d, rf)
     lower = n_half * (1 + n_half) // 2

@@ -23,7 +23,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .errors import FileFormatError
+from .errors import FileFormatError, PreconditionError
 from .lattice import as_fraction
 from .rays import Ray, RayKey, ray_key
 from .transform import FamilyMeta, GridFunction, Sinogram
@@ -39,7 +39,7 @@ def frac_str(x: Fraction) -> str:
 def parse_frac(s) -> Fraction:
     try:
         return as_fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except PreconditionError as exc:
         raise FileFormatError(f"bad rational {s!r}") from exc
 
 
@@ -51,18 +51,7 @@ def _int_vec(obj, d: int, what: str) -> tuple[int, ...]:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=True)
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def read_json(path: str):

@@ -27,16 +27,20 @@ FAREY_ENUM_BUDGET = 60_000_000
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational of an int, Fraction, float or 'p/q' string."""
+    """Exact rational of an int, Fraction, float or 'p/q' string.
+
+    A float gives the exact binary value of the float. Anything else, a
+    malformed string, a zero denominator or a non-finite float raises
+    PreconditionError.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if not isinstance(x, (int, float, str)):
+        raise PreconditionError(f"cannot interpret {x!r} as an exact rational")
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value of the float
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionError(f"bad rational {x!r}") from exc
 
 
 def norm2(v: Sequence[int]) -> int:

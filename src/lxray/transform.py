@@ -34,6 +34,8 @@ class GridFunction:
     values: dict[IntVec, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.d < 2:
+            raise PreconditionError("dimension must be >= 2")
         self.support_radius = as_fraction(self.support_radius)
         r2 = self.support_radius * self.support_radius
         den, num = r2.denominator, r2.numerator

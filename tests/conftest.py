@@ -7,7 +7,7 @@ machinery so that round-trip tests check two genuinely different routes.
 import random
 from fractions import Fraction
 
-from lxray import GridFunction, enumerate_ball
+from lxray import GridFunction, enumerate_ball, primitive
 
 
 def random_int_grid(d, r, seed, lo=-9, hi=9):
@@ -57,3 +57,25 @@ def brute_ball(d, r):
 
     rec([])
     return out
+
+
+def brute_line_count(r, d=2):
+    """Independent oracle: dedup lines by (normal direction, offset) for d=2,
+    and by (primitive direction, reduced point pair form) for d >= 3."""
+    pts = enumerate_ball(d, r)
+    seen = set()
+    for i, zi in enumerate(pts):
+        for zj in pts[i + 1:]:
+            delta = tuple(a - b for a, b in zip(zj, zi))
+            p = primitive(delta)
+            if d == 2:
+                normal = primitive((p[1], -p[0]))
+                c = normal[0] * zi[0] + normal[1] * zi[1]
+                seen.add((normal, c))
+            else:
+                # reduce the base along p by clearing the leading nonzero slot
+                lead = next(k for k, c in enumerate(p) if c != 0)
+                q = zi[lead] // p[lead]
+                base = tuple(a - q * b for a, b in zip(zi, p))
+                seen.add((p, base))
+    return len(seen)

@@ -250,8 +250,34 @@ def test_count_commands(tmp_path, capsys):
     assert payload["passed"] and payload["lower_bound"] < payload["count"]
 
 
-def test_lxray_threads_validation(monkeypatch):
-    monkeypatch.setenv("LXRAY_THREADS", "zebra")
-    assert run(["count", "tmin", "--r", "1"]) == 2
-    monkeypatch.setenv("LXRAY_THREADS", "2")
-    assert run(["count", "tmin", "--r", "1"]) == 0
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--kind", "point", "--r", "{}", "--out", "{grid}"],
+    ["count", "tmin", "--r", "{}"],
+    ["count", "bounds", "--r", "{}"],
+    ["count", "separation", "--R", "{}"],
+    ["recon", "--sino", "{sino}", "--r", "{}", "--out", "{grid}"],
+    ["forward", "--grid", "{grid}", "--family", "annulus", "1", "{}",
+     "--out", "{sino}"],
+    ["forward", "--grid", "{grid}", "--family", "annulus", "{}", "2",
+     "--out", "{sino}"],
+])
+def test_bad_rational_flag_exit_code(tmp_path, argv, bad):
+    grid, sino = tmp_path / "g.json", tmp_path / "s.json"
+    run(["phantom", "--kind", "point", "--r", "2", "--out", str(grid)])
+    run(["forward", "--grid", str(grid), "--family", "tstar", "--out", str(sino)])
+    argv = [a.format(bad, grid=grid, sino=sino) for a in argv]
+    assert run(argv) == 2
+
+
+def test_bad_rational_in_file_exit_code(tmp_path):
+    g, out = tmp_path / "g.json", tmp_path / "out.json"
+    g.write_text(json.dumps({"d": 2, "r": "1/0", "values": []}))
+    assert run(["export", "--grid", str(g), "--out", str(out)]) == 4
+
+
+def test_phantom_dimension_one_exit_code(tmp_path):
+    out = tmp_path / "g.json"
+    assert run(["phantom", "--kind", "point", "--d", "1", "--r", "1",
+                "--out", str(out)]) == 2
+    assert not out.exists()

@@ -1,34 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from lxray import (BudgetError, ball_count, canonical_primitives,
-                   count_connecting_lines, count_lines_through_origin,
-                   enumerate_ball, farey_asymptotic_report, primitive,
-                   separation_margin, unbounded_ray_witnesses, ray_key,
-                   verify_count_bounds, verify_projection_separation)
-
-
-def brute_line_count(r, d=2):
-    """Independent oracle: dedup lines by (normal direction, offset) for d=2,
-    and by (primitive direction, reduced point pair form) for d=3."""
-    pts = enumerate_ball(d, r)
-    seen = set()
-    for i, zi in enumerate(pts):
-        for zj in pts[i + 1:]:
-            delta = tuple(a - b for a, b in zip(zj, zi))
-            p = primitive(delta)
-            if d == 2:
-                normal = primitive((p[1], -p[0]))
-                c = normal[0] * zi[0] + normal[1] * zi[1]
-                seen.add((normal, c))
-            else:
-                # reduce the base along p by clearing the leading nonzero slot
-                lead = next(k for k, c in enumerate(p) if c != 0)
-                q = zi[lead] // p[lead]
-                base = tuple(a - q * b for a, b in zip(zi, p))
-                seen.add((p, base))
-    return len(seen)
+from conftest import brute_line_count
+from lxray import (BudgetError, PreconditionError, ball_count,
+                   canonical_primitives, count_connecting_lines,
+                   count_lines_through_origin, enumerate_ball,
+                   farey_asymptotic_report, separation_margin,
+                   unbounded_ray_witnesses, ray_key, verify_count_bounds,
+                   verify_projection_separation)
+from lxray.counting import DEFAULT_LENS_BUDGET
 
 
 def test_count_connecting_lines_examples():
@@ -42,6 +24,15 @@ def test_count_connecting_lines_against_oracle():
         assert count_connecting_lines(r) == brute_line_count(r)
     assert count_connecting_lines(1, d=3) == brute_line_count(1, d=3)
     assert count_connecting_lines(2, d=3) == brute_line_count(2, d=3)
+    for r, d in ((Fraction(5, 2), 2), (Fraction(7, 3), 3),
+                 (1, 4), (Fraction(3, 2), 4)):
+        assert count_connecting_lines(r, d) == brute_line_count(r, d)
+
+
+@pytest.mark.parametrize("d, r, count", [
+    (2, 8, 8900), (2, 12, 44352), (2, 16, 144628), (3, 3, 5389), (3, 4, 24097)])
+def test_count_connecting_lines_pinned(d, r, count):
+    assert count_connecting_lines(r, d) == count
 
 
 def test_count_connecting_lines_monotone():
@@ -54,10 +45,26 @@ def test_count_connecting_lines_budget():
         count_connecting_lines(10, budget=100)
 
 
-def test_count_connecting_lines_parallel_matches_serial():
-    serial = count_connecting_lines(10)
-    parallel = count_connecting_lines(10, workers=2)
-    assert parallel == serial
+def lens_steps(d, r):
+    """Directions x rows: canonical primitives of norm <= 2r times the
+    distinct first-(d-1)-coordinate prefixes of the r-ball."""
+    rows = len({z[:-1] for z in enumerate_ball(d, r)})
+    return len(canonical_primitives(2 * r, d)) * rows
+
+
+def test_count_connecting_lines_budget_is_lens_steps():
+    steps = lens_steps(2, 3)
+    assert count_connecting_lines(3, budget=steps) == brute_line_count(3)
+    with pytest.raises(BudgetError):
+        count_connecting_lines(3, budget=steps - 1)
+    with pytest.raises(PreconditionError):
+        count_connecting_lines(2, d=1)
+
+
+@pytest.mark.parametrize("d, r", [(2, 65), (3, 14), (4, 7)])
+def test_default_budget_admits_old_pair_limits(d, r):
+    # the largest radii the former 90M point-pair default admitted
+    assert lens_steps(d, r) <= DEFAULT_LENS_BUDGET
 
 
 def test_count_lines_through_origin_examples():

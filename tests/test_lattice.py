@@ -5,9 +5,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ball
-from lxray import (BudgetError, PreconditionError, build_shells, enumerate_ball,
-                   farey_count, farey_set, prim_norm_le, primitive,
-                   totient_sieve, totient_sum)
+from lxray import (BudgetError, PreconditionError, as_fraction, build_shells,
+                   enumerate_ball, farey_count, farey_set, prim_norm_le,
+                   primitive, totient_sieve, totient_sum)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
+def test_as_fraction_rejects_non_rationals(bad):
+    with pytest.raises(PreconditionError):
+        as_fraction(bad)
 
 
 def test_enumerate_ball_examples():
