@@ -11,8 +11,8 @@ from .lattice import (FareySet, ShellDecomposition, as_fraction, ball_count,
                       is_canonical_direction, norm2, prim_norm_le, primitive,
                       totient_sieve, totient_sum)
 from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
-                   group_slices, perp_family, perp_ray, perp_ray_in_plane,
-                   points_on_ray, ray_key, slice_key)
+                   perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
+                   ray_key)
 from .transform import (FamilyMeta, GridFunction, Sinogram, constant_weight,
                         forward, forward_family, forward_weighted,
                         project_and_bin, table_weight)

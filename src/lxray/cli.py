@@ -23,8 +23,9 @@ from .counting import (DEFAULT_LENS_BUDGET, count_connecting_lines,
 from .errors import (BudgetError, FileFormatError, LxrayError,
                      MissingDataError, PlanError, PreconditionError)
 from .lattice import as_fraction, enumerate_ball, farey_count, norm2, totient_sum
-from .rays import Plane
-from .recon import (make_plan, recon_annulus, recon_one_point, recon_shells)
+from .rays import Plane, coordinate_plane, perp_family, ray_key
+from .recon import (make_plan, plan_targets, recon_annulus, recon_one_point,
+                    recon_shells)
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
 
 
@@ -122,8 +123,13 @@ def _plan_from_sinogram(sino, r_override=None, weight=None):
         radius = meta.support_radius
     else:
         radius = _infer_radius(points)
-    return make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
+    plan = make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
                      alpha=meta.alpha, beta=meta.beta)
+    if meta.kind != "free":
+        for z, ray in sino.family:  # rows store reduced rays
+            if z in plan.rays and ray_key(plan.rays[z]) != (ray.dir, ray.base):
+                raise FileFormatError(f"ray of {z} is not its {meta.kind} ray")
+    return plan
 
 
 def cmd_phantom(args) -> int:
@@ -138,11 +144,8 @@ def cmd_forward(args) -> int:
     if args.continuous and args.weight is not None:
         raise PreconditionError("--continuous and --weight are mutually exclusive")
     weight = _parse_weight(args.weight)
-    points = enumerate_ball(grid.d, grid.support_radius)
-    if alpha is not None:
-        lo, hi = alpha * alpha, beta * beta
-        points = [z for z in points if lo <= z[0] * z[0] + z[1] * z[1] <= hi]
-    from .rays import perp_family
+    points = plan_targets(enumerate_ball(grid.d, grid.support_radius),
+                          plane or coordinate_plane(grid.d), alpha, beta)
     family = perp_family(points, plane)
     meta = FamilyMeta(kind=kind,
                       a=plane.a if plane else None, b=plane.b if plane else None,
@@ -182,7 +185,9 @@ def cmd_recon(args) -> int:
             raise PreconditionError("--iterate needs a positive count")
         plan = _plan_from_sinogram(sino, r_override, weight=None)
         iterates, residuals = iterate_recon(sino, plan, iters=args.iterate)
-        lio.write_json_atomic(args.out, lio.grid_to_obj(iterates[-1]))
+        # the refined iterates are the CSV rows; keep the first best one
+        best = min(range(1, len(iterates)), key=residuals.__getitem__)
+        lio.write_json_atomic(args.out, lio.grid_to_obj(iterates[best]))
         res_path = args.residuals or (args.out + ".residuals.csv")
         lio.residuals_to_csv(res_path, residuals[1:])
         return 0

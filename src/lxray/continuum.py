@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import (MissingDataError, PreconditionError)
 from .lattice import IntVec, as_fraction, dot, norm2, vsub
-from .rays import Ray, ray_key
+from .rays import Ray, perp_ray, ray_key
 from .recon import ReconPlan, recon_shells
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted)
@@ -164,8 +164,6 @@ def correction_identity_check(f: GridFunction, z: IntVec) -> tuple[float, float]
     contributions of all supported cells off the line.
     The two agree up to double-precision roundoff.
     """
-    from .rays import perp_ray
-
     ray = perp_ray(z)
     lhs = forward_weighted(f, ray, chord_weight())
     correction = 0.0
@@ -258,6 +256,8 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     if plan.weight is not None:
         raise PreconditionError("layer reconstruction defines its own weight")
     radius = float(plan.support_radius) + math.sqrt(plan.d)
+    norms2 = {z: nu for dec in plan.slices.values()
+              for shell, nu in zip(dec.shells, dec.norms2) for z in shell}
     out: dict[IntVec, float] = {}
     for skey in sorted(plan.slices):
         dec = plan.slices[skey]
@@ -272,7 +272,7 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
                     if cell == z:
                         continue
                     v = out.get(cell, 0.0)
-                    if v != 0.0 and plan.norm2_of(cell) > nu:
+                    if v != 0.0 and norms2[cell] > nu:
                         total -= chord * v
                 wz = cell_chord(ray, z)
                 out[z] = total / wz

@@ -93,9 +93,12 @@ class Plane:
 
     def inplane_norm2(self, v: Sequence) -> Fraction:
         """Exact |proj_plane(v)|^2 as a Fraction with denominator det."""
+        return Fraction(self.scaled_inplane_norm2(v), self.det)
+
+    def scaled_inplane_norm2(self, v: Sequence) -> int:
+        """det * |proj_plane(v)|^2, an integer."""
         s, t = dot(v, self.a), dot(v, self.b)
-        un, vn = self._coeff_nums(v)
-        return Fraction(s * un + t * vn, self.det)
+        return s * s * self.bb - 2 * s * t * self.ab + t * t * self.aa
 
     def slice_key(self, z: Sequence[int]) -> IntVec:
         """det * (component of z orthogonal to the plane), an integer vector.
@@ -223,15 +226,3 @@ def effectively_irrational(theta: Sequence[int], r) -> bool:
     rf = as_fraction(r)
     return norm2(theta) > 4 * rf * rf
 
-
-def slice_key(z: Sequence[int], plane: Plane) -> IntVec:
-    return plane.slice_key(z)
-
-
-def group_slices(points: Iterable[IntVec],
-                 plane: Plane) -> dict[IntVec, list[IntVec]]:
-    """Partition points by the affine slice (parallel to plane) they lie in."""
-    groups: dict[IntVec, list[IntVec]] = {}
-    for z in points:
-        groups.setdefault(plane.slice_key(z), []).append(tuple(z))
-    return {k: groups[k] for k in sorted(groups)}

@@ -34,12 +34,13 @@ from .transform import GridFunction, Sinogram, Weight
 
 @dataclass
 class ReconPlan:
-    """Everything a shell sweep needs: targets, rays, slices, shells.
+    """Everything a shell sweep needs: targets, rays, slices, shells, incidence.
 
     ``plane`` is None for the standard family (rays perpendicular to the
     first two coordinates); slices and in-plane norms then use the
     coordinate plane. ``alpha``/``beta`` record an annulus restriction of
-    the target set.
+    the target set. ``incidence[z]`` holds the other plan points on z's ray
+    in ray order; each lies in an earlier shell of z's slice.
     """
 
     d: int
@@ -47,21 +48,25 @@ class ReconPlan:
     points: tuple[IntVec, ...]
     rays: dict[IntVec, Ray]
     slices: dict[IntVec, ShellDecomposition]
+    incidence: dict[IntVec, tuple[IntVec, ...]] = field(repr=False)
     plane: Plane | None = None
     weight: Weight | None = None
     alpha: Fraction | None = None
     beta: Fraction | None = None
-    norm2_of: Callable[[IntVec], Fraction] = field(default=None, repr=False)
 
     def ray_keys(self) -> set[RayKey]:
         return {ray_key(ray) for ray in self.rays.values()}
 
 
-def _inplane_norm2_fn(d: int, plane: Plane | None):
-    if plane is None:
-        # fast integer path for the coordinate plane
-        return lambda z: z[0] * z[0] + z[1] * z[1]
-    return plane.inplane_norm2
+def plan_targets(points: list[IntVec], geom: Plane, alpha: Fraction | None,
+                 beta: Fraction | None) -> list[IntVec]:
+    """The points whose norm in plane geom lies in [alpha, beta]; None is open."""
+    if alpha is None and beta is None:
+        return points
+    # exact integer bounds on det * in-plane norm^2
+    lo = math.ceil(alpha * alpha * geom.det) if alpha is not None else 0
+    hi = math.floor(beta * beta * geom.det) if beta is not None else math.inf
+    return [z for z in points if lo <= geom.scaled_inplane_norm2(z) <= hi]
 
 
 def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
@@ -69,29 +74,43 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               alpha=None, beta=None) -> ReconPlan:
     """Build a reconstruction plan over a point set (default: the full ball).
 
-    alpha/beta restrict the targets to in-plane norms within [alpha, beta].
+    alpha/beta restrict the targets to in-plane norms within [alpha, beta];
+    beta must reach the support radius, or values outside the annulus
+    would feed the sweep unknown. Each target's ray is solved here, once.
     """
     r = as_fraction(support_radius)
     if plane is not None and plane.d != d:
         raise PreconditionError("plane dimension mismatch")
-    pts = [tuple(z) for z in points] if points is not None else enumerate_ball(d, r)
-    nfn = _inplane_norm2_fn(d, plane)
     af = as_fraction(alpha) if alpha is not None else None
     bf = as_fraction(beta) if beta is not None else None
-    if af is not None or bf is not None:
-        lo = af * af if af is not None else None
-        hi = bf * bf if bf is not None else None
-        pts = [z for z in pts
-               if (lo is None or nfn(z) >= lo) and (hi is None or nfn(z) <= hi)]
-    rays = dict(perp_family(pts, plane))
+    if bf is not None and bf < r:
+        raise PreconditionError(
+            f"annulus outer bound {bf} is below the support radius {r}")
     geom = plane if plane is not None else coordinate_plane(d)
+    pts = [tuple(z) for z in points] if points is not None else enumerate_ball(d, r)
+    pts = plan_targets(pts, geom, af, bf)
+    rays = dict(perp_family(pts, plane))
     slices: dict[IntVec, list[IntVec]] = {}
     for z in pts:
         slices.setdefault(geom.slice_key(z), []).append(z)
     decomps = {k: build_shells(v, plane=geom) for k, v in sorted(slices.items())}
+    # plan points only, as the plan's own tuples: other ball points read as 0
+    targets = {z: z for z in pts}
+    r2 = r * r
+    incidence: dict[IntVec, tuple[IntVec, ...]] = {}
+    for dec in decomps.values():
+        for shell in dec.shells:
+            for z in shell:
+                others = tuple(targets[y] for y in points_on_ray(rays[z], r2=r2)
+                               if y != z and y in targets)
+                for y in others:
+                    if y not in incidence or y in shell:
+                        raise PlanError(
+                            f"{y} on the ray of {z} is not in an earlier shell")
+                incidence[z] = others
     return ReconPlan(d=d, support_radius=r, points=tuple(pts), rays=rays,
-                     slices=decomps, plane=plane, weight=weight,
-                     alpha=af, beta=bf, norm2_of=nfn)
+                     slices=decomps, incidence=incidence, plane=plane,
+                     weight=weight, alpha=af, beta=bf)
 
 
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
@@ -99,31 +118,23 @@ def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
 
     Within each slice, shells are processed outermost first; for a target z
     the value is the ray datum minus the already-recovered values at the
-    other lattice points of the ray (all of which lie strictly farther out,
-    or outside the plan where they read as zero by the support assumption).
-    With a plan weight W, data are weighted sums and the update divides by
-    W(z, direction). A required entry missing from g is an error, never
-    imputed.
+    other plan points of its ray (``plan.incidence[z]``; ball points outside
+    the plan read as zero). With a plan weight W, data are weighted sums and
+    the update divides by W(z, direction). A required entry missing from g
+    is an error, never imputed.
     """
     w = plan.weight
-    r2 = plan.support_radius * plan.support_radius
     out: dict[IntVec, float] = {}
     for skey in sorted(plan.slices):
-        dec = plan.slices[skey]
-        for shell, nu in zip(dec.shells, dec.norms2):
+        for shell in plan.slices[skey].shells:
             for z in shell:
                 ray = plan.rays[z]
                 key = ray_key(ray)
                 if key not in g.entries:
                     raise MissingDataError(f"no sinogram entry for ray of {z}")
                 total = g.entries[key]
-                for zeta in points_on_ray(ray, r2=r2):
-                    if zeta == z:
-                        continue
-                    if plan.norm2_of(zeta) <= nu:
-                        raise PlanError(
-                            f"{zeta} on the ray of {z} is not in an earlier shell")
-                    fz = out.get(zeta, 0.0)
+                for zeta in plan.incidence[z]:
+                    fz = out[zeta]
                     if fz != 0.0:
                         total -= (w(zeta, ray.dir) * fz) if w else fz
                 if w is not None:
@@ -143,17 +154,9 @@ def recon_shells_weighted(g: Sinogram, plan: ReconPlan) -> GridFunction:
 
 
 def recon_annulus(g: Sinogram, plan: ReconPlan) -> GridFunction:
-    """Recover f on an annulus of in-plane norms from the restricted family.
-
-    Requires beta >= support radius: values farther out than beta would
-    otherwise be unknown yet feed the recursion. Refused, not approximated.
-    """
+    """Shell sweep for annulus data; the plan must carry annulus bounds."""
     if plan.beta is None:
         raise PreconditionError("plan carries no annulus bounds")
-    if plan.beta < plan.support_radius:
-        raise PreconditionError(
-            f"annulus outer bound {plan.beta} is below the support radius "
-            f"{plan.support_radius}")
     return recon_shells(g, plan)
 
 

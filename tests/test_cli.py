@@ -3,8 +3,8 @@ import json
 import pytest
 
 from lxray import io as lio
-from lxray import (GridFunction, enumerate_ball, forward_family, norm2,
-                   one_point_directions, one_point_family)
+from lxray import (GridFunction, enumerate_ball, forward_family, iterate_recon,
+                   make_plan, norm2, one_point_directions, one_point_family)
 from lxray.cli import main, make_phantom
 from lxray.transform import FamilyMeta
 
@@ -192,6 +192,25 @@ def test_iterate_pipeline_writes_residuals(tmp_path):
     read_grid(r)  # parses as a grid file
 
 
+def test_iterate_writes_min_residual_iterate(tmp_path):
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    res = tmp_path / "res.csv"
+    run(["phantom", "--kind", "random-int", "--d", "2", "--r", "8",
+         "--seed", "3", "--out", str(g)])
+    run(["forward", "--grid", str(g), "--family", "tstar", "--continuous",
+         "--out", str(s)])
+    assert run(["recon", "--sino", str(s), "--iterate", "4", "--out", str(r),
+                "--residuals", str(res)]) == 0
+    rows = [float(line.split(",")[1])
+            for line in res.read_text().strip().splitlines()[1:]]
+    iterates, residuals = iterate_recon(
+        lio.obj_to_sino(lio.read_json(str(s))), make_plan(2, 8), iters=4)
+    assert rows == residuals[1:]
+    best = 1 + rows.index(min(rows))
+    assert best != len(rows)  # residuals grow here: the last is not the best
+    assert read_grid(r).values == iterates[best].values
+
+
 def test_export_csv(tmp_path):
     g, c = tmp_path / "g.json", tmp_path / "g.csv"
     run(["phantom", "--kind", "point", "--d", "2", "--r", "1", "--out", str(g)])
@@ -216,6 +235,24 @@ def test_malformed_file_exit_code(tmp_path):
     notagrid.write_text(json.dumps({"d": 2, "values": []}))
     assert run(["forward", "--grid", str(notagrid), "--family", "tstar",
                 "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("family", [["tstar"],
+                                    ["tstar-plane", "1,1,0", "0,1,1"]])
+def test_wrong_family_ray_exit_code(tmp_path, family):
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    d = 2 if len(family) == 1 else 3
+    run(["phantom", "--kind", "random-int", "--d", str(d), "--r", "2",
+         "--seed", "9", "--out", str(g)])
+    assert run(["forward", "--grid", str(g), "--family", *family,
+                "--out", str(s)]) == 0
+    obj = json.loads(s.read_text())
+    origin = next(row for row in obj["rays"] if not any(row["z"]))
+    # a valid reduced line through the origin, but not the origin's family ray
+    origin["dir"] = [0, 1] + [0] * (d - 2)
+    origin["base"] = [0] * d
+    s.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
 
 
 def test_budget_exit_code():

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import on_line
 from lxray import (Plane, PreconditionError, Ray, coordinate_plane,
-                   effectively_irrational, enumerate_ball, group_slices, norm2,
+                   effectively_irrational, enumerate_ball, make_plan, norm2,
                    perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
-                   ray_key, slice_key)
+                   ray_key)
 
 
 def test_perp_ray_examples():
@@ -110,21 +110,22 @@ def test_effectively_irrational_examples():
 
 def test_slice_key_examples():
     pl = coordinate_plane(3)
-    assert slice_key((4, -1, 7), pl) == (0, 0, 7)
-    assert {slice_key(z, pl) for z in [(1, 2, 7), (0, 0, 7), (-3, 1, 7)]} \
+    assert pl.slice_key((4, -1, 7)) == (0, 0, 7)
+    assert {pl.slice_key(z) for z in [(1, 2, 7), (0, 0, 7), (-3, 1, 7)]} \
         == {(0, 0, 7)}
     # d=2: the orthogonal complement is trivial, one slice for everything
     pl2 = coordinate_plane(2)
-    assert {slice_key(z, pl2) for z in enumerate_ball(2, 2)} == {(0, 0)}
+    assert {pl2.slice_key(z) for z in enumerate_ball(2, 2)} == {(0, 0)}
     # general plane: z and z - a + b land in the same slice
     pl3 = Plane((1, 1, 0), (0, 1, 1))
-    assert slice_key((1, 0, 0), pl3) == slice_key((0, 0, 1), pl3)
+    assert pl3.slice_key((1, 0, 0)) == pl3.slice_key((0, 0, 1))
 
 
 def test_group_slices_partitions():
     pl = Plane((1, 1, 0), (0, 1, 1))
     pts = enumerate_ball(3, 3)
-    groups = group_slices(pts, pl)
+    slices = make_plan(3, 3, plane=pl).slices
+    groups = {k: dec.points() for k, dec in slices.items()}
     collected = [z for grp in groups.values() for z in grp]
     assert sorted(collected) == sorted(pts)
     for grp in groups.values():

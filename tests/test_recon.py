@@ -133,7 +133,7 @@ def test_intra_shell_order_independence():
     plan2 = ReconPlan(d=plan.d, support_radius=plan.support_radius,
                       points=plan.points, rays=plan.rays, slices=shuffled_slices,
                       plane=plan.plane, weight=plan.weight, alpha=plan.alpha,
-                      beta=plan.beta, norm2_of=plan.norm2_of)
+                      beta=plan.beta, incidence=plan.incidence)
     assert recon_shells(g, plan2).values_equal(baseline)
 
 
@@ -179,10 +179,8 @@ def test_annulus_outside_support_is_zero():
 
 
 def test_annulus_beta_below_radius_refused():
-    plan = make_plan(2, 6, alpha=1, beta=4)
-    g = tstar_data(GridFunction(2, 6), plan)
     with pytest.raises(PreconditionError):
-        recon_annulus(g, plan)
+        make_plan(2, 6, alpha=1, beta=4)
 
 
 def test_weighted_constant_matches_unweighted():
