@@ -10,15 +10,17 @@ Sinogram files:
      "rays": [{"z": [...], "dir": [...], "base": [...], "v": float}]}
 
 Rows are sorted by z and floats use Python's shortest round-trip repr, so
-identical inputs produce byte-identical files. The optional family "r"
-records the data-side support radius so reconstructions can re-check the
-annulus precondition without re-supplying it. Writes are atomic (temp file
-plus rename).
+identical inputs produce byte-identical files. Values must be finite: a NaN
+or infinity is a format error on reading and is refused on writing, so
+every file is standard JSON. The optional family "r" records the data-side
+support radius so reconstructions can re-check the annulus precondition
+without re-supplying it. Writes are atomic (temp file plus rename).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -50,8 +52,26 @@ def _int_vec(obj, d: int, what: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
+def _value(v) -> float:
+    """A row's value as a finite double; anything else is a format error."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise FileFormatError(f"bad value {v!r}")
+    try:
+        x = float(v)
+    except OverflowError as exc:
+        raise FileFormatError(f"value {v!r} is out of double range") from exc
+    if not math.isfinite(x):
+        raise FileFormatError(f"non-finite value {v!r}")
+    return x
+
+
 def write_json_atomic(path: str, obj) -> None:
-    _write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    """Write standard JSON: a non-finite float is refused, nothing written."""
+    try:
+        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise PreconditionError(f"refusing to write {path}: {exc}") from exc
+    _write_text_atomic(path, text + "\n")
 
 
 def read_json(path: str):
@@ -90,9 +110,7 @@ def obj_to_grid(obj) -> GridFunction:
         z = _int_vec(row["z"], d, "z")
         if z in values:
             raise FileFormatError(f"duplicate grid point {z}")
-        if not isinstance(row["v"], (int, float)) or isinstance(row["v"], bool):
-            raise FileFormatError(f"bad value {row['v']!r}")
-        values[z] = float(row["v"])
+        values[z] = _value(row["v"])
     try:
         return GridFunction(d=d, support_radius=r, values=values)
     except Exception as exc:
@@ -168,19 +186,17 @@ def obj_to_sino(obj) -> Sinogram:
             z = _int_vec(row["z"], d, "z")
             dirv = _int_vec(row["dir"], d, "dir")
             base = _int_vec(row["base"], d, "base")
-            v = row["v"]
+            v = _value(row["v"])
         except KeyError as exc:
             raise FileFormatError(f"ray row missing key {exc}") from exc
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FileFormatError(f"bad value {v!r}")
         ray = Ray(base, dirv)
         key = ray_key(ray)
         if key.dir != dirv or key.base != base:
             raise FileFormatError(
                 f"ray (dir={dirv}, base={base}) is not in reduced canonical form")
-        if key in entries and entries[key] != float(v):
+        if key in entries and entries[key] != v:
             raise FileFormatError(f"conflicting values for one line at {z}")
-        entries[key] = float(v)
+        entries[key] = v
         family.append((z, ray))
     return Sinogram(d=d, entries=entries, meta=meta, family=tuple(family))
 

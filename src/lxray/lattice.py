@@ -169,26 +169,27 @@ def build_shells(points: Iterable[IntVec], origin: Sequence | None = None,
                  plane=None) -> ShellDecomposition:
     """Group points by exact squared distance to origin, outermost first.
 
-    With ``plane`` given (any object exposing ``inplane_norm2``), the
-    distance is that of the point's projection onto the plane, so the
-    decomposition orders a two-dimensional slice by its own radial norm.
-    Ties form one shell; an empty input yields an empty decomposition.
+    With ``plane`` given (any object exposing ``scaled_inplane_norm2`` and
+    ``det``), the distance is that of the point's projection onto the
+    plane, so the decomposition orders a two-dimensional slice by its own
+    radial norm. Points are grouped by the exact scaled norm (an integer
+    for integer input) and each shell's norm becomes a Fraction once. Ties
+    form one shell; an empty input yields an empty decomposition.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise PreconditionError("points must be pairwise distinct")
-    groups: dict[Fraction, list[IntVec]] = {}
+    groups: dict[int | Fraction, list[IntVec]] = {}
     for z in pts:
         delta = vsub(z, origin) if origin is not None else z
-        if plane is not None:
-            n2 = plane.inplane_norm2(delta)
-        else:
-            n2 = Fraction(sum(Fraction(c) * Fraction(c) for c in delta))
-        groups.setdefault(n2, []).append(z)
-    ordered = sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
+        n = (plane.scaled_inplane_norm2(delta) if plane is not None
+             else sum(c * c for c in delta))
+        groups.setdefault(n, []).append(z)
+    det = plane.det if plane is not None else 1
+    ordered = sorted(groups.items(), reverse=True)
     return ShellDecomposition(
         shells=tuple(tuple(sorted(g)) for _, g in ordered),
-        norms2=tuple(n for n, _ in ordered),
+        norms2=tuple(Fraction(n, det) for n, _ in ordered),
     )
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError, PreconditionError
 from .lattice import (IntVec, as_fraction, dot, is_canonical_direction, norm2,
@@ -171,13 +172,38 @@ def perp_family(points: Iterable[IntVec],
     return out
 
 
+def ray_span(ray: Ray, num: int, den: int,
+             center: IntVec | None = None) -> range:
+    """The integer k with den * |base + k*dir - center|^2 <= num, as a range.
+
+    num/den is the squared radius. With a = den|dir|^2, b = 2 den (u.dir),
+    c = den|u|^2 - num (u = base - center) the condition is
+    a k^2 + b k + c <= 0, i.e. (2ak + b)^2 <= disc = b^2 - 4ac; for integer
+    k that holds iff |2ak + b| <= isqrt(disc), so the range is exact and no
+    k in it needs re-checking.
+    """
+    p = ray.dir
+    u = vsub(ray.base, center) if center is not None else ray.base
+    pp = up = uu = 0
+    for ui, pi in zip(u, p):
+        pp += pi * pi
+        up += ui * pi
+        uu += ui * ui
+    a2 = 2 * den * pp
+    b = 2 * den * up
+    disc = b * b - 2 * a2 * (den * uu - num)
+    if disc < 0:
+        return range(0)
+    s = math.isqrt(disc)
+    return range(-((b + s) // a2), (s - b) // a2 + 1)
+
+
 def points_on_ray(ray: Ray, r=None, center: IntVec | None = None, *,
                   r2=None) -> list[IntVec]:
     """Lattice points of the ray within |x - center| <= r, ordered along it.
 
-    Solves the integer-coefficient quadratic |base + k*dir - center|^2 <= r^2
-    for the integer range of k exactly (no floating ray marching); pass
-    either r or the squared radius r2.
+    The k-range comes from ``ray_span`` (exact integer arithmetic, no
+    floating ray marching); pass either r or the squared radius r2.
     """
     if r2 is None:
         if r is None:
@@ -186,32 +212,17 @@ def points_on_ray(ray: Ray, r=None, center: IntVec | None = None, *,
         r2 = rf * rf
     else:
         r2 = as_fraction(r2)
-    if r2 < 0:
-        return []
+    return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator,
+                                         center)))
+
+
+def ray_points(ray: Ray, ks: range) -> Iterator[IntVec]:
+    """The points base + k*dir for k in ks (a step-1 range), in order."""
     p = ray.dir
-    base = ray.base
-    u = vsub(base, center) if center is not None else base
-    den, num = r2.denominator, r2.numerator
-    pp = up = uu = 0
-    for ui, pi in zip(u, p):
-        pp += pi * pi
-        up += ui * pi
-        uu += ui * ui
-    a = den * pp
-    b = 2 * den * up
-    c = den * uu - num
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = math.isqrt(disc)
-    kmin = -((b + s) // (2 * a))
-    kmax = (-b + s) // (2 * a)
-    out = []
-    for k in range(kmin, kmax + 1):
-        # |u + k p|^2 via the quadratic form, no vector churn
-        if den * (uu + k * (2 * up + k * pp)) <= num:
-            out.append(tuple(bi + k * pi for bi, pi in zip(base, p)))
-    return out
+    z = tuple(bi + ks.start * pi for bi, pi in zip(ray.base, p))
+    for _ in ks:
+        yield z
+        z = tuple(map(add, z, p))
 
 
 def effectively_irrational(theta: Sequence[int], r) -> bool:

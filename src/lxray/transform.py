@@ -9,13 +9,17 @@ tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import PreconditionError, ZeroWeightError
 from .lattice import IntVec, as_fraction, norm2
-from .rays import Ray, RayKey, ray_key, points_on_ray, is_canonical_direction
+from .rays import (Ray, RayKey, is_canonical_direction, ray_key, ray_points,
+                   ray_span)
 
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]
@@ -26,7 +30,8 @@ class GridFunction:
     """Sparse real-valued function on Z^d supported in a declared ball.
 
     Unstored points read as zero; every stored point must satisfy
-    |z|^2 <= r^2 (checked exactly against the rational radius).
+    |z|^2 <= r^2 (checked exactly against the rational radius) and every
+    value must be finite.
     """
 
     d: int
@@ -46,7 +51,13 @@ class GridFunction:
                 raise PreconditionError(f"point {z} has wrong dimension")
             if den * norm2(z) > num:
                 raise PreconditionError(f"point {z} outside declared support ball")
-            clean[z] = float(v)
+            try:
+                v = float(v)
+            except OverflowError as exc:
+                raise PreconditionError(f"value at {z} is out of range") from exc
+            if not math.isfinite(v):
+                raise PreconditionError(f"value at {z} is not finite")
+            clean[z] = v
         self.values = clean
 
     def get(self, z: IntVec) -> float:
@@ -108,26 +119,63 @@ class Sinogram:
     family: tuple[tuple[IntVec, Ray], ...] = ()
 
 
-def forward(f: GridFunction, ray: Ray) -> float:
-    """Sum of f over the lattice points of the ray inside the support ball."""
-    if ray.d != f.d:
-        raise PreconditionError("ray and grid dimensions differ")
+def _r2_terms(f: GridFunction) -> tuple[int, int]:
     r2 = f.support_radius * f.support_radius
-    return float(sum(f.values.get(z, 0.0) for z in points_on_ray(ray, r2=r2)))
+    return r2.numerator, r2.denominator
 
 
-def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
-    """Weighted sum of f over the ray's lattice points in the support ball."""
-    if ray.d != f.d:
+def _check_dim(f: GridFunction, ray: Ray) -> None:
+    if len(ray.base) != f.d:
         raise PreconditionError("ray and grid dimensions differ")
-    r2 = f.support_radius * f.support_radius
+
+
+def _weighted_sum(f: GridFunction, ray: Ray, ks: range, weight: Weight) -> float:
+    """Sum of W(z, dir) f(z) over base + k*dir, k in ks, in ray order."""
     total = 0.0
-    for z in points_on_ray(ray, r2=r2):
+    for z in ray_points(ray, ks):
         w = weight(z, ray.dir)
         if w == 0:
             raise ZeroWeightError(f"weight vanishes at {z}")
         total += w * f.values.get(z, 0.0)
     return total
+
+
+def forward(f: GridFunction, ray: Ray) -> float:
+    """Sum of f over the lattice points of the ray inside the support ball."""
+    _check_dim(f, ray)
+    points = ray_points(ray, ray_span(ray, *_r2_terms(f)))
+    return float(sum(map(f.values.get, points, repeat(0.0))))
+
+
+def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
+    """Weighted sum of f over the ray's lattice points in the support ball."""
+    _check_dim(f, ray)
+    return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
+
+
+def _indexed_sums(f: GridFunction, num: int, den: int
+                  ) -> Callable[[Ray, range], float]:
+    """Unweighted ray sums read from a linear index of the support.
+
+    z maps to the mixed-radix integer of z + (m, ..., m) in base 2m + 1
+    (m = floor of the radius): injective on the ball and affine in k along
+    a ray, so a ray's points are one ``range`` of indices. Each sum runs
+    over the same values in the same order as ``forward``.
+    """
+    m = math.isqrt(num // den)
+    place = tuple((2 * m + 1) ** i for i in reversed(range(f.d)))
+    offset = m * sum(place)
+    index = {offset + sum(map(mul, z, place)): v for z, v in f.values.items()}
+
+    def ray_sum(ray: Ray, ks: range) -> float:
+        step = sum(map(mul, ray.dir, place))
+        lo = offset + sum(map(mul, ray.base, place)) + ks.start * step
+        # step is 0 only for a direction too long for two points of the
+        # box; the span then holds at most one point
+        span = (range(lo, lo + len(ks) * step, step) if step
+                else range(lo, lo + len(ks)))
+        return float(sum(map(index.get, span, repeat(0.0))))
+    return ray_sum
 
 
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
@@ -136,15 +184,22 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
     """Project f along every ray of a family, one stored value per line.
 
     When several family points share a line the single stored value serves
-    all of them.
+    all of them. r^2 is formed once; each ray's points come from its exact
+    ``ray_span``.
     """
     fam = tuple((tuple(z), ray) for z, ray in family)
+    num, den = _r2_terms(f)
+    if weight is None:
+        ray_sum = _indexed_sums(f, num, den)
+    else:
+        def ray_sum(ray: Ray, ks: range) -> float:
+            return _weighted_sum(f, ray, ks, weight)
     entries: dict[RayKey, float] = {}
     for _, ray in fam:
         key = ray_key(ray)
         if key not in entries:
-            entries[key] = (forward(f, ray) if weight is None
-                            else forward_weighted(f, ray, weight))
+            _check_dim(f, ray)
+            entries[key] = ray_sum(ray, ray_span(ray, num, den))
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
     return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)

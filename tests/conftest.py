@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's ray enumeration and key
 machinery so that round-trip tests check two genuinely different routes.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,6 +36,28 @@ def on_line(z, ray):
 def brute_forward(f, ray):
     """Discrete transform by scanning the whole support (oracle)."""
     return float(sum(v for z, v in f.values.items() if on_line(z, ray)))
+
+
+def brute_ray_points(ray, r, center=None, candidates=None):
+    """Lattice points of the ray in the closed ball, in ray order (oracle).
+
+    Scans the candidates (default: the whole box around the center) with
+    the minor test of ``on_line`` and the exact ball test, and orders the
+    hits by their parameter along the direction.
+    """
+    d = len(ray.base)
+    center = center or (0,) * d
+    r2 = Fraction(r) ** 2
+    if candidates is None:
+        m = 0
+        while m * m <= r2:
+            m += 1
+        candidates = (tuple(c + o for c, o in zip(center, off)) for off in
+                      itertools.product(range(-m, m + 1), repeat=d))
+    hits = [z for z in candidates if on_line(z, ray)
+            and sum((a - c) ** 2 for a, c in zip(z, center)) <= r2]
+    return sorted(hits, key=lambda z: sum(
+        (a - b) * p for a, b, p in zip(z, ray.base, ray.dir)))
 
 
 def brute_ball(d, r):

@@ -318,3 +318,37 @@ def test_phantom_dimension_one_exit_code(tmp_path):
     assert run(["phantom", "--kind", "point", "--d", "1", "--r", "1",
                 "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400",
+                                 pytest.param("1" + "0" * 400, id="10**400")])
+def test_non_finite_grid_value_exit_code(tmp_path, bad):
+    g, s, out = (tmp_path / n for n in ("g.json", "s.json", "out.csv"))
+    g.write_text('{"d": 2, "r": "1", "values": [{"z": [0, 0], "v": %s}]}' % bad)
+    assert run(["forward", "--grid", str(g), "--family", "tstar",
+                "--out", str(s)]) == 4
+    assert run(["export", "--grid", str(g), "--out", str(out)]) == 4
+    assert not s.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e400"])
+def test_non_finite_sinogram_value_exit_code(tmp_path, bad):
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    run(["phantom", "--kind", "random-int", "--d", "2", "--r", "2",
+         "--seed", "2", "--out", str(g)])
+    run(["forward", "--grid", str(g), "--family", "tstar", "--out", str(s)])
+    obj = json.loads(s.read_text())
+    obj["rays"][0]["v"] = "@"
+    s.write_text(json.dumps(obj).replace('"@"', bad))
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
+    assert not r.exists()
+
+
+def test_overflowing_forward_is_not_written(tmp_path):
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
+    big = GridFunction(2, 1, {(-1, 0): 1e308, (0, 0): 1e308, (1, 0): 1e308})
+    lio.write_json_atomic(str(g), lio.grid_to_obj(big))
+    assert run(["forward", "--grid", str(g), "--family", "tstar",
+                "--out", str(s)]) == 2
+    assert not s.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ball
-from lxray import (BudgetError, PreconditionError, as_fraction, build_shells,
-                   enumerate_ball, farey_count, farey_set, prim_norm_le,
-                   primitive, totient_sieve, totient_sum)
+from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
+                   build_shells, coordinate_plane, enumerate_ball, farey_count,
+                   farey_set, prim_norm_le, primitive, totient_sieve,
+                   totient_sum)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
@@ -112,6 +113,21 @@ def test_build_shells_properties():
         for z in shell:
             delta = (z[0] - origin[0], z[1] - origin[1])
             assert delta[0] * delta[0] + delta[1] * delta[1] == n2
+
+
+@pytest.mark.parametrize("plane", [Plane((1, 1, 0), (0, 1, 1)),
+                                   Plane((1, 2, -1), (2, 0, 3)),
+                                   coordinate_plane(3)])
+def test_build_shells_matches_fraction_grouping(plane):
+    pts = enumerate_ball(3, 4)
+    groups = {}  # one Fraction per point, grouped and sorted by Fraction
+    for z in pts:
+        groups.setdefault(plane.inplane_norm2(z), []).append(z)
+    ordered = sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
+    dec = build_shells(pts, plane=plane)
+    assert dec.shells == tuple(tuple(sorted(g)) for _, g in ordered)
+    assert dec.norms2 == tuple(n for n, _ in ordered)
+    assert all(type(n) is Fraction for n in dec.norms2)
 
 
 def test_build_shells_rejects_duplicates():

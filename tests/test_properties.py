@@ -1,12 +1,19 @@
 """Property tests over randomly generated inputs (needs hypothesis)."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_line_count, random_int_grid
-from lxray import (Plane, count_connecting_lines, forward_family, make_plan,
+from conftest import (brute_forward, brute_line_count, brute_ray_points,
+                      random_int_grid)
+from lxray import (GridFunction, Plane, Ray, count_connecting_lines,
+                   enumerate_ball, forward_family, forward_weighted, make_plan,
+                   perp_family, points_on_ray, primitive, ray_key,
                    recon_annulus, recon_shells)
 
 
@@ -52,3 +59,76 @@ def test_shell_sweep_round_trip_is_bit_exact(case):
            else recon_shells(g, plan))
     assert set(rec.values) == set(plan.points)
     assert all(rec.values[z] == f.get(z) for z in plan.points)
+
+
+def _vec(d, lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * d)
+
+
+@st.composite
+def ray_span_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(0, 3 if d < 4 else 2, max_denominator=6))
+    center = draw(st.none() | _vec(d, -3, 3))
+    base = draw(_vec(d, -7, 7))   # often outside the ball
+    # up to |dir|^2 = 81 d: long directions with |dir|^2 > 4 r^2 and rays
+    # that miss the ball are both common
+    dirv = draw(_vec(d, -9, 9).filter(any))
+    return Ray(base, primitive(dirv)), r, center
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_span_cases())
+@example((Ray((5, 5), (1, 0)), Fraction(3), None))            # misses
+@example((Ray((-7, 2, 0), (1, 0, 0)), Fraction(5, 2), (0, 0, 1)))  # base outside
+@example((Ray((0, 1), (1, 9)), Fraction(4), None))             # |dir|^2 > 4 r^2
+@example((Ray((1, 1, 1, 1), (1, 1, 1, 1)), Fraction(2), None))  # r^2 on a point
+def test_points_on_ray_matches_box_scan_in_ray_order(case):
+    ray, r, center = case
+    assert points_on_ray(ray, r, center) == brute_ray_points(ray, r, center)
+
+
+@st.composite
+def forward_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    # 5/2 and 3: the ball touches the faces of the index box [-m, m]^d
+    r = draw(st.sampled_from((Fraction(5, 2), Fraction(3)))
+             | st.fractions(0, 4 if d < 4 else 2, max_denominator=6))
+    ball = enumerate_ball(d, r)
+    fam = perp_family(ball)
+    m = math.floor(r)
+    extra = draw(st.lists(st.tuples(_vec(d, -m - 2, m + 2),
+                                    _vec(d, -2 * m - 2, 2 * m + 2).filter(any)),
+                          max_size=12))
+    fam += [(base, Ray(base, primitive(dirv))) for base, dirv in extra]
+    return d, r, ball, fam, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forward_cases())
+def test_forward_family_matches_oracles(case):
+    d, r, ball, fam, seed = case
+    f = random_int_grid(d, r, seed)
+    g = forward_family(f, fam)
+    assert len(g.entries) == len({ray_key(ray) for _, ray in fam})
+    for _, ray in fam:
+        assert g.entries[ray_key(ray)] == brute_forward(f, ray)
+    # non-integer values: the same left-to-right double sum, bit for bit
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.uniform(-1e3, 1e3) for z in ball
+                            if rng.random() < 0.8})
+    g = forward_family(f, fam)
+    for _, ray in fam:
+        want = float(sum(f.get(z) for z in points_on_ray(ray, r)))
+        assert g.entries[ray_key(ray)].hex() == want.hex()
+    # weighted families: per-ray forward_weighted and an independent sum
+    def weight(z, p):
+        return 0.5 + (sum(z) + 2 * p[0]) % 3
+
+    g = forward_family(f, fam, weight=weight)
+    for _, ray in fam:
+        want = 0.0
+        for z in brute_ray_points(ray, r, candidates=ball):
+            want += weight(z, ray.dir) * f.get(z)
+        got = g.entries[ray_key(ray)]
+        assert got.hex() == forward_weighted(f, ray, weight).hex() == want.hex()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -70,6 +71,23 @@ def test_forward_family_point_phantom():
         assert sino.entries[ray_key(ray)] == expected
 
 
+def test_forward_family_checks_dimension_and_weight():
+    fam = perp_family(enumerate_ball(2, 1))
+    for weight in (None, constant_weight(1.0)):
+        with pytest.raises(PreconditionError):
+            forward_family(GridFunction(3, 1), fam, weight=weight)
+    with pytest.raises(ZeroWeightError):
+        forward_family(ones(2, 1), fam, weight=lambda z, d: float(z != (0, 0)))
+
+
+def test_forward_family_direction_with_zero_index_step():
+    # both directions step the linear index of the box [-m, m]^d by 0
+    cases = [(GridFunction(3, 0, {(0, 0, 0): 3.0}), Ray((-1, 0, 1), (1, 0, -1))),
+             (GridFunction(2, "5/2", {(0, 0): 3.0}), Ray((-1, 5), (1, -5)))]
+    for f, ray in cases:
+        assert forward_family(f, [(ray.base, ray)]).entries[ray_key(ray)] == 3.0
+
+
 def test_forward_family_edge_cases():
     empty = forward_family(GridFunction(2, 2), [])
     assert empty.entries == {}
@@ -135,6 +153,9 @@ def test_grid_function_validation():
         GridFunction(2, 1, {(2, 0): 1.0})
     with pytest.raises(PreconditionError):
         GridFunction(2, 1, {(0, 0, 0): 1.0})
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
+        with pytest.raises(PreconditionError):
+            GridFunction(2, 1, {(0, 0): bad})
 
 
 def test_values_equal_ignores_explicit_zeros():
