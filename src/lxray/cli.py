@@ -21,9 +21,9 @@ from .counting import (DEFAULT_LENS_BUDGET, count_connecting_lines,
                        farey_asymptotic_report, separation_margin,
                        verify_count_bounds)
 from .errors import (BudgetError, FileFormatError, LxrayError,
-                     MissingDataError, PlanError, PreconditionError)
+                     PreconditionError)
 from .lattice import as_fraction, enumerate_ball, farey_count, norm2, totient_sum
-from .rays import Plane, coordinate_plane, perp_family, ray_key
+from .rays import Plane, coordinate_plane, perp_family
 from .recon import (make_plan, plan_targets, recon_annulus, recon_one_point,
                     recon_shells)
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
@@ -126,8 +126,9 @@ def _plan_from_sinogram(sino, r_override=None, weight=None):
     plan = make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
                      alpha=meta.alpha, beta=meta.beta)
     if meta.kind != "free":
+        keys = dict(zip(plan.order, plan.keys))
         for z, ray in sino.family:  # rows store reduced rays
-            if z in plan.rays and ray_key(plan.rays[z]) != (ray.dir, ray.base):
+            if z in keys and keys[z] != (ray.dir, ray.base):
                 raise FileFormatError(f"ray of {z} is not its {meta.kind} ray")
     return plan
 
@@ -337,10 +338,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (PreconditionError, PlanError, MissingDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LxrayError as exc:
+    except LxrayError as exc:  # preconditions, plans, missing data
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

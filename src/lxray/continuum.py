@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import (MissingDataError, PreconditionError)
+from .errors import PreconditionError
 from .lattice import IntVec, as_fraction, dot, norm2, vsub
-from .rays import Ray, perp_ray, ray_key
-from .recon import ReconPlan, recon_shells
+from .rays import Ray, perp_ray
+from .recon import ReconPlan, datum, recon_shells
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
-                        forward_weighted)
+                        forward_weighted, project_family)
 
 
 def cell_chord(ray: Ray, cell: IntVec) -> float:
@@ -126,15 +126,7 @@ def forward_continuous(f: GridFunction, ray: Ray) -> float:
 def forward_continuous_family(f: GridFunction,
                               family: Iterable[tuple[IntVec, Ray]],
                               meta: FamilyMeta | None = None) -> Sinogram:
-    fam = tuple((tuple(z), ray) for z, ray in family)
-    entries = {}
-    for _, ray in fam:
-        key = ray_key(ray)
-        if key not in entries:
-            entries[key] = forward_continuous(f, ray)
-    if meta is None:
-        meta = FamilyMeta("free", support_radius=f.support_radius)
-    return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)
+    return project_family(f, family, meta, lambda ray: forward_continuous(f, ray))
 
 
 def _on_line(z: IntVec, ray: Ray) -> bool:
@@ -259,23 +251,17 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     norms2 = {z: nu for dec in plan.slices.values()
               for shell, nu in zip(dec.shells, dec.norms2) for z in shell}
     out: dict[IntVec, float] = {}
-    for skey in sorted(plan.slices):
-        dec = plan.slices[skey]
-        for shell, nu in zip(dec.shells, dec.norms2):
-            for z in shell:
-                ray = plan.rays[z]
-                key = ray_key(ray)
-                if key not in g.entries:
-                    raise MissingDataError(f"no sinogram entry for ray of {z}")
-                total = g.entries[key]
-                for cell, chord in traverse_cells(ray, radius):
-                    if cell == z:
-                        continue
-                    v = out.get(cell, 0.0)
-                    if v != 0.0 and norms2[cell] > nu:
-                        total -= chord * v
-                wz = cell_chord(ray, z)
-                out[z] = total / wz
+    for z, key in zip(plan.order, plan.keys):
+        ray = plan.rays[z]
+        total = datum(g, key, z)
+        nu = norms2[z]
+        for cell, chord in traverse_cells(ray, radius):
+            if cell == z:
+                continue
+            v = out.get(cell, 0.0)
+            if v != 0.0 and norms2[cell] > nu:
+                total -= chord * v
+        out[z] = total / cell_chord(ray, z)
     return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
 
 
@@ -290,13 +276,11 @@ def _corrected_sinogram(g: Sinogram, plan: ReconPlan, f: GridFunction,
     transform value, ready for the exact shell sweep.
     """
     entries = {}
-    for z in plan.points:
+    for z, key in zip(plan.order, plan.keys):
         ray = plan.rays[z]
-        key = ray_key(ray)
         if key in entries:
             continue
-        if key not in g.entries:
-            raise MissingDataError(f"no sinogram entry for ray of {z}")
+        total = datum(g, key, z)
         corr = 0.0
         for cell, chord in traverse_cells(ray, radius):
             if _on_line(cell, ray):
@@ -304,19 +288,15 @@ def _corrected_sinogram(g: Sinogram, plan: ReconPlan, f: GridFunction,
             v = f.values.get(cell)
             if v:
                 corr += v * chord
-        entries[key] = (g.entries[key] - corr) / cell_chord(ray, z)
+        entries[key] = (total - corr) / cell_chord(ray, z)
     return Sinogram(d=g.d, entries=entries, meta=g.meta, family=g.family)
 
 
 def data_residual(g: Sinogram, plan: ReconPlan, f: GridFunction) -> float:
     """Max |datum - continuous model of f| over the plan's rays."""
     res = 0.0
-    for z in plan.points:
-        ray = plan.rays[z]
-        key = ray_key(ray)
-        if key not in g.entries:
-            raise MissingDataError(f"no sinogram entry for ray of {z}")
-        res = max(res, abs(g.entries[key] - forward_continuous(f, ray)))
+    for z, key in zip(plan.order, plan.keys):
+        res = max(res, abs(datum(g, key, z) - forward_continuous(f, plan.rays[z])))
     return res
 
 

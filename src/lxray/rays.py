@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError, PreconditionError
@@ -46,14 +45,15 @@ class RayKey(NamedTuple):
 
 
 def ray_key(ray: Ray) -> RayKey:
-    p = ray.dir
-    bp = 0
-    pp = 0
-    for bi, pi in zip(ray.base, p):
-        bp += bi * pi
-        pp += pi * pi
-    k = bp // pp
-    return RayKey(p, tuple(bi - k * pi for bi, pi in zip(ray.base, p)))
+    """The line's key; a base already in [0, |dir|^2) keeps the Ray's tuples.
+
+    That holds for every perpendicular-family ray (base.dir = 0).
+    """
+    p, base = ray.dir, ray.base
+    k = sum(map(mul, base, p)) // sum(map(mul, p, p))
+    if k == 0:
+        return RayKey(p, base)
+    return RayKey(p, tuple(bi - k * pi for bi, pi in zip(base, p)))
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,6 @@ class Plane:
     def d(self) -> int:
         return len(self.a)
 
-    def _coeff_nums(self, v: Sequence) -> tuple:
-        """Numerators (times det) of the projection coefficients of v."""
-        s, t = dot(v, self.a), dot(v, self.b)
-        return s * self.bb - t * self.ab, t * self.aa - s * self.ab
-
-    def inplane_norm2(self, v: Sequence) -> Fraction:
-        """Exact |proj_plane(v)|^2 as a Fraction with denominator det."""
-        return Fraction(self.scaled_inplane_norm2(v), self.det)
-
     def scaled_inplane_norm2(self, v: Sequence) -> int:
         """det * |proj_plane(v)|^2, an integer."""
         s, t = dot(v, self.a), dot(v, self.b)
@@ -107,7 +98,8 @@ class Plane:
         Two lattice points share a key iff they lie in the same affine
         slice parallel to the plane.
         """
-        un, vn = self._coeff_nums(z)
+        s, t = dot(z, self.a), dot(z, self.b)
+        un, vn = s * self.bb - t * self.ab, t * self.aa - s * self.ab
         proj_num = vadd(scale(un, self.a), scale(vn, self.b))  # det * proj
         return vsub(scale(self.det, z), proj_num)
 
@@ -198,20 +190,13 @@ def ray_span(ray: Ray, num: int, den: int,
     return range(-((b + s) // a2), (s - b) // a2 + 1)
 
 
-def points_on_ray(ray: Ray, r=None, center: IntVec | None = None, *,
-                  r2=None) -> list[IntVec]:
+def points_on_ray(ray: Ray, r, center: IntVec | None = None) -> list[IntVec]:
     """Lattice points of the ray within |x - center| <= r, ordered along it.
 
     The k-range comes from ``ray_span`` (exact integer arithmetic, no
-    floating ray marching); pass either r or the squared radius r2.
+    floating ray marching).
     """
-    if r2 is None:
-        if r is None:
-            raise PreconditionError("need a radius")
-        rf = as_fraction(r)
-        r2 = rf * rf
-    else:
-        r2 = as_fraction(r2)
+    r2 = as_fraction(r) ** 2
     return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator,
                                          center)))
 

@@ -19,28 +19,35 @@ Exact for integer data: every subtraction is an exact double operation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Mapping
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
 from .lattice import (IntVec, ShellDecomposition, as_fraction, build_shells,
-                      enumerate_ball, norm2)
+                      enumerate_ball, norm2, scale, vadd)
 from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
-                   perp_family, points_on_ray, ray_key)
-from .transform import GridFunction, Sinogram, Weight
+                   perp_family, ray_key, ray_points)
+from .transform import GridFunction, Sinogram, Weight, box_index
 
 
 @dataclass
 class ReconPlan:
-    """Everything a shell sweep needs: targets, rays, slices, shells, incidence.
+    """Everything a shell sweep needs: targets, rays, slices, shells, sweep.
 
     ``plane`` is None for the standard family (rays perpendicular to the
     first two coordinates); slices and in-plane norms then use the
     coordinate plane. ``alpha``/``beta`` record an annulus restriction of
-    the target set. ``incidence[z]`` holds the other plan points on z's ray
-    in ray order; each lies in an earlier shell of z's slice.
+    the target set. Construction compiles the sweep (slices by key, shells
+    outermost first): step i recovers ``order[i]`` from line ``keys[i]``;
+    ``spans`` holds its ``box_index`` and the start, stop, step of its ray's
+    ball points in that numbering. It refuses a target outside the ball and
+    a plan point on a target's ray that is not in an earlier shell.
     """
 
     d: int
@@ -48,14 +55,47 @@ class ReconPlan:
     points: tuple[IntVec, ...]
     rays: dict[IntVec, Ray]
     slices: dict[IntVec, ShellDecomposition]
-    incidence: dict[IntVec, tuple[IntVec, ...]] = field(repr=False)
     plane: Plane | None = None
     weight: Weight | None = None
     alpha: Fraction | None = None
     beta: Fraction | None = None
+    order: tuple[IntVec, ...] = field(init=False, repr=False)
+    keys: tuple[RayKey, ...] = field(init=False, repr=False)
+    spans: array = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # every perp_family ray is z + k*dir with z.dir = 0, so its ball
+        # points have |k| <= isqrt((num - den|z|^2) // (den|dir|^2))
+        r2 = as_fraction(self.support_radius) ** 2
+        num, den = r2.numerator, r2.denominator
+        place, offset, self.size = box_index(self.d, num, den)
+        shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
+        self.order = tuple(chain.from_iterable(shells))
+        self.keys = tuple(ray_key(self.rays[z]) for z in self.order)
+        self.spans = array("q")
+        pending = {offset + sum(map(mul, z, place)) for z in self.order}
+        for shell in shells:
+            for z in shell:
+                own = offset + sum(map(mul, z, place))
+                p = self.rays[z].dir
+                rem = num - den * sum(map(mul, z, z))
+                if rem < 0:
+                    raise PreconditionError(f"target {z} outside the support ball")
+                kmax = math.isqrt(rem // (den * sum(map(mul, p, p))))
+                # canonical directions step forward; a lone point steps by 1
+                step = sum(map(mul, p, place)) if kmax else 1
+                lo, hi = own - kmax * step, own + (kmax + 1) * step
+                late = pending.intersection(range(lo, hi, step)) - {own}
+                if late:
+                    y = vadd(z, scale((min(late) - own) // step, p))
+                    raise PlanError(f"{y} on the ray of {z} is not in an earlier shell")
+                self.spans.extend((own, lo, hi, step))
+            # the shell is swept: drop its own indices, every 4th span entry
+            pending.difference_update(self.spans[-4 * len(shell)::4])
 
     def ray_keys(self) -> set[RayKey]:
-        return {ray_key(ray) for ray in self.rays.values()}
+        return set(self.keys)
 
 
 def plan_targets(points: list[IntVec], geom: Plane, alpha: Fraction | None,
@@ -76,7 +116,7 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
 
     alpha/beta restrict the targets to in-plane norms within [alpha, beta];
     beta must reach the support radius, or values outside the annulus
-    would feed the sweep unknown. Each target's ray is solved here, once.
+    would feed the sweep unknown. The plan compiles its sweep once.
     """
     r = as_fraction(support_radius)
     if plane is not None and plane.d != d:
@@ -90,59 +130,54 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
     pts = [tuple(z) for z in points] if points is not None else enumerate_ball(d, r)
     pts = plan_targets(pts, geom, af, bf)
     rays = dict(perp_family(pts, plane))
+    # a coordinate-plane slice is fixed by the trailing coordinates
+    slice_key = geom.slice_key if plane is not None else itemgetter(slice(2, None))
     slices: dict[IntVec, list[IntVec]] = {}
     for z in pts:
-        slices.setdefault(geom.slice_key(z), []).append(z)
+        slices.setdefault(slice_key(z), []).append(z)
     decomps = {k: build_shells(v, plane=geom) for k, v in sorted(slices.items())}
-    # plan points only, as the plan's own tuples: other ball points read as 0
-    targets = {z: z for z in pts}
-    r2 = r * r
-    incidence: dict[IntVec, tuple[IntVec, ...]] = {}
-    for dec in decomps.values():
-        for shell in dec.shells:
-            for z in shell:
-                others = tuple(targets[y] for y in points_on_ray(rays[z], r2=r2)
-                               if y != z and y in targets)
-                for y in others:
-                    if y not in incidence or y in shell:
-                        raise PlanError(
-                            f"{y} on the ray of {z} is not in an earlier shell")
-                incidence[z] = others
     return ReconPlan(d=d, support_radius=r, points=tuple(pts), rays=rays,
-                     slices=decomps, incidence=incidence, plane=plane,
-                     weight=weight, alpha=af, beta=bf)
+                     slices=decomps, plane=plane, weight=weight, alpha=af,
+                     beta=bf)
+
+
+def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
+    """The entry of line key, needed to recover z; a missing one is an error."""
+    try:
+        return g.entries[key]
+    except KeyError:
+        raise MissingDataError(f"no sinogram entry for ray of {z}") from None
 
 
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
     """Invert per-point-perpendicular-family data by the shell sweep.
 
-    Within each slice, shells are processed outermost first; for a target z
-    the value is the ray datum minus the already-recovered values at the
-    other plan points of its ray (``plan.incidence[z]``; ball points outside
-    the plan read as zero). With a plan weight W, data are weighted sums and
-    the update divides by W(z, direction). A required entry missing from g
-    is an error, never imputed.
+    Forward substitution over the plan's sweep: a target's value is its ray
+    datum minus the already-recovered values on the ray, in ray order
+    (ball points outside the plan read as zero). With a plan weight W,
+    data are weighted sums and the update divides by W(z, direction). A
+    required entry missing from g is an error, never imputed.
     """
     w = plan.weight
+    vals = [0.0] * plan.size
     out: dict[IntVec, float] = {}
-    for skey in sorted(plan.slices):
-        for shell in plan.slices[skey].shells:
-            for z in shell:
-                ray = plan.rays[z]
-                key = ray_key(ray)
-                if key not in g.entries:
-                    raise MissingDataError(f"no sinogram entry for ray of {z}")
-                total = g.entries[key]
-                for zeta in plan.incidence[z]:
-                    fz = out[zeta]
-                    if fz != 0.0:
-                        total -= (w(zeta, ray.dir) * fz) if w else fz
-                if w is not None:
-                    wz = w(z, ray.dir)
-                    if wz == 0:
-                        raise ZeroWeightError(f"weight vanishes at {z}")
-                    total /= wz
-                out[z] = total
+    spans = iter(plan.spans)
+    for z, key, own, lo, hi, step in zip(plan.order, plan.keys,
+                                         spans, spans, spans, spans):
+        total = datum(g, key, z)
+        if w is None:
+            # zeros are skipped: -0.0 - -0.0 would be +0.0
+            total = reduce(sub, filter(None, vals[lo:hi:step]), total)
+        else:
+            ray = plan.rays[z]
+            ks = range((lo - own) // step, (hi - own) // step)
+            on_ray = zip(ray_points(ray, ks), vals[lo:hi:step])
+            total = reduce(sub, (w(y, ray.dir) * fz for y, fz in on_ray if fz), total)
+            wz = w(z, ray.dir)
+            if wz == 0:
+                raise ZeroWeightError(f"weight vanishes at {z}")
+            total /= wz
+        vals[own] = out[z] = total
     return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
 
 
@@ -182,10 +217,7 @@ def recon_one_point(g: Sinogram, points: Iterable[IntVec],
         if not effectively_irrational(theta, rf):
             raise PreconditionError(
                 f"direction {theta} is not effectively irrational at radius {rf}")
-        key = ray_key(Ray(z, theta))
-        if key not in g.entries:
-            raise MissingDataError(f"no sinogram entry for ray of {z}")
-        val = g.entries[key]
+        val = datum(g, ray_key(Ray(z, theta)), z)
         if weight is not None:
             wz = weight(z, theta)
             if wz == 0:

@@ -46,7 +46,7 @@ class GridFunction:
         den, num = r2.denominator, r2.numerator
         clean: dict[IntVec, float] = {}
         for z, v in self.values.items():
-            z = tuple(int(c) for c in z)
+            z = tuple(map(int, z))
             if len(z) != self.d:
                 raise PreconditionError(f"point {z} has wrong dimension")
             if den * norm2(z) > num:
@@ -153,18 +153,21 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
     return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
 
 
-def _indexed_sums(f: GridFunction, num: int, den: int
-                  ) -> Callable[[Ray, range], float]:
-    """Unweighted ray sums read from a linear index of the support.
+def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
+    """Base-(2m + 1) numbering of the box [-m, m]^d, m = floor of the radius.
 
-    z maps to the mixed-radix integer of z + (m, ..., m) in base 2m + 1
-    (m = floor of the radius): injective on the ball and affine in k along
-    a ray, so a ray's points are one ``range`` of indices. Each sum runs
-    over the same values in the same order as ``forward``.
+    Returns (place, offset, size): z -> offset + z.place is injective on the
+    box, lands in range(size) and is affine in k along a ray.
     """
     m = math.isqrt(num // den)
-    place = tuple((2 * m + 1) ** i for i in reversed(range(f.d)))
-    offset = m * sum(place)
+    place = tuple((2 * m + 1) ** i for i in reversed(range(d)))
+    return place, m * sum(place), (2 * m + 1) ** d
+
+
+def _indexed_sums(f: GridFunction, num: int, den: int
+                  ) -> Callable[[Ray, range], float]:
+    """Unweighted ray sums over ``box_index`` ranges, in ``forward``'s order."""
+    place, offset, _ = box_index(f.d, num, den)
     index = {offset + sum(map(mul, z, place)): v for z, v in f.values.items()}
 
     def ray_sum(ray: Ray, ks: range) -> float:
@@ -181,25 +184,25 @@ def _indexed_sums(f: GridFunction, num: int, den: int
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
-    """Project f along every ray of a family, one stored value per line.
-
-    When several family points share a line the single stored value serves
-    all of them. r^2 is formed once; each ray's points come from its exact
-    ``ray_span``.
-    """
-    fam = tuple((tuple(z), ray) for z, ray in family)
+    """Project f along every ray of a family; r^2 is formed once."""
     num, den = _r2_terms(f)
-    if weight is None:
-        ray_sum = _indexed_sums(f, num, den)
-    else:
-        def ray_sum(ray: Ray, ks: range) -> float:
-            return _weighted_sum(f, ray, ks, weight)
+    ray_sum = (_indexed_sums(f, num, den) if weight is None
+               else lambda ray, ks: _weighted_sum(f, ray, ks, weight))
+    return project_family(f, family, meta,
+                          lambda ray: ray_sum(ray, ray_span(ray, num, den)))
+
+
+def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
+                   meta: FamilyMeta | None,
+                   value: Callable[[Ray], float]) -> Sinogram:
+    """A sinogram of value(ray) per line of the family, from its first ray."""
+    fam = tuple((tuple(z), ray) for z, ray in family)
     entries: dict[RayKey, float] = {}
     for _, ray in fam:
         key = ray_key(ray)
         if key not in entries:
             _check_dim(f, ray)
-            entries[key] = ray_sum(ray, ray_span(ray, num, den))
+            entries[key] = value(ray)
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
     return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)

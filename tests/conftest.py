@@ -8,7 +8,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from lxray import GridFunction, enumerate_ball, primitive
+from lxray import (GridFunction, MissingDataError, ZeroWeightError,
+                   enumerate_ball, primitive)
 
 
 def random_int_grid(d, r, seed, lo=-9, hi=9):
@@ -58,6 +59,51 @@ def brute_ray_points(ray, r, center=None, candidates=None):
             and sum((a - c) ** 2 for a, c in zip(z, center)) <= r2]
     return sorted(hits, key=lambda z: sum(
         (a - b) * p for a, b, p in zip(z, ray.base, ray.dir)))
+
+
+def reduced_key(ray):
+    """The line's key by the general reduction, as a plain tuple (oracle).
+
+    The base is shifted by k*dir, k = floor(base.dir / |dir|^2), into
+    0 <= base.dir < |dir|^2; a tuple compares and hashes like a RayKey.
+    """
+    p = ray.dir
+    k = sum(a * b for a, b in zip(ray.base, p)) // sum(c * c for c in p)
+    return p, tuple(a - k * b for a, b in zip(ray.base, p))
+
+
+def reference_sweep(g, plan):
+    """The shell sweep as a walk over dicts (oracle for the compiled sweep).
+
+    Slices by sorted key, shells outermost first: each target's value is
+    its datum minus the nonzero already-recovered values at the other plan
+    points of its ray, in ray order (found by the box-scan oracle), each
+    weighted, then the total divided by the target's weight. Returns the
+    values in sweep order.
+    """
+    w = plan.weight
+    out = {}
+    for skey in sorted(plan.slices):
+        for shell in plan.slices[skey].shells:
+            for z in shell:
+                ray = plan.rays[z]
+                key = reduced_key(ray)
+                if key not in g.entries:
+                    raise MissingDataError(f"no sinogram entry for ray of {z}")
+                total = g.entries[key]
+                incidence = [y for y in brute_ray_points(
+                    ray, plan.support_radius, candidates=plan.points) if y != z]
+                for zeta in incidence:
+                    fz = out[zeta]
+                    if fz != 0.0:
+                        total -= (w(zeta, ray.dir) * fz) if w else fz
+                if w is not None:
+                    wz = w(z, ray.dir)
+                    if wz == 0:
+                        raise ZeroWeightError(f"weight vanishes at {z}")
+                    total /= wz
+                out[z] = total
+    return out
 
 
 def brute_ball(d, r):

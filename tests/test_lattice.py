@@ -122,7 +122,8 @@ def test_build_shells_matches_fraction_grouping(plane):
     pts = enumerate_ball(3, 4)
     groups = {}  # one Fraction per point, grouped and sorted by Fraction
     for z in pts:
-        groups.setdefault(plane.inplane_norm2(z), []).append(z)
+        groups.setdefault(Fraction(plane.scaled_inplane_norm2(z), plane.det),
+                          []).append(z)
     ordered = sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
     dec = build_shells(pts, plane=plane)
     assert dec.shells == tuple(tuple(sorted(g)) for _, g in ordered)

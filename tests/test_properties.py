@@ -10,11 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (brute_forward, brute_line_count, brute_ray_points,
-                      random_int_grid)
-from lxray import (GridFunction, Plane, Ray, count_connecting_lines,
-                   enumerate_ball, forward_family, forward_weighted, make_plan,
-                   perp_family, points_on_ray, primitive, ray_key,
-                   recon_annulus, recon_shells)
+                      random_int_grid, reduced_key, reference_sweep)
+from lxray import (GridFunction, Plane, Ray, chord_weight, constant_weight,
+                   count_connecting_lines, enumerate_ball, forward_family,
+                   forward_weighted, make_plan, norm2, perp_family,
+                   points_on_ray, primitive, ray_key, recon_annulus,
+                   recon_shells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,9 +34,10 @@ def _independent(ab):
 
 
 @st.composite
-def round_trip_cases(draw):
+def round_trip_cases(draw, radii=None):
     d = draw(st.sampled_from((2, 3, 4)))
-    r = draw(st.fractions(0, 4 if d < 4 else 2, max_denominator=6))
+    r = draw(radii(d) if radii else
+             st.fractions(0, 4 if d < 4 else 2, max_denominator=6))
     plane = None
     if d == 3 and draw(st.booleans()):
         vec = st.tuples(*[st.integers(-2, 2)] * 3)
@@ -59,6 +61,68 @@ def test_shell_sweep_round_trip_is_bit_exact(case):
            else recon_shells(g, plan))
     assert set(rec.values) == set(plan.points)
     assert all(rec.values[z] == f.get(z) for z in plan.points)
+
+
+def _varying_weight(z, p):
+    return 0.5 + (sum(z) + 2 * p[0]) % 3 * 0.375
+
+
+WEIGHTS = {"none": None, "const": constant_weight(1.7),
+           "varying": _varying_weight, "chord": chord_weight()}
+
+
+def _wide_radii(d):
+    # rays through several plan points, so subtraction order can show
+    return st.sampled_from((Fraction(3, 2), 2, Fraction(5, 2)) if d == 4
+                           else (2, Fraction(5, 2), 3, Fraction(7, 2), 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(round_trip_cases(_wide_radii), st.sampled_from(sorted(WEIGHTS)))
+def test_recon_shells_matches_reference_sweep_bit_for_bit(case, weight):
+    # non-integer data with signed zeros: rounding order and the sign of
+    # zero both show in float.hex, so the compiled sweep must subtract
+    # exactly the terms of the dict walk, in the same order
+    d, r, plane, alpha, beta, seed = case
+    plan = make_plan(d, r, plane=plane, weight=WEIGHTS[weight],
+                     alpha=alpha, beta=beta)
+    rng = random.Random(seed)
+    zeros = rng.choice((0.3, 0.9))  # mostly-zero data recovers many -0.0
+    g = forward_family(GridFunction(d, r), plan.rays.items())
+    g.entries = {k: rng.choice((0.0, -0.0)) if rng.random() < zeros
+                 else rng.choice((1.0, -1.0, rng.uniform(-10, 10)))
+                 for k in g.entries}
+    got = recon_shells(g, plan).values
+    want = reference_sweep(g, plan)
+    assert [(z, v.hex()) for z, v in got.items()] == \
+        [(z, v.hex()) for z, v in want.items()]
+
+
+@st.composite
+def ray_key_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    dirv = primitive(draw(_vec(d, -5, 5).filter(any)))
+    return Ray(draw(_vec(d, -12, 12)), dirv), draw(st.integers(-5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_key_cases())
+@example((Ray((0, 3), (1, 0)), 2))          # base.dir = 0: the fast path
+@example((Ray((-1, 4), (1, 0)), 0))         # base.dir < 0
+@example((Ray((2, 5), (1, 1)), -3))         # base.dir >= |dir|^2
+@example((Ray((1, 0, 0), (1, 0, 0)), 1))    # base.dir = |dir|^2 exactly
+def test_ray_key_is_the_general_reduction(case):
+    ray, k = case
+    p = ray.dir
+    key = ray_key(ray)
+    assert key == reduced_key(ray)
+    assert 0 <= sum(a * b for a, b in zip(key.base, p)) < norm2(p)
+    shifted = Ray(tuple(a + k * b for a, b in zip(ray.base, p)), p)
+    assert ray_key(shifted) == key
+    if 0 <= sum(a * b for a, b in zip(ray.base, p)) < norm2(p):
+        assert key.base is ray.base and key.dir is p  # the Ray's own tuples
+    else:
+        assert key.base != ray.base
 
 
 def _vec(d, lo, hi):

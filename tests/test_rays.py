@@ -133,7 +133,7 @@ def test_group_slices_partitions():
         for z in grp[1:]:
             diff = tuple(a - b for a, b in zip(z, z0))
             # difference lies in span{a, b}: projection preserves its norm
-            assert pl.inplane_norm2(diff) == norm2(diff)
+            assert Fraction(pl.scaled_inplane_norm2(diff), pl.det) == norm2(diff)
 
 
 def test_perp_family_injective():

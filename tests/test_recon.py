@@ -3,12 +3,12 @@ import random
 import pytest
 
 from conftest import random_int_grid
-from lxray import (GridFunction, MissingDataError, Plane, PreconditionError,
-                   ReconPlan, constant_weight, chord_weight,
-                   enumerate_ball, forward_family, make_plan, norm2,
-                   one_point_directions, one_point_family, perp_family,
-                   recon_annulus, recon_one_point, recon_shells,
-                   recon_shells_weighted)
+from lxray import (GridFunction, MissingDataError, Plane, PlanError,
+                   PreconditionError, ReconPlan, ShellDecomposition,
+                   constant_weight, chord_weight, enumerate_ball,
+                   forward_family, make_plan, norm2, one_point_directions,
+                   one_point_family, perp_family, recon_annulus,
+                   recon_one_point, recon_shells, recon_shells_weighted)
 
 
 def tstar_data(f, plan, weight=None):
@@ -130,11 +130,34 @@ def test_intra_shell_order_independence():
             rng.shuffle(shell)
             shells.append(tuple(shell))
         shuffled_slices[skey] = type(dec)(shells=tuple(shells), norms2=dec.norms2)
+    # the plan compiles its sweep from the shuffled slices, so
+    # recon_shells follows the shuffled order
     plan2 = ReconPlan(d=plan.d, support_radius=plan.support_radius,
                       points=plan.points, rays=plan.rays, slices=shuffled_slices,
                       plane=plan.plane, weight=plan.weight, alpha=plan.alpha,
-                      beta=plan.beta, incidence=plan.incidence)
+                      beta=plan.beta)
+    assert plan2.order != plan.order
     assert recon_shells(g, plan2).values_equal(baseline)
+
+
+def test_plan_refuses_points_not_in_an_earlier_shell():
+    plan = make_plan(2, 2)
+    (dec,) = plan.slices.values()
+
+    def replan(shells, norms2):
+        ReconPlan(d=2, support_radius=plan.support_radius, points=plan.points,
+                  rays=plan.rays, slices={(): ShellDecomposition(shells, norms2)})
+    # innermost first: the ray of (0, 0) meets (-2, 0) before it is swept
+    with pytest.raises(PlanError, match=r"\(-2, 0\) on the ray of \(0, 0\)"):
+        replan(dec.shells[::-1], dec.norms2[::-1])
+    # one merged shell: the ray of (1, 0) meets (1, -1) in the same shell
+    with pytest.raises(PlanError, match="not in an earlier shell"):
+        replan((dec.points(),), dec.norms2[:1])
+
+
+def test_plan_refuses_targets_outside_the_ball():
+    with pytest.raises(PreconditionError, match="outside the support ball"):
+        make_plan(2, 2, points=[(0, 0), (2, 1)])
 
 
 def test_right_inverse_on_used_rays():
