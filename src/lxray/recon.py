@@ -30,9 +30,9 @@ from typing import Callable, Iterable, Mapping
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
 from .lattice import (IntVec, ShellDecomposition, as_fraction, build_shells,
-                      enumerate_ball, norm2, scale, vadd)
+                      enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
-                   perp_family, ray_key, ray_points)
+                   perp_family, ray_key)
 from .transform import GridFunction, Sinogram, Weight, box_index
 
 
@@ -44,10 +44,11 @@ class ReconPlan:
     first two coordinates); slices and in-plane norms then use the
     coordinate plane. ``alpha``/``beta`` record an annulus restriction of
     the target set. Construction compiles the sweep (slices by key, shells
-    outermost first): step i recovers ``order[i]`` from line ``keys[i]``;
-    ``spans`` holds its ``box_index`` and the start, stop, step of its ray's
-    ball points in that numbering. It refuses a target outside the ball and
-    a plan point on a target's ray that is not in an earlier shell.
+    outermost first): step i recovers ``order[i]`` from line ``keys[i]``,
+    and ``on_ray[ends[i-1]:ends[i]]`` lists the sweep steps of the other
+    plan points on that ray, in ray order. It refuses a target outside the
+    ball, a ray not based at its target perpendicular to its direction,
+    and a plan point on a target's ray that is not in an earlier shell.
     """
 
     d: int
@@ -61,38 +62,40 @@ class ReconPlan:
     beta: Fraction | None = None
     order: tuple[IntVec, ...] = field(init=False, repr=False)
     keys: tuple[RayKey, ...] = field(init=False, repr=False)
-    spans: array = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
+    on_ray: array = field(init=False, repr=False)
+    ends: array = field(init=False, repr=False)
 
     def __post_init__(self):
-        # every perp_family ray is z + k*dir with z.dir = 0, so its ball
-        # points have |k| <= isqrt((num - den|z|^2) // (den|dir|^2))
         r2 = as_fraction(self.support_radius) ** 2
         num, den = r2.numerator, r2.denominator
-        place, offset, self.size = box_index(self.d, num, den)
+        place, offset, _ = box_index(self.d, num, den)
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
         self.order = tuple(chain.from_iterable(shells))
         self.keys = tuple(ray_key(self.rays[z]) for z in self.order)
-        self.spans = array("q")
-        pending = {offset + sum(map(mul, z, place)) for z in self.order}
+        boxes = [offset + sum(map(mul, z, place)) for z in self.order]
+        step_of = {j: i for i, j in enumerate(boxes)}
+        self.on_ray, self.ends = array("i"), array("i")
         for shell in shells:
-            for z in shell:
-                own = offset + sum(map(mul, z, place))
+            first = len(self.ends)  # steps from here on are not yet swept
+            for me, z in enumerate(shell, first):
                 p = self.rays[z].dir
+                if self.rays[z].base != z or sum(map(mul, z, p)):
+                    raise PlanError(f"the ray of {z} is not based at it or not normal to it")
                 rem = num - den * sum(map(mul, z, z))
                 if rem < 0:
                     raise PreconditionError(f"target {z} outside the support ball")
+                # the ball points z + k*p have |k| <= kmax since z.p = 0
                 kmax = math.isqrt(rem // (den * sum(map(mul, p, p))))
-                # canonical directions step forward; a lone point steps by 1
-                step = sum(map(mul, p, place)) if kmax else 1
-                lo, hi = own - kmax * step, own + (kmax + 1) * step
-                late = pending.intersection(range(lo, hi, step)) - {own}
+                step = sum(map(mul, p, place)) or 1  # 0 only if kmax is 0
+                lo = boxes[me] - kmax * step
+                span = range(lo, lo + (2 * kmax + 1) * step, step)
+                hits = [i for i in map(step_of.get, span) if i not in (None, me)]
+                late = [self.order[i] for i in hits if i >= first]
                 if late:
-                    y = vadd(z, scale((min(late) - own) // step, p))
-                    raise PlanError(f"{y} on the ray of {z} is not in an earlier shell")
-                self.spans.extend((own, lo, hi, step))
-            # the shell is swept: drop its own indices, every 4th span entry
-            pending.difference_update(self.spans[-4 * len(shell)::4])
+                    raise PlanError(
+                        f"{late[0]} on the ray of {z} is not in an earlier shell")
+                self.on_ray.extend(hits)
+                self.ends.append(len(self.on_ray))
 
     def ray_keys(self) -> set[RayKey]:
         return set(self.keys)
@@ -159,25 +162,24 @@ def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
     required entry missing from g is an error, never imputed.
     """
     w = plan.weight
-    vals = [0.0] * plan.size
-    out: dict[IntVec, float] = {}
-    spans = iter(plan.spans)
-    for z, key, own, lo, hi, step in zip(plan.order, plan.keys,
-                                         spans, spans, spans, spans):
+    vals: list[float] = []
+    start = 0
+    for z, key, end in zip(plan.order, plan.keys, plan.ends):
         total = datum(g, key, z)
+        steps, start = plan.on_ray[start:end], end
         if w is None:
             # zeros are skipped: -0.0 - -0.0 would be +0.0
-            total = reduce(sub, filter(None, vals[lo:hi:step]), total)
+            total = reduce(sub, filter(None, map(vals.__getitem__, steps)), total)
         else:
-            ray = plan.rays[z]
-            ks = range((lo - own) // step, (hi - own) // step)
-            on_ray = zip(ray_points(ray, ks), vals[lo:hi:step])
-            total = reduce(sub, (w(y, ray.dir) * fz for y, fz in on_ray if fz), total)
-            wz = w(z, ray.dir)
+            p = plan.rays[z].dir
+            total = reduce(sub, (w(plan.order[i], p) * vals[i]
+                                 for i in steps if vals[i]), total)
+            wz = w(z, p)
             if wz == 0:
                 raise ZeroWeightError(f"weight vanishes at {z}")
             total /= wz
-        vals[own] = out[z] = total
+        vals.append(total)
+    out = dict(zip(plan.order, vals))
     return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
 
 

@@ -7,7 +7,7 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    PreconditionError, ReconPlan, ShellDecomposition,
                    constant_weight, chord_weight, enumerate_ball,
                    forward_family, make_plan, norm2, one_point_directions,
-                   one_point_family, perp_family, recon_annulus,
+                   one_point_family, perp_family, Ray, recon_annulus,
                    recon_one_point, recon_shells, recon_shells_weighted)
 
 
@@ -153,6 +153,31 @@ def test_plan_refuses_points_not_in_an_earlier_shell():
     # one merged shell: the ray of (1, 0) meets (1, -1) in the same shell
     with pytest.raises(PlanError, match="not in an earlier shell"):
         replan((dec.points(),), dec.norms2[:1])
+    # only the point opening the last shell is late on the ray of (0, 0)
+    small = make_plan(2, 1)
+    shells = (((1, 0), (0, 1), (0, -1)), ((-1, 0), (0, 0)))
+    with pytest.raises(PlanError, match=r"\(-1, 0\) on the ray of \(0, 0\)"):
+        ReconPlan(d=2, support_radius=small.support_radius, points=small.points,
+                  rays=small.rays, slices={(): ShellDecomposition(shells, (1, 0))})
+
+
+def test_plan_refuses_rays_not_perpendicular_at_their_target():
+    plan = make_plan(2, 2)
+    for ray in [Ray((1, 0), (1, 1)),  # tilted: z.dir != 0
+                Ray((1, 1), (0, 1))]:  # the right line, based off z
+        rays = dict(plan.rays)
+        rays[(1, 0)] = ray
+        with pytest.raises(PlanError, match=r"ray of \(1, 0\) is not based"):
+            ReconPlan(d=2, support_radius=plan.support_radius,
+                      points=plan.points, rays=rays, slices=plan.slices)
+
+
+def test_shells_round_trip_high_dimension_small_radius():
+    # the box [-1, 1]^d far outnumbers the ball's 2d + 1 points
+    for d in (12, 40):
+        f = random_int_grid(d, 1, seed=d)
+        plan = make_plan(d, 1)
+        assert recon_shells(tstar_data(f, plan), plan).values_equal(f)
 
 
 def test_plan_refuses_targets_outside_the_ball():
