@@ -2,12 +2,12 @@
 
 A grid function doubles as a description of the field that is constant on
 the unit cells centered at lattice points; its continuous line transform is
-the chord-weighted sum of cell values along the ray. The module provides
-the chord geometry (slab clipping against closed unit cubes), a grid walk
-that visits the cells a ray traverses in parameter order, the exact
-correction identity tying the continuous transform to the chord-weighted
-discrete one, the disjoint-ball model, and the layer-by-layer plus
-iterative reconstructions built on the discrete shell sweep.
+the chord-weighted sum of cell values along the ray. The chord geometry
+and the grid walk live in ``rays`` (re-exported here); this module provides
+the continuous transform, the exact correction identity tying it to the
+chord-weighted discrete one, the disjoint-ball model, and the
+layer-by-layer plus iterative reconstructions built on the discrete shell
+sweep. Those read the plan's chord table, so each plan ray is walked once.
 
 All of this is double-precision; the identities hold to 1e-9 relative,
 with chords O(sqrt(d)) and sums over O(r) cells leaving ample headroom.
@@ -18,92 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import PreconditionError
 from .lattice import IntVec, as_fraction, dot, norm2, vsub
-from .rays import Ray, perp_ray
+# the ray-cell geometry stays importable from here, _ball_window included
+from .rays import (Ray, _ball_window, _on_line, cell_chord,  # noqa: F401
+                   coordinate_plane, perp_ray, traverse_cells)
 from .recon import ReconPlan, datum, recon_shells
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
 
 
-def cell_chord(ray: Ray, cell: IntVec) -> float:
-    """Length of the ray's intersection with the closed unit cube at cell.
-
-    Slab clipping in doubles; 0.0 when the line misses the cube. Lattice
-    bases and integer cell centers keep the degenerate ray-in-face case
-    unreachable (faces sit at half-integers).
-    """
-    tmin, tmax = -math.inf, math.inf
-    for bi, pi, ci in zip(ray.base, ray.dir, cell):
-        if pi == 0:
-            if abs(bi - ci) > 0.5:
-                return 0.0
-            continue
-        t1 = (ci - 0.5 - bi) / pi
-        t2 = (ci + 0.5 - bi) / pi
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > tmin:
-            tmin = t1
-        if t2 < tmax:
-            tmax = t2
-    if tmax <= tmin:
-        return 0.0
-    return (tmax - tmin) * math.sqrt(norm2(ray.dir))
-
-
 def chord_weight() -> Weight:
     """Weight model W(z, dir) = chord of the line through z in z's own cell."""
     return lambda z, dirv: cell_chord(Ray(tuple(z), tuple(dirv)), tuple(z))
-
-
-def _ball_window(ray: Ray, radius: float) -> tuple[float, float] | None:
-    """Parameter interval where |base + t*dir| <= radius, or None."""
-    a = float(norm2(ray.dir))
-    b = 2.0 * float(dot(ray.base, ray.dir))
-    c = float(norm2(ray.base)) - radius * radius
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return None
-    s = math.sqrt(disc)
-    return (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
-
-
-def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
-    """Yield (cell, chord) for cells the ray crosses within the given ball.
-
-    Steps through the grid planes (cell faces at half-integers) in order of
-    the ray parameter; each sub-segment is attributed to the cell containing
-    its midpoint. Cells whose centers lie within ``radius - sqrt(d)`` of the
-    origin get their full, unclipped chord.
-    """
-    window = _ball_window(ray, radius)
-    if window is None:
-        return
-    t0, t1 = window
-    cuts = [t0, t1]
-    for bi, pi in zip(ray.base, ray.dir):
-        if pi == 0:
-            continue
-        lo = bi + t0 * pi if pi > 0 else bi + t1 * pi
-        hi = bi + t1 * pi if pi > 0 else bi + t0 * pi
-        k0 = math.floor(lo + 0.5)
-        k1 = math.floor(hi + 0.5)
-        for k in range(k0, k1 + 1):
-            t = (k + 0.5 - bi) / pi
-            if t0 < t < t1:
-                cuts.append(t)
-    cuts.sort()
-    speed = math.sqrt(norm2(ray.dir))
-    for ta, tb in zip(cuts, cuts[1:]):
-        if tb <= ta:
-            continue
-        tm = 0.5 * (ta + tb)
-        cell = tuple(math.floor(bi + tm * pi + 0.5)
-                     for bi, pi in zip(ray.base, ray.dir))
-        yield cell, (tb - ta) * speed
 
 
 def forward_continuous(f: GridFunction, ray: Ray) -> float:
@@ -127,25 +56,6 @@ def forward_continuous_family(f: GridFunction,
                               family: Iterable[tuple[IntVec, Ray]],
                               meta: FamilyMeta | None = None) -> Sinogram:
     return project_family(f, family, meta, lambda ray: forward_continuous(f, ray))
-
-
-def _on_line(z: IntVec, ray: Ray) -> bool:
-    """Exact test: is lattice point z on the ray's line."""
-    u = vsub(z, ray.base)
-    k = None
-    for ui, pi in zip(u, ray.dir):
-        if pi == 0:
-            if ui != 0:
-                return False
-        else:
-            q, rem = divmod(ui, pi)
-            if rem != 0:
-                return False
-            if k is None:
-                k = q
-            elif q != k:
-                return False
-    return True
 
 
 def correction_identity_check(f: GridFunction, z: IntVec) -> tuple[float, float]:
@@ -247,26 +157,30 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     """
     if plan.weight is not None:
         raise PreconditionError("layer reconstruction defines its own weight")
-    radius = float(plan.support_radius) + math.sqrt(plan.d)
-    norms2 = {z: nu for dec in plan.slices.values()
-              for shell, nu in zip(dec.shells, dec.norms2) for z in shell}
-    out: dict[IntVec, float] = {}
-    for z, key in zip(plan.order, plan.keys):
-        ray = plan.rays[z]
+    table = plan.chord_table
+    ids, chords, central = table.ids, table.chords, table.central
+    geom = plan.plane or coordinate_plane(plan.d)
+    # shell order as the integers build_shells groups by: det * in-plane norm^2
+    norms = list(map(geom.scaled_inplane_norm2, plan.order))
+    vals: list[float] = []
+    start = 0
+    for i, (z, key, end) in enumerate(zip(plan.order, plan.keys, table.ends)):
+        span, start = slice(start, end), end
         total = datum(g, key, z)
-        nu = norms2[z]
-        for cell, chord in traverse_cells(ray, radius):
-            if cell == z:
-                continue
-            v = out.get(cell, 0.0)
-            if v != 0.0 and norms2[cell] > nu:
-                total -= chord * v
-        out[z] = total / cell_chord(ray, z)
-    return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
+        nu = norms[i]
+        # cell c < i is a target already recovered; the others read 0
+        for c, chord in zip(ids[span], chords[span]):
+            if c < i:
+                v = vals[c]
+                if v != 0.0 and norms[c] > nu:
+                    total -= chord * v
+        vals.append(total / central[i])
+    return GridFunction.over_checked_points(plan.d, plan.support_radius,
+                                            plan.order, vals)
 
 
-def _corrected_sinogram(g: Sinogram, plan: ReconPlan, f: GridFunction,
-                        radius: float) -> Sinogram:
+def _corrected_sinogram(g: Sinogram, plan: ReconPlan,
+                        f: GridFunction) -> Sinogram:
     """Off-line chord contributions of f removed, then chord-normalized.
 
     After subtracting the cells off the ray's line, the remainder is the
@@ -275,28 +189,51 @@ def _corrected_sinogram(g: Sinogram, plan: ReconPlan, f: GridFunction,
     chord, dividing by that chord turns each datum into a plain discrete
     transform value, ready for the exact shell sweep.
     """
+    table = plan.chord_table
+    ids, chords, on_line = table.ids, table.chords, table.on_line
+    fv = list(map(f.values.get, table.cells))  # None where f is unset
     entries = {}
-    for z, key in zip(plan.order, plan.keys):
-        ray = plan.rays[z]
+    start = 0
+    for z, key, end, central in zip(plan.order, plan.keys, table.ends,
+                                    table.central):
+        span, start = slice(start, end), end
         if key in entries:
             continue
         total = datum(g, key, z)
         corr = 0.0
-        for cell, chord in traverse_cells(ray, radius):
-            if _on_line(cell, ray):
-                continue
-            v = f.values.get(cell)
-            if v:
-                corr += v * chord
-        entries[key] = (total - corr) / cell_chord(ray, z)
+        for c, chord, on in zip(ids[span], chords[span], on_line[span]):
+            if not on:
+                v = fv[c]
+                if v:
+                    corr += v * chord
+        entries[key] = (total - corr) / central
     return Sinogram(d=g.d, entries=entries, meta=g.meta, family=g.family)
 
 
 def data_residual(g: Sinogram, plan: ReconPlan, f: GridFunction) -> float:
-    """Max |datum - continuous model of f| over the plan's rays."""
+    """Max |datum - continuous model of f| over the plan's rays.
+
+    Reads the plan's chord table, so f must have the plan's dimension and a
+    support radius no larger than the plan's. Then every cell holding a
+    value lies wholly inside both the plan's walk and f's own, so its
+    chord is the same double and the result equals ``forward_continuous``.
+    """
+    if f.d != plan.d or f.support_radius > plan.support_radius:
+        raise PreconditionError(
+            "the residual needs f of the plan's dimension and at most its radius")
+    table = plan.chord_table
+    ids, chords = table.ids, table.chords
+    fv = list(map(f.values.get, table.cells))  # None where f is unset
     res = 0.0
-    for z, key in zip(plan.order, plan.keys):
-        res = max(res, abs(datum(g, key, z) - forward_continuous(f, plan.rays[z])))
+    start = 0
+    for z, key, end in zip(plan.order, plan.keys, table.ends):
+        span, start = slice(start, end), end
+        total = 0.0
+        for c, chord in zip(ids[span], chords[span]):
+            v = fv[c]
+            if v:
+                total += v * chord
+        res = max(res, abs(datum(g, key, z) - total))
     return res
 
 
@@ -309,20 +246,21 @@ def iterate_recon(g: Sinogram, plan: ReconPlan, f_init: GridFunction | None = No
     inverts the result exactly with the discrete shell sweep. Returns all
     iterates, starting with the initial guess (default: the layer sweep),
     alongside their data residuals. Convergence is reported, not asserted;
-    the true cell field is a fixed point up to roundoff.
+    the true cell field is a fixed point up to roundoff. A given f_init
+    must meet ``data_residual``'s contract: the plan's dimension and at
+    most its support radius.
     """
     if iters < 1:
         raise PreconditionError("need at least one iteration")
     if plan.weight is not None:
         raise PreconditionError("iterative reconstruction defines its own weight")
-    radius = float(plan.support_radius) + math.sqrt(plan.d)
     if f_init is None:
         f_init = layer_recon(g, plan)
     iterates = [f_init]
     residuals = [data_residual(g, plan, f_init)]
     current = f_init
     for _ in range(iters):
-        corrected = _corrected_sinogram(g, plan, current, radius)
+        corrected = _corrected_sinogram(g, plan, current)
         current = recon_shells(corrected, plan)
         iterates.append(current)
         residuals.append(data_residual(g, plan, current))

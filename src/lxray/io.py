@@ -9,12 +9,13 @@ Sinogram files:
                 "r": "..."?},
      "rays": [{"z": [...], "dir": [...], "base": [...], "v": float}]}
 
-Rows are sorted by z and floats use Python's shortest round-trip repr, so
-identical inputs produce byte-identical files. Values must be finite: a NaN
-or infinity is a format error on reading and is refused on writing, so
-every file is standard JSON. The optional family "r" records the data-side
-support radius so reconstructions can re-check the annulus precondition
-without re-supplying it. Writes are atomic (temp file plus rename).
+Files are compact JSON on one line with sorted keys; rows are sorted by z
+and floats use Python's shortest round-trip repr, so identical inputs
+produce byte-identical files. Values must be finite: a NaN or infinity is
+a format error on reading and is refused on writing, so every file is
+standard JSON. The optional family "r" records the data-side support
+radius so reconstructions can re-check the annulus precondition without
+re-supplying it. Writes are atomic (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -66,9 +67,13 @@ def _value(v) -> float:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    """Write standard JSON: a non-finite float is refused, nothing written."""
+    """Write compact standard JSON: a non-finite float is refused, nothing written.
+
+    No indent, so ``json`` uses its C encoder.
+    """
     try:
-        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                          allow_nan=False)
     except ValueError as exc:
         raise PreconditionError(f"refusing to write {path}: {exc}") from exc
     _write_text_atomic(path, text + "\n")

@@ -10,6 +10,11 @@ inversions: each lattice point z is assigned the line through z that is
 perpendicular, within a chosen coordinate or general integer plane, to z's
 in-plane component. That makes z the unique in-plane-norm minimizer among
 the lattice points of its ray, which is what drives the shell recursion.
+
+Last comes the ray-cell geometry of the continuum bridge, in doubles: the
+chord of a ray through a unit cell (slab clipping against the closed cube),
+the walk over the cells a ray crosses inside a ball, in parameter order,
+and the exact test for a lattice point on a ray's line.
 """
 
 from __future__ import annotations
@@ -222,3 +227,94 @@ def effectively_irrational(theta: Sequence[int], r) -> bool:
     rf = as_fraction(r)
     return norm2(theta) > 4 * rf * rf
 
+
+def cell_chord(ray: Ray, cell: IntVec) -> float:
+    """Length of the ray's intersection with the closed unit cube at cell.
+
+    Slab clipping in doubles; 0.0 when the line misses the cube. Lattice
+    bases and integer cell centers keep the degenerate ray-in-face case
+    unreachable (faces sit at half-integers).
+    """
+    tmin, tmax = -math.inf, math.inf
+    for bi, pi, ci in zip(ray.base, ray.dir, cell):
+        if pi == 0:
+            if abs(bi - ci) > 0.5:
+                return 0.0
+            continue
+        t1 = (ci - 0.5 - bi) / pi
+        t2 = (ci + 0.5 - bi) / pi
+        if t1 > t2:
+            t1, t2 = t2, t1
+        if t1 > tmin:
+            tmin = t1
+        if t2 < tmax:
+            tmax = t2
+    if tmax <= tmin:
+        return 0.0
+    return (tmax - tmin) * math.sqrt(norm2(ray.dir))
+
+
+def _ball_window(ray: Ray, radius: float) -> tuple[float, float] | None:
+    """Parameter interval where |base + t*dir| <= radius, or None."""
+    a = float(norm2(ray.dir))
+    b = 2.0 * float(dot(ray.base, ray.dir))
+    c = float(norm2(ray.base)) - radius * radius
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return None
+    s = math.sqrt(disc)
+    return (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
+
+
+def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
+    """Yield (cell, chord) for cells the ray crosses within the given ball.
+
+    Steps through the grid planes (cell faces at half-integers) in order of
+    the ray parameter; each sub-segment is attributed to the cell containing
+    its midpoint. Cells whose centers lie within ``radius - sqrt(d)`` of the
+    origin get their full, unclipped chord.
+    """
+    window = _ball_window(ray, radius)
+    if window is None:
+        return
+    t0, t1 = window
+    cuts = [t0, t1]
+    for bi, pi in zip(ray.base, ray.dir):
+        if pi == 0:
+            continue
+        lo = bi + t0 * pi if pi > 0 else bi + t1 * pi
+        hi = bi + t1 * pi if pi > 0 else bi + t0 * pi
+        k0 = math.floor(lo + 0.5)
+        k1 = math.floor(hi + 0.5)
+        for k in range(k0, k1 + 1):
+            t = (k + 0.5 - bi) / pi
+            if t0 < t < t1:
+                cuts.append(t)
+    cuts.sort()
+    speed = math.sqrt(norm2(ray.dir))
+    for ta, tb in zip(cuts, cuts[1:]):
+        if tb <= ta:
+            continue
+        tm = 0.5 * (ta + tb)
+        cell = tuple(math.floor(bi + tm * pi + 0.5)
+                     for bi, pi in zip(ray.base, ray.dir))
+        yield cell, (tb - ta) * speed
+
+
+def _on_line(z: IntVec, ray: Ray) -> bool:
+    """Exact test: is lattice point z on the ray's line."""
+    u = vsub(z, ray.base)
+    k = None
+    for ui, pi in zip(u, ray.dir):
+        if pi == 0:
+            if ui != 0:
+                return False
+        else:
+            q, rem = divmod(ui, pi)
+            if rem != 0:
+                return False
+            if k is None:
+                k = q
+            elif q != k:
+                return False
+    return True

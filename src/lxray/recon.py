@@ -22,18 +22,37 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import itemgetter, mul, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
 from .lattice import (IntVec, ShellDecomposition, as_fraction, build_shells,
                       enumerate_ball, norm2)
-from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
-                   perp_family, ray_key)
+from .rays import (Plane, Ray, RayKey, _on_line, cell_chord, coordinate_plane,
+                   effectively_irrational, perp_family, ray_key, traverse_cells)
 from .transform import GridFunction, Sinogram, Weight, box_index
+
+
+class ChordTable(NamedTuple):
+    """Every plan ray's walk over the cells of the ball of radius r + sqrt(d).
+
+    Sweep step i's ray crosses the cells ``ids[ends[i-1]:ends[i]]``, in
+    ``traverse_cells`` order, with the chords and on-its-line flags in the
+    same slots of ``chords`` and ``on_line``; ``central[i]`` is the chord
+    through the target's own cell. Ids index ``cells``, the distinct
+    crossed cells: cell i is the plan's ``order[i]`` for every sweep step
+    i, the cells of no target follow in order of first crossing.
+    """
+
+    cells: tuple[IntVec, ...]
+    ids: array
+    chords: array
+    on_line: array
+    ends: array
+    central: array
 
 
 @dataclass
@@ -47,8 +66,10 @@ class ReconPlan:
     outermost first): step i recovers ``order[i]`` from line ``keys[i]``,
     and ``on_ray[ends[i-1]:ends[i]]`` lists the sweep steps of the other
     plan points on that ray, in ray order. It refuses a target outside the
-    ball, a ray not based at its target perpendicular to its direction,
-    and a plan point on a target's ray that is not in an earlier shell.
+    ball or of another dimension, a ray not based at its target
+    perpendicular to its direction, and a plan point on a target's ray that
+    is not in an earlier shell. The continuum rounds read ``chord_table``,
+    built on first use and kept; no field, so equality and repr ignore it.
     """
 
     d: int
@@ -66,11 +87,16 @@ class ReconPlan:
     ends: array = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.d < 2:
+            raise PreconditionError("dimension must be >= 2")
         r2 = as_fraction(self.support_radius) ** 2
         num, den = r2.numerator, r2.denominator
         place, offset, _ = box_index(self.d, num, den)
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
         self.order = tuple(chain.from_iterable(shells))
+        for z in self.order:
+            if len(z) != self.d:
+                raise PreconditionError(f"target {z} has wrong dimension")
         self.keys = tuple(ray_key(self.rays[z]) for z in self.order)
         boxes = [offset + sum(map(mul, z, place)) for z in self.order]
         step_of = {j: i for i, j in enumerate(boxes)}
@@ -99,6 +125,27 @@ class ReconPlan:
 
     def ray_keys(self) -> set[RayKey]:
         return set(self.keys)
+
+    @cached_property
+    def chord_table(self) -> ChordTable:
+        """Each sweep step's cell walk, chords and central chord (walked once)."""
+        radius = float(self.support_radius) + math.sqrt(self.d)
+        cells = list(self.order)
+        cell_id = {z: i for i, z in enumerate(cells)}
+        ids, chords, on_line = array("i"), array("d"), array("b")
+        ends, central = array("i"), array("d")
+        for z in self.order:
+            ray = self.rays[z]
+            for cell, chord in traverse_cells(ray, radius):
+                c = cell_id.setdefault(cell, len(cells))
+                if c == len(cells):
+                    cells.append(cell)
+                ids.append(c)
+                chords.append(chord)
+                on_line.append(_on_line(cell, ray))
+            ends.append(len(ids))
+            central.append(cell_chord(ray, z))
+        return ChordTable(tuple(cells), ids, chords, on_line, ends, central)
 
 
 def plan_targets(points: list[IntVec], geom: Plane, alpha: Fraction | None,
@@ -131,6 +178,9 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
             f"annulus outer bound {bf} is below the support radius {r}")
     geom = plane if plane is not None else coordinate_plane(d)
     pts = [tuple(z) for z in points] if points is not None else enumerate_ball(d, r)
+    bad = next((z for z in pts if len(z) != d), None)
+    if bad is not None:  # before build_shells, whose norms need d entries
+        raise PreconditionError(f"target {bad} has wrong dimension")
     pts = plan_targets(pts, geom, af, bf)
     rays = dict(perp_family(pts, plane))
     # a coordinate-plane slice is fixed by the trailing coordinates
@@ -179,8 +229,8 @@ def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
                 raise ZeroWeightError(f"weight vanishes at {z}")
             total /= wz
         vals.append(total)
-    out = dict(zip(plan.order, vals))
-    return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
+    return GridFunction.over_checked_points(plan.d, plan.support_radius,
+                                            plan.order, vals)
 
 
 def recon_shells_weighted(g: Sinogram, plan: ReconPlan) -> GridFunction:

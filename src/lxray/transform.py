@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
 from .lattice import IntVec, as_fraction, norm2
@@ -59,6 +59,28 @@ class GridFunction:
                 raise PreconditionError(f"value at {z} is not finite")
             clean[z] = v
         self.values = clean
+
+    @classmethod
+    def over_checked_points(cls, d: int, support_radius,
+                            points: Sequence[IntVec],
+                            values: Sequence[float]) -> "GridFunction":
+        """values[i] at points[i], for distinct d-tuples known to be in the ball.
+
+        Skips the per-point checks (a compiled plan made them once); the
+        values are still made doubles and checked in one pass, since
+        arithmetic on finite data can overflow (1e308 - -1e308).
+        """
+        try:
+            vals = list(map(float, values))
+            finite = all(map(math.isfinite, vals))
+        except OverflowError:
+            finite = False
+        if not finite:  # the checking constructor names the bad point
+            cls(d, support_radius, dict(zip(points, values)))
+        f = object.__new__(cls)
+        f.d, f.support_radius = d, as_fraction(support_radius)
+        f.values = dict(zip(points, vals))
+        return f
 
     def get(self, z: IntVec) -> float:
         return self.values.get(tuple(z), 0.0)

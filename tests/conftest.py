@@ -2,14 +2,19 @@
 
 The oracles deliberately avoid the library's ray enumeration and key
 machinery so that round-trip tests check two genuinely different routes.
+The continuum references keep the per-round cell walks that the plan's
+chord table replaced, so the table's consumers are checked bit for bit.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from lxray import (GridFunction, MissingDataError, ZeroWeightError,
-                   enumerate_ball, primitive)
+from lxray import (GridFunction, MissingDataError, Sinogram, ZeroWeightError,
+                   enumerate_ball, forward_continuous, primitive)
+from lxray.rays import _on_line, cell_chord, traverse_cells
+from lxray.recon import datum
 
 
 def random_int_grid(d, r, seed, lo=-9, hi=9):
@@ -104,6 +109,60 @@ def reference_sweep(g, plan):
                     total /= wz
                 out[z] = total
     return out
+
+
+def reference_layer_recon(g, plan):
+    """The layer sweep walking each ray's cells (oracle for the chord table).
+
+    Fraction in-plane norms from the plan's shells; per ray, the nonzero
+    values already recovered at strictly outer cells, each times its chord,
+    are subtracted in walk order, then the total is divided by the chord
+    through the target's own cell.
+    """
+    radius = float(plan.support_radius) + math.sqrt(plan.d)
+    norms2 = {z: nu for dec in plan.slices.values()
+              for shell, nu in zip(dec.shells, dec.norms2) for z in shell}
+    out = {}
+    for z, key in zip(plan.order, plan.keys):
+        ray = plan.rays[z]
+        total = datum(g, key, z)
+        nu = norms2[z]
+        for cell, chord in traverse_cells(ray, radius):
+            if cell == z:
+                continue
+            v = out.get(cell, 0.0)
+            if v != 0.0 and norms2[cell] > nu:
+                total -= chord * v
+        out[z] = total / cell_chord(ray, z)
+    return GridFunction(d=plan.d, support_radius=plan.support_radius, values=out)
+
+
+def reference_corrected_sinogram(g, plan, f):
+    """Data minus f's off-line chord terms over the central chord, by walking."""
+    radius = float(plan.support_radius) + math.sqrt(plan.d)
+    entries = {}
+    for z, key in zip(plan.order, plan.keys):
+        ray = plan.rays[z]
+        if key in entries:
+            continue
+        total = datum(g, key, z)
+        corr = 0.0
+        for cell, chord in traverse_cells(ray, radius):
+            if _on_line(cell, ray):
+                continue
+            v = f.values.get(cell)
+            if v:
+                corr += v * chord
+        entries[key] = (total - corr) / cell_chord(ray, z)
+    return Sinogram(d=g.d, entries=entries, meta=g.meta, family=g.family)
+
+
+def reference_data_residual(g, plan, f):
+    """Max |datum - forward_continuous(f, ray)| over the plan's rays."""
+    res = 0.0
+    for z, key in zip(plan.order, plan.keys):
+        res = max(res, abs(datum(g, key, z) - forward_continuous(f, plan.rays[z])))
+    return res
 
 
 def brute_ball(d, r):

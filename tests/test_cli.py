@@ -352,3 +352,17 @@ def test_overflowing_forward_is_not_written(tmp_path):
                 "--out", str(s)]) == 2
     assert not s.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_overflowing_sweep_is_not_written(tmp_path):
+    # finite data whose sweep overflows: 1e308 - (-1e308) - (-1e308) = inf
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    lio.write_json_atomic(str(g), lio.grid_to_obj(GridFunction(2, 1)))
+    assert run(["forward", "--grid", str(g), "--family", "tstar",
+                "--out", str(s)]) == 0
+    obj = json.loads(s.read_text())
+    for row in obj["rays"]:
+        row["v"] = 1e308 if row["z"] == [0, 0] else -1e308
+    s.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "s.json"]

@@ -1,9 +1,12 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_int_grid
+from conftest import random_int_grid, reference_data_residual
+from lxray import continuum, rays, recon
 from lxray import (BallField, GridFunction, MissingDataError, PreconditionError,
                    Ray, cell_chord, data_residual, enumerate_ball, forward_balls,
                    forward_continuous, forward_continuous_family,
@@ -194,3 +197,54 @@ def test_iterate_residuals_reported():
     iterates, residuals = iterate_recon(g, plan, iters=2)
     assert len(residuals) == 3
     assert all(math.isfinite(r) for r in residuals)
+
+
+def _noisy_grid(d, r, seed, points):
+    rng = random.Random(seed)
+    return GridFunction(d, r, {z: rng.uniform(-5, 5) for z in points
+                               if rng.random() < 0.8})
+
+
+def test_data_residual_of_a_smaller_support_matches_the_walk():
+    # every cell holding a value lies wholly inside both walks' windows
+    plan = make_plan(2, 6)
+    g = forward_continuous_family(_noisy_grid(2, 6, 47, plan.points),
+                                  plan.rays.items())
+    small = _noisy_grid(2, Fraction(7, 2), 48, enumerate_ball(2, Fraction(7, 2)))
+    want = reference_data_residual(g, plan, small)
+    assert data_residual(g, plan, small).hex() == want.hex()
+    _, residuals = iterate_recon(g, plan, f_init=small, iters=1)
+    assert residuals[0].hex() == want.hex()
+
+
+def test_data_residual_refuses_other_dimension_or_larger_radius():
+    plan = make_plan(2, 4)
+    g = forward_continuous_family(GridFunction(2, 4), plan.rays.items())
+    with pytest.raises(PreconditionError):
+        data_residual(g, plan, GridFunction(3, 4))
+    with pytest.raises(PreconditionError):
+        data_residual(g, plan, GridFunction(2, Fraction(9, 2)))
+    with pytest.raises(PreconditionError):
+        iterate_recon(g, plan, f_init=GridFunction(2, 5))
+
+
+def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
+    # a regression to per-round walking fails here without a timing gate
+    walked = Counter()
+    real = rays.traverse_cells
+
+    def counting(ray, radius):
+        walked[ray] += 1
+        return real(ray, radius)
+
+    for mod in (rays, recon, continuum):
+        if hasattr(mod, "traverse_cells"):
+            monkeypatch.setattr(mod, "traverse_cells", counting)
+    plan = make_plan(2, 5)
+    f = random_int_grid(2, 5, seed=49)
+    g = forward_continuous_family(f, plan.rays.items())
+    walked.clear()
+    iterate_recon(g, plan, iters=3)
+    iterate_recon(g, plan, f_init=f, iters=3)
+    assert walked and max(walked.values()) == 1
+    assert set(walked) <= set(plan.rays.values())

@@ -10,12 +10,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (brute_forward, brute_line_count, brute_ray_points,
-                      random_int_grid, reduced_key, reference_sweep)
-from lxray import (GridFunction, Plane, Ray, chord_weight, constant_weight,
-                   count_connecting_lines, enumerate_ball, forward_family,
-                   forward_weighted, make_plan, norm2, perp_family,
+                      random_int_grid, reduced_key, reference_corrected_sinogram,
+                      reference_data_residual, reference_layer_recon,
+                      reference_sweep)
+from lxray import (GridFunction, Plane, Ray, cell_chord, chord_weight,
+                   constant_weight, count_connecting_lines, data_residual,
+                   enumerate_ball, forward_continuous_family, forward_family,
+                   forward_weighted, layer_recon, make_plan, norm2, perp_family,
                    points_on_ray, primitive, ray_key, recon_annulus,
-                   recon_shells)
+                   recon_shells, traverse_cells)
+from lxray.continuum import _corrected_sinogram
+from lxray.rays import _on_line
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,3 +201,68 @@ def test_forward_family_matches_oracles(case):
             want += weight(z, ray.dir) * f.get(z)
         got = g.entries[ray_key(ray)]
         assert got.hex() == forward_weighted(f, ray, weight).hex() == want.hex()
+
+
+@st.composite
+def chord_table_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.fractions(0, 5, max_denominator=6))
+    plane = None
+    if draw(st.booleans()):  # a general plane; in d=2 it spans the space
+        vec = st.tuples(*[st.integers(-2, 2)] * d)
+        pair = st.tuples(vec, vec).filter(lambda ab: any(
+            ab[0][i] * ab[1][j] != ab[0][j] * ab[1][i]
+            for i in range(d) for j in range(i + 1, d)))
+        plane = Plane(*draw(pair))
+    alpha = beta = None
+    if draw(st.booleans()):
+        beta = r + draw(st.fractions(0, 2, max_denominator=4))
+        alpha = beta * draw(st.fractions(0, 1, max_denominator=4))
+    return d, r, plane, alpha, beta, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chord_table_cases())
+@example((3, Fraction(5), Plane((1, 1, 0), (0, 1, 1)), 1, Fraction(11, 2), 7))
+@example((2, Fraction(9, 2), None, None, None, 3))
+def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
+    d, r, plane, alpha, beta, seed = case
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    table = plan.chord_table
+    assert table.cells[:len(plan.order)] == plan.order
+    assert len(set(table.cells)) == len(table.cells)
+    radius = float(plan.support_radius) + math.sqrt(d)
+    start = 0
+    for i, (z, end) in enumerate(zip(plan.order, table.ends)):
+        ray = plan.rays[z]
+        want = [(cell, chord.hex(), _on_line(cell, ray))
+                for cell, chord in traverse_cells(ray, radius)]
+        got = [(table.cells[c], chord.hex(), bool(on)) for c, chord, on in zip(
+            table.ids[start:end], table.chords[start:end],
+            table.on_line[start:end])]
+        assert got == want
+        assert table.central[i].hex() == cell_chord(ray, z).hex()
+        start = end
+    assert start == len(table.ids) == len(table.chords) == len(table.on_line)
+    # the rounds reading the table against the walking reference, on
+    # non-integer data with signed zeros, bit for bit
+    rng = random.Random(seed)
+    ball = enumerate_ball(d, r)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, rng.uniform(-9, 9)))
+                            for z in ball})
+    g = forward_continuous_family(f, plan.rays.items())
+    g.entries = {k: rng.choice((v, 0.0, -0.0)) for k, v in g.entries.items()}
+    layer = layer_recon(g, plan)
+    assert _hex(layer.values) == _hex(reference_layer_recon(g, plan).values)
+    assert _hex(_corrected_sinogram(g, plan, layer).entries) == \
+        _hex(reference_corrected_sinogram(g, plan, layer).entries)
+    small = GridFunction(d, r * rng.choice((Fraction(1, 2), 1)),
+                         {z: v for z, v in f.values.items()
+                          if 4 * norm2(z) <= r * r})
+    for h in (f, layer, small):
+        assert data_residual(g, plan, h).hex() == \
+            reference_data_residual(g, plan, h).hex()
+
+
+def _hex(values):
+    return [(k, v.hex()) for k, v in values.items()]

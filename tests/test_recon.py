@@ -5,10 +5,11 @@ import pytest
 from conftest import random_int_grid
 from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    PreconditionError, ReconPlan, ShellDecomposition,
-                   constant_weight, chord_weight, enumerate_ball,
+                   build_shells, constant_weight, chord_weight, enumerate_ball,
                    forward_family, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, Ray, recon_annulus,
-                   recon_one_point, recon_shells, recon_shells_weighted)
+                   recon_one_point, recon_shells, recon_shells_weighted,
+                   Sinogram)
 
 
 def tstar_data(f, plan, weight=None):
@@ -274,3 +275,22 @@ def test_weighted_requires_weight():
     g = tstar_data(random_int_grid(2, 2, seed=35), plan)
     with pytest.raises(PreconditionError):
         recon_shells_weighted(g, plan)
+
+
+@pytest.mark.parametrize("d, target", [(2, (1, 0, 0)), (3, (1, 0))])
+def test_target_of_another_dimension_is_refused(d, target):
+    # a hand-built plan reaches the compile
+    with pytest.raises(PreconditionError):
+        plan = ReconPlan(d=d, support_radius=2, points=(target,),
+                         rays=dict(perp_family([target])),
+                         slices={(): build_shells([target])})
+        recon_shells(Sinogram(d, {key: 1.0 for key in plan.keys}), plan)
+    with pytest.raises(PreconditionError):
+        recon_shells(Sinogram(1, {}), make_plan(1, 0, points=[]))
+
+
+@pytest.mark.parametrize("d, target", [(2, (1, 0, 0)), (3, (1, 0))])
+def test_make_plan_refuses_a_target_of_another_dimension(d, target):
+    # checked before the shells are built, whose norms would raise ValueError
+    with pytest.raises(PreconditionError):
+        make_plan(d, 2, points=[target])
