@@ -27,6 +27,6 @@ from .continuum import (BallField, cell_chord, chord_weight,
 from .counting import (CountReport, canonical_primitives, count_connecting_lines,
                        count_lines_through_origin, farey_asymptotic_report,
                        separation_margin, unbounded_ray_witnesses,
-                       verify_count_bounds, verify_projection_separation)
+                       verify_count_bounds)
 
 __version__ = "0.1.0"

@@ -75,11 +75,7 @@ def enumerate_ball(d: int, r, center: IntVec | None = None) -> list[IntVec]:
     exact rational r^2, so the boundary is decided exactly for any rational
     (or float-valued) radius.
     """
-    if d < 2:
-        raise PreconditionError("dimension must be >= 2")
-    rfrac = as_fraction(r)
-    if rfrac < 0:
-        raise PreconditionError("radius must be nonnegative")
+    rfrac = ball_radius(d, r)
     if center is None:
         center = (0,) * d
     if len(center) != d:
@@ -104,9 +100,46 @@ def enumerate_ball(d: int, r, center: IntVec | None = None) -> list[IntVec]:
     return out
 
 
+def ball_radius(d: int, r) -> Fraction:
+    """The exact radius of a d-ball; d < 2 or r < 0 raise PreconditionError."""
+    if d < 2:
+        raise PreconditionError("dimension must be >= 2")
+    rf = as_fraction(r)
+    if rf < 0:
+        raise PreconditionError("radius must be nonnegative")
+    return rf
+
+
+def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
+    """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, counted row by row.
+
+    Every prefix of the first d-1 coordinates holds a whole row of
+    2 isqrt(...) + 1 last coordinates, by the exact test of
+    ``enumerate_ball``, and a prefix and its mirror hold equal rows. With a
+    ``cap`` the count stops once it passes the cap and returns a number
+    above it; a result <= cap is exact.
+    """
+    den = r2.denominator
+
+    def rows(k: int, rem: int) -> int:
+        m = math.isqrt(rem // den)
+        if k == 1:
+            return 2 * m + 1
+        total = rows(k - 1, rem)
+        for x in range(1, m + 1):
+            if cap is not None and total > cap:
+                break
+            total += 2 * rows(k - 1, rem - den * x * x)
+        return total
+
+    return rows(d, r2.numerator)
+
+
 def ball_count(d: int, r) -> int:
-    """Number of lattice points in the closed ball of radius r."""
-    return len(enumerate_ball(d, r))
+    """Number of lattice points in the closed ball of radius r, equal to
+    ``len(enumerate_ball(d, r))`` but counted row by row (``count_within``)."""
+    rf = ball_radius(d, r)
+    return count_within(d, rf * rf)
 
 
 def primitive(z: Sequence[int]) -> IntVec:
@@ -228,10 +261,12 @@ def farey_count(n: int, d: int = 2) -> int:
         raise PreconditionError("Farey level must be >= 1")
     if d < 2:
         raise PreconditionError("dimension must be >= 2")
-    work = sum(q ** (d - 1) for q in range(1, n + 1))
-    if work > FAREY_ENUM_BUDGET:
-        raise BudgetError(f"farey_count({n}, {d}) needs {work} steps, "
-                          f"budget is {FAREY_ENUM_BUDGET}")
+    work = 0
+    for q in range(1, n + 1):  # stops as soon as the work passes the budget
+        work += q ** (d - 1)
+        if work > FAREY_ENUM_BUDGET:
+            raise BudgetError(f"farey_count({n}, {d}) needs more steps "
+                              f"than the budget of {FAREY_ENUM_BUDGET}")
     if d == 2:
         return sum(1 for q in range(1, n + 1)
                    for p in range(q) if math.gcd(p, q) == 1)
@@ -258,6 +293,21 @@ def totient_sieve(n: int) -> list[int]:
             for m in range(p, n + 1, p):
                 phi[m] -= phi[m] // p
     return phi
+
+
+def mobius_sieve(n: int) -> list[int]:
+    """Moebius mu(0..n) by a sieve; mu(0) is 0 by convention."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    composite = [False] * (n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:  # p prime
+            for m in range(p, n + 1, p):
+                composite[m] = True
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    return mu
 
 
 def totient_sum(n: int) -> int:

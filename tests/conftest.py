@@ -4,6 +4,8 @@ The oracles deliberately avoid the library's ray enumeration and key
 machinery so that round-trip tests check two genuinely different routes.
 The continuum references keep the per-round cell walks that the plan's
 chord table replaced, so the table's consumers are checked bit for bit.
+The separation reference keeps the per-pair scan that the orbit scan
+replaced.
 """
 
 import itertools
@@ -207,3 +209,25 @@ def brute_line_count(r, d=2):
                 base = tuple(a - q * b for a, b in zip(zi, p))
                 seen.add((p, base))
     return len(seen)
+
+
+def lagrange_q(zeta, z):
+    """|zeta|^2 |z|^2 - (z.zeta)^2 by Lagrange's identity: the sum of the
+    squared 2x2 minors of (zeta, z), so no formula is shared with the scan."""
+    return sum((zeta[i] * z[j] - zeta[j] * z[i]) ** 2
+               for i, j in itertools.combinations(range(len(z)), 2))
+
+
+def brute_direction_minima(R, d=2):
+    """Per-pair separation scan (oracle): for every canonical primitive zeta
+    of norm <= R, the least nonzero q over all nonzero ball points."""
+    pts = [z for z in brute_ball(d, R) if any(z)]
+    prims = [z for z in pts
+             if math.gcd(*z) == 1 and next(c for c in z if c) > 0]
+    return {zeta: min(q for z in pts if (q := lagrange_q(zeta, z)))
+            for zeta in prims}
+
+
+def brute_separation_margin(R, d=2):
+    """The separation margin by the per-pair scan over every direction."""
+    return min(brute_direction_minima(R, d).values())

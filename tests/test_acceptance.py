@@ -185,8 +185,11 @@ def test_criterion_11_farey_asymptotic():
 def test_criterion_12_projection_separation():
     margin = separation_margin(25)
     assert margin == 1  # estimate holds and is achieved (equality case)
-    report(12, "projection separation R=25: exhaustive integer scan passes "
-               "with minimum margin exactly 1 (sharp equality case included)")
+    assert separation_margin(8, d=3) == 1
+    assert separation_margin(5, d=4) == 1
+    report(12, "projection separation R=25 (d=2), R=8 (d=3), R=5 (d=4): "
+               "exhaustive integer scan passes with minimum margin exactly 1 "
+               "(sharp equality case included)")
 
 
 def test_criterion_13_non_overdetermined():

@@ -259,6 +259,17 @@ def test_budget_exit_code():
     assert run(["count", "tmin", "--r", "20", "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "tmin", "--r", "3000"],
+    ["count", "bounds", "--r", "3000"],
+    ["count", "separation", "--R", "3000"],
+    ["count", "farey", "--n", "10000000000"],
+])
+def test_count_budget_refuses_large_inputs(argv, capsys):
+    assert run(argv) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_bad_flags_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["phantom", "--kind", "nonsense", "--r", "1", "--out", "x.json"])

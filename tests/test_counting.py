@@ -1,16 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_line_count
+from conftest import brute_line_count, brute_separation_margin
+from lxray import counting
 from lxray import (BudgetError, PreconditionError, ball_count,
                    canonical_primitives, count_connecting_lines,
                    count_lines_through_origin, enumerate_ball,
-                   farey_asymptotic_report, separation_margin,
-                   unbounded_ray_witnesses, ray_key, verify_count_bounds,
-                   verify_projection_separation)
-from lxray.counting import DEFAULT_LENS_BUDGET
+                   farey_asymptotic_report, primitive, separation_margin,
+                   unbounded_ray_witnesses, ray_key, verify_count_bounds)
+from lxray.counting import DEFAULT_LENS_BUDGET, primitive_count
 
 
 def test_count_connecting_lines_examples():
@@ -93,13 +94,79 @@ def test_verify_count_bounds():
 def test_separation_margin_equality_case():
     # zeta=(1,0), z=(3,1): 1*10 - 9 = 1, so the minimum is exactly 1
     assert separation_margin(10) == 1
-    assert verify_projection_separation(10)
-    assert verify_projection_separation(5, d=3)
+    assert separation_margin(5, d=3) == 1
+
+
+def test_separation_margin_against_pair_scan():
+    for R, d in ((10, 2), (Fraction(7, 2), 2), (3, 3), (2, 4)):
+        assert separation_margin(R, d) == brute_separation_margin(R, d)
+    with pytest.raises(PreconditionError):
+        separation_margin(Fraction(1, 2))
+
+
+def _orbit(zeta):
+    """The canonical primitives that signed coordinate permutations map zeta to."""
+    return frozenset(
+        primitive(tuple(s * zeta[i] for s, i in zip(signs, perm)))
+        for perm in itertools.permutations(range(len(zeta)))
+        for signs in itertools.product((1, -1), repeat=len(zeta)))
+
+
+@pytest.mark.parametrize("R, d", [(20, 2), (Fraction(13, 2), 3), (3, 4)])
+def test_separation_scans_one_direction_per_orbit(monkeypatch, R, d):
+    seen = []
+    scan = counting._direction_minimum
+
+    def counted(zeta, cols, norms):
+        seen.append(_orbit(zeta))
+        return scan(zeta, cols, norms)
+
+    monkeypatch.setattr(counting, "_direction_minimum", counted)
+    assert separation_margin(R, d) == 1
+    orbits = {_orbit(zeta) for zeta in canonical_primitives(R, d)}
+    assert len(seen) == len(orbits) and set(seen) == orbits
+
+
+def separation_pairs(d, R):
+    """Canonical primitives of norm <= R times nonzero ball points."""
+    return len(canonical_primitives(R, d)) * (len(enumerate_ball(d, R)) - 1)
+
+
+@pytest.mark.parametrize("R, d", [(5, 2), (Fraction(5, 2), 3), (2, 4)])
+def test_separation_budget_is_pairs(R, d):
+    pairs = separation_pairs(d, R)
+    assert separation_margin(R, d, budget=pairs) == 1
+    with pytest.raises(BudgetError):
+        separation_margin(R, d, budget=pairs - 1)
 
 
 def test_separation_budget():
     with pytest.raises(BudgetError):
         separation_margin(100, budget=1000)
+
+
+def test_budgets_refuse_before_building_a_ball(monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("a ball was built before the budget check")
+
+    monkeypatch.setattr(counting, "enumerate_ball", no_ball)
+    with pytest.raises(BudgetError):
+        count_connecting_lines(3000)
+    with pytest.raises(BudgetError):
+        verify_count_bounds(3000)
+    with pytest.raises(BudgetError):
+        separation_margin(3000)
+    with pytest.raises(BudgetError):
+        count_connecting_lines(40, d=4)
+    with pytest.raises(BudgetError):
+        separation_margin(10 ** 6, d=3)
+
+
+def test_primitive_count_examples():
+    assert [primitive_count(r) for r in (0, Fraction(1, 2), 1, Fraction(3, 2), 2)] \
+        == [0, 0, 2, 4, 4]
+    assert primitive_count(150) == len(canonical_primitives(150))
+    assert primitive_count(9, d=3) == len(canonical_primitives(9, d=3))
 
 
 def test_farey_asymptotic_values():

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import brute_ball
 from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
-                   build_shells, coordinate_plane, enumerate_ball, farey_count,
-                   farey_set, prim_norm_le, primitive, totient_sieve,
-                   totient_sum)
+                   ball_count, build_shells, coordinate_plane, enumerate_ball,
+                   farey_count, farey_set, prim_norm_le, primitive,
+                   totient_sieve, totient_sum)
+from lxray.lattice import mobius_sieve
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
@@ -186,3 +187,33 @@ def test_farey_count_higher_dimension():
 def test_farey_count_budget():
     with pytest.raises(BudgetError):
         farey_count(10_000, 3)
+    # the work sum stops at the budget instead of running to n
+    with pytest.raises(BudgetError):
+        farey_count(10 ** 10)
+
+
+def test_mobius_sieve_against_factorisation():
+    def mu_slow(n):
+        sign, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    mu = mobius_sieve(300)
+    assert mu[0] == 0
+    for n in range(1, 301):
+        assert mu[n] == mu_slow(n)
+
+
+def test_ball_count_is_enumeration_size():
+    for d, r in ((2, 0), (2, Fraction(7, 2)), (3, 4), (4, Fraction(5, 2))):
+        assert ball_count(d, r) == len(enumerate_ball(d, r)) == len(brute_ball(d, r))
+    with pytest.raises(PreconditionError):
+        ball_count(1, 3)
+    with pytest.raises(PreconditionError):
+        ball_count(2, -1)

@@ -9,17 +9,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (brute_forward, brute_line_count, brute_ray_points,
-                      random_int_grid, reduced_key, reference_corrected_sinogram,
-                      reference_data_residual, reference_layer_recon,
-                      reference_sweep)
-from lxray import (GridFunction, Plane, Ray, cell_chord, chord_weight,
-                   constant_weight, count_connecting_lines, data_residual,
-                   enumerate_ball, forward_continuous_family, forward_family,
-                   forward_weighted, layer_recon, make_plan, norm2, perp_family,
-                   points_on_ray, primitive, ray_key, recon_annulus,
-                   recon_shells, traverse_cells)
+from conftest import (brute_direction_minima, brute_forward, brute_line_count,
+                      brute_ray_points, random_int_grid, reduced_key,
+                      reference_corrected_sinogram, reference_data_residual,
+                      reference_layer_recon, reference_sweep)
+from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
+                   cell_chord, chord_weight, constant_weight,
+                   count_connecting_lines, data_residual, enumerate_ball,
+                   forward_continuous_family, forward_family, forward_weighted,
+                   layer_recon, make_plan, norm2, perp_family, points_on_ray,
+                   primitive, ray_key, recon_annulus, recon_shells,
+                   separation_margin, traverse_cells)
 from lxray.continuum import _corrected_sinogram
+from lxray.counting import (_direction_minimum, _point_columns,
+                            primitive_count)
+from lxray.lattice import count_within
 from lxray.rays import _on_line
 
 
@@ -30,6 +34,46 @@ from lxray.rays import _on_line
 def test_count_connecting_lines_matches_pair_scan(case):
     d, r = case
     assert count_connecting_lines(r, d) == brute_line_count(r, d)
+
+
+@st.composite
+def separation_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    return d, draw(st.fractions(1, 3 if d == 4 else 6, max_denominator=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(separation_cases())
+@example((2, Fraction(1)))
+@example((3, Fraction(6)))
+@example((4, Fraction(3)))
+def test_separation_minimum_per_direction_matches_pair_scan(case):
+    # the global margin is 1 at every R >= 1, so each direction's own
+    # minimum is compared, the orbit representatives' and all the others'
+    d, R = case
+    cols, norms = _point_columns(R, d)
+    minima = brute_direction_minima(R, d)
+    assert sorted(minima) == sorted(canonical_primitives(R, d))
+    for zeta, least in minima.items():
+        assert _direction_minimum(zeta, cols, norms) == least
+    assert separation_margin(R, d) == min(minima.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.fractions(0, 6, max_denominator=6),
+       st.integers(-1, 400))
+def test_counted_sizes_match_enumeration(d, r, cap):
+    if d == 4:
+        r = r / 2
+    points = len(enumerate_ball(d, r))
+    prims = len(canonical_primitives(r, d))
+    assert ball_count(d, r) == points
+    assert primitive_count(r, d) == prims
+    # a capped count is exact up to the cap and above it otherwise
+    capped = count_within(d, Fraction(r) ** 2, cap)
+    assert capped == points if points <= cap else capped > cap
+    capped = primitive_count(r, d, cap=cap)
+    assert capped == prims if prims <= cap else capped > cap
 
 
 def _independent(ab):
