@@ -23,7 +23,7 @@ from .counting import (DEFAULT_LENS_BUDGET, count_connecting_lines,
 from .errors import (BudgetError, FileFormatError, LxrayError,
                      PreconditionError)
 from .lattice import as_fraction, enumerate_ball, farey_count, norm2, totient_sum
-from .rays import Plane, coordinate_plane, perp_family
+from .rays import Plane, coordinate_plane, is_perp_ray, perp_family
 from .recon import (make_plan, plan_targets, recon_annulus, recon_one_point,
                     recon_shells)
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
@@ -112,25 +112,26 @@ def _infer_radius(points) -> Fraction:
 
 
 def _plan_from_sinogram(sino, r_override=None, weight=None):
-    points = [z for z, _ in sino.family]
+    """The plan over the file's points and the rays stored in its rows.
+
+    A tstar/tstar_plane row must hold its point's family ray (a format
+    error otherwise); the compile refuses any other ray it cannot sweep.
+    """
     meta = sino.meta
-    plane = None
-    if meta.kind == "tstar_plane":
-        plane = Plane(meta.a, meta.b)
+    plane = Plane(meta.a, meta.b) if meta.kind == "tstar_plane" else None
+    if meta.kind != "free":
+        for z, ray in sino.family:  # the reader checked canonical directions
+            if not is_perp_ray(z, ray, plane):
+                raise FileFormatError(f"ray of {z} is not its {meta.kind} ray")
+    points = [z for z, _ in sino.family]
     if r_override is not None:
         radius = as_fraction(r_override)
     elif meta.support_radius is not None:
         radius = meta.support_radius
     else:
         radius = _infer_radius(points)
-    plan = make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
-                     alpha=meta.alpha, beta=meta.beta)
-    if meta.kind != "free":
-        keys = dict(zip(plan.order, plan.keys))
-        for z, ray in sino.family:  # rows store reduced rays
-            if z in keys and keys[z] != (ray.dir, ray.base):
-                raise FileFormatError(f"ray of {z} is not its {meta.kind} ray")
-    return plan
+    return make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
+                     alpha=meta.alpha, beta=meta.beta, rays=dict(sino.family))
 
 
 def cmd_phantom(args) -> int:

@@ -16,6 +16,13 @@ a format error on reading and is refused on writing, so every file is
 standard JSON. The optional family "r" records the data-side support
 radius so reconstructions can re-check the annulus precondition without
 re-supplying it. Writes are atomic (temp file plus rename).
+
+Reading checks each row once, as columns: vectors of d integers (no
+bools), finite values, distinct grid points inside the declared ball, and
+sinogram rays in reduced canonical form (``dir`` a nonzero canonical
+primitive vector, ``0 <= base.dir < |dir|^2``) with one value per line.
+Only when a check fails are the rows walked one by one, in file order, to
+raise the first bad row's error.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import eq, gt, itemgetter, lt, mul
 
 from .errors import FileFormatError, PreconditionError
-from .lattice import as_fraction
+from .lattice import as_fraction, is_canonical_direction
 from .rays import Ray, RayKey, ray_key
 from .transform import FamilyMeta, GridFunction, Sinogram
 
@@ -64,6 +73,27 @@ def _value(v) -> float:
     if not math.isfinite(x):
         raise FileFormatError(f"non-finite value {v!r}")
     return x
+
+
+def _int_vecs(vecs: list, d: int) -> bool:
+    """True iff every entry is a list of d ints (no bools): ``_int_vec``'s test."""
+    return (set(map(type, vecs)) <= {list} and set(map(len, vecs)) <= {d}
+            and set(map(type, chain.from_iterable(vecs))) <= {int})
+
+
+def _values(vs: list) -> list[float] | None:
+    """The values as finite doubles if ``_value`` accepts each, else None."""
+    if not set(map(type, vs)) <= {int, float}:
+        return None
+    try:
+        vals = list(map(float, vs))
+    except OverflowError:
+        return None
+    return vals if all(map(math.isfinite, vals)) else None
+
+
+def _dots(us, vs) -> list[int]:
+    return list(map(sum, map(map, repeat(mul), us, vs)))
 
 
 def write_json_atomic(path: str, obj) -> None:
@@ -108,6 +138,32 @@ def obj_to_grid(obj) -> GridFunction:
         raise FileFormatError(f"bad dimension {d!r}")
     if not isinstance(rows, list):
         raise FileFormatError("values must be a list")
+    checked = _grid_columns(rows, d, r)
+    if checked is None:  # a bad row: the row checks raise its error
+        return _grid_by_rows(rows, d, r)
+    return GridFunction.over_checked_points(d, r, *checked)
+
+
+def _grid_columns(rows: list, d: int, r: Fraction):
+    """(points, values) of rows that pass every grid check, else None."""
+    if not set(map(type, rows)) <= {dict}:
+        return None
+    try:
+        zs = list(map(itemgetter("z"), rows))
+        vals = _values(list(map(itemgetter("v"), rows)))
+    except KeyError:
+        return None
+    if vals is None or not _int_vecs(zs, d):
+        return None
+    points = list(map(tuple, zs))
+    r2 = r * r
+    if (len(set(points)) != len(points)
+            or r2.denominator * max(_dots(points, points), default=0) > r2.numerator):
+        return None
+    return points, vals
+
+
+def _grid_by_rows(rows: list, d: int, r: Fraction) -> GridFunction:
     values = {}
     for row in rows:
         if not isinstance(row, dict) or "z" not in row or "v" not in row:
@@ -182,6 +238,42 @@ def obj_to_sino(obj) -> Sinogram:
     meta = obj_to_meta(fam_obj, d)
     if not isinstance(rows, list):
         raise FileFormatError("rays must be a list")
+    checked = _sino_columns(rows, d)
+    if checked is None:  # a bad row: the row checks raise its error
+        checked = _sino_by_rows(rows, d)
+    entries, family = checked
+    return Sinogram(d=d, entries=entries, meta=meta, family=family)
+
+
+def _sino_columns(rows: list, d: int):
+    """(entries, family) of rows that pass every sinogram check, else None."""
+    if not rows:
+        return {}, ()
+    if not set(map(type, rows)) <= {dict}:
+        return None
+    try:
+        vecs = [list(map(itemgetter(k), rows)) for k in ("z", "dir", "base")]
+        vals = _values(list(map(itemgetter("v"), rows)))
+    except KeyError:
+        return None
+    if vals is None or not _int_vecs(list(chain.from_iterable(vecs)), d):
+        return None
+    zs, dirs, bases = (list(map(tuple, v)) for v in vecs)
+    # canonical primitive: entries of gcd 1, the first nonzero one positive
+    if (set(map(math.gcd, *zip(*dirs))) != {1}
+            or not all(map(gt, dirs, repeat((0,) * d)))):
+        return None
+    bp = _dots(bases, dirs)  # reduced: 0 <= base.dir < |dir|^2
+    if min(bp) < 0 or not all(map(lt, bp, _dots(dirs, dirs))):
+        return None
+    keys = list(map(RayKey, dirs, bases))
+    entries = dict(zip(keys, vals))
+    if len(entries) < len(keys) and not all(map(eq, map(entries.get, keys), vals)):
+        return None  # conflicting values for one line
+    return entries, tuple(zip(zs, map(Ray, bases, dirs)))
+
+
+def _sino_by_rows(rows: list, d: int):
     entries: dict[RayKey, float] = {}
     family = []
     for row in rows:
@@ -195,15 +287,15 @@ def obj_to_sino(obj) -> Sinogram:
         except KeyError as exc:
             raise FileFormatError(f"ray row missing key {exc}") from exc
         ray = Ray(base, dirv)
-        key = ray_key(ray)
-        if key.dir != dirv or key.base != base:
+        if not is_canonical_direction(dirv) or ray_key(ray) != (dirv, base):
             raise FileFormatError(
                 f"ray (dir={dirv}, base={base}) is not in reduced canonical form")
+        key = RayKey(dirv, base)
         if key in entries and entries[key] != v:
             raise FileFormatError(f"conflicting values for one line at {z}")
         entries[key] = v
         family.append((z, ray))
-    return Sinogram(d=d, entries=entries, meta=meta, family=tuple(family))
+    return entries, tuple(family)
 
 
 def grid_to_csv(f: GridFunction, path: str) -> None:

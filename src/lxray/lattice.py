@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, PreconditionError
@@ -54,10 +55,6 @@ def dot(u: Sequence, v: Sequence):
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def scale(k, v: Sequence) -> tuple:
@@ -267,9 +264,9 @@ def farey_count(n: int, d: int = 2) -> int:
         if work > FAREY_ENUM_BUDGET:
             raise BudgetError(f"farey_count({n}, {d}) needs more steps "
                               f"than the budget of {FAREY_ENUM_BUDGET}")
-    if d == 2:
-        return sum(1 for q in range(1, n + 1)
-                   for p in range(q) if math.gcd(p, q) == 1)
+    if d == 2:  # still one gcd per pair (p, q), mapped in C per q
+        return sum(list(map(math.gcd, range(q), repeat(q))).count(1)
+                   for q in range(1, n + 1))
     total = 0
     for q in range(1, n + 1):
         stack = [(0, q)]

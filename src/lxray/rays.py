@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import PlanError, PreconditionError
+from .errors import PreconditionError
 from .lattice import (IntVec, as_fraction, dot, is_canonical_direction, norm2,
-                      primitive, scale, unit_vector, vadd, vsub)
+                      primitive, scale, unit_vector, vsub)
 
 
 class Ray(NamedTuple):
@@ -93,20 +93,21 @@ class Plane:
         return len(self.a)
 
     def scaled_inplane_norm2(self, v: Sequence) -> int:
-        """det * |proj_plane(v)|^2, an integer."""
-        s, t = dot(v, self.a), dot(v, self.b)
+        """det * |proj_plane(v)|^2, an integer; v must have d entries."""
+        s, t = sum(map(mul, v, self.a)), sum(map(mul, v, self.b))
         return s * s * self.bb - 2 * s * t * self.ab + t * t * self.aa
 
     def slice_key(self, z: Sequence[int]) -> IntVec:
         """det * (component of z orthogonal to the plane), an integer vector.
 
         Two lattice points share a key iff they lie in the same affine
-        slice parallel to the plane.
+        slice parallel to the plane. z must have d entries.
         """
-        s, t = dot(z, self.a), dot(z, self.b)
+        s, t = sum(map(mul, z, self.a)), sum(map(mul, z, self.b))
         un, vn = s * self.bb - t * self.ab, t * self.aa - s * self.ab
-        proj_num = vadd(scale(un, self.a), scale(vn, self.b))  # det * proj
-        return vsub(scale(self.det, z), proj_num)
+        # det * proj(z) is un * a + vn * b
+        return tuple(self.det * c - un * ai - vn * bi
+                     for c, ai, bi in zip(z, self.a, self.b))
 
 
 def coordinate_plane(d: int) -> Plane:
@@ -153,20 +154,36 @@ def perp_family(points: Iterable[IntVec],
                 plane: Plane | None = None) -> list[tuple[IntVec, Ray]]:
     """One ray per point: the per-point perpendicular family.
 
-    The z -> line map is injective on any point set (distinct points on a
-    common line get non-parallel directions), which keeps the inversion
-    non-overdetermined; a key collision therefore means corrupt input.
+    Each ray is based at its point and normal to it, and a line holds at
+    most one lattice point z with z.dir = 0, so distinct points never share
+    a line and the inversion stays non-overdetermined; nothing is checked.
     """
-    out: list[tuple[IntVec, Ray]] = []
-    seen: dict[RayKey, IntVec] = {}
-    for z in points:
-        ray = perp_ray(z) if plane is None else perp_ray_in_plane(z, plane)
-        key = ray_key(ray)
-        if key in seen:
-            raise PlanError(f"points {seen[key]} and {z} map to one line")
-        seen[key] = z
-        out.append((tuple(z), ray))
-    return out
+    if plane is None:
+        return [(tuple(z), perp_ray(z)) for z in points]
+    return [(tuple(z), perp_ray_in_plane(z, plane)) for z in points]
+
+
+def is_perp_ray(z: IntVec, ray: Ray, plane: Plane | None = None) -> bool:
+    """True iff ray is z's perpendicular-family ray, for a canonical ray.dir.
+
+    Equal to ``ray == perp_ray(z)`` (``perp_ray_in_plane(z, plane)`` with a
+    plane) whenever ray.dir is a canonical primitive vector, in O(d) and
+    without ``primitive``: the ray must be based at z, normal to z and lie
+    in the plane. Inside the plane the directions normal to a nonzero
+    vector form one line, which has one canonical primitive vector; where
+    z has no in-plane part, the direction must be the fixed axis.
+    """
+    p = ray.dir
+    if ray.base != z or sum(map(mul, z, p)):
+        return False
+    if plane is None:
+        return not any(p[2:]) and (any(z[:2]) or p == unit_vector(len(p), 0))
+    if plane.scaled_inplane_norm2(p) != plane.det * sum(map(mul, p, p)):
+        return False  # p leaves the plane
+    if sum(map(mul, z, plane.a)) or sum(map(mul, z, plane.b)):
+        return True
+    pa = sum(map(mul, p, plane.a))  # the axis primitive(a): p parallel to a
+    return pa * pa == sum(map(mul, p, p)) * plane.aa
 
 
 def ray_span(ray: Ray, num: int, den: int,

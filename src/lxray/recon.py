@@ -97,9 +97,9 @@ class ReconPlan:
         for z in self.order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
-        self.keys = tuple(ray_key(self.rays[z]) for z in self.order)
         boxes = [offset + sum(map(mul, z, place)) for z in self.order]
         step_of = {j: i for i, j in enumerate(boxes)}
+        keys: list[RayKey] = []
         self.on_ray, self.ends = array("i"), array("i")
         for shell in shells:
             first = len(self.ends)  # steps from here on are not yet swept
@@ -107,6 +107,7 @@ class ReconPlan:
                 p = self.rays[z].dir
                 if self.rays[z].base != z or sum(map(mul, z, p)):
                     raise PlanError(f"the ray of {z} is not based at it or not normal to it")
+                keys.append(RayKey(p, z))  # base.dir = 0: the base is reduced
                 rem = num - den * sum(map(mul, z, z))
                 if rem < 0:
                     raise PreconditionError(f"target {z} outside the support ball")
@@ -122,6 +123,7 @@ class ReconPlan:
                         f"{late[0]} on the ray of {z} is not in an earlier shell")
                 self.on_ray.extend(hits)
                 self.ends.append(len(self.on_ray))
+        self.keys = tuple(keys)
 
     def ray_keys(self) -> set[RayKey]:
         return set(self.keys)
@@ -161,12 +163,16 @@ def plan_targets(points: list[IntVec], geom: Plane, alpha: Fraction | None,
 
 def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               plane: Plane | None = None, weight: Weight | None = None,
-              alpha=None, beta=None) -> ReconPlan:
+              alpha=None, beta=None,
+              rays: Mapping[IntVec, Ray] | None = None) -> ReconPlan:
     """Build a reconstruction plan over a point set (default: the full ball).
 
     alpha/beta restrict the targets to in-plane norms within [alpha, beta];
     beta must reach the support radius, or values outside the annulus
-    would feed the sweep unknown. The plan compiles its sweep once.
+    would feed the sweep unknown. ``rays`` maps each target to its ray
+    (default: the perpendicular family of ``plane``); a target without one
+    is a PreconditionError, and the compile refuses a ray that is not
+    based at its target and normal to it. The plan compiles its sweep once.
     """
     r = as_fraction(support_radius)
     if plane is not None and plane.d != d:
@@ -182,7 +188,13 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
     if bad is not None:  # before build_shells, whose norms need d entries
         raise PreconditionError(f"target {bad} has wrong dimension")
     pts = plan_targets(pts, geom, af, bf)
-    rays = dict(perp_family(pts, plane))
+    if rays is None:
+        rays = dict(perp_family(pts, plane))
+    else:
+        try:
+            rays = {z: rays[z] for z in pts}
+        except KeyError as exc:
+            raise PreconditionError(f"no ray for target {exc.args[0]}") from None
     # a coordinate-plane slice is fixed by the trailing coordinates
     slice_key = geom.slice_key if plane is not None else itemgetter(slice(2, None))
     slices: dict[IntVec, list[IntVec]] = {}

@@ -5,7 +5,8 @@ machinery so that round-trip tests check two genuinely different routes.
 The continuum references keep the per-round cell walks that the plan's
 chord table replaced, so the table's consumers are checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
-replaced.
+replaced. The file-reader references keep the row-by-row checks that the
+column checks replaced.
 """
 
 import itertools
@@ -13,8 +14,10 @@ import math
 import random
 from fractions import Fraction
 
-from lxray import (GridFunction, MissingDataError, Sinogram, ZeroWeightError,
-                   enumerate_ball, forward_continuous, primitive)
+from lxray import (FileFormatError, GridFunction, MissingDataError, Ray,
+                   RayKey, Sinogram, ZeroWeightError, enumerate_ball,
+                   forward_continuous, primitive)
+from lxray import io as lio
 from lxray.rays import _on_line, cell_chord, traverse_cells
 from lxray.recon import datum
 
@@ -231,3 +234,94 @@ def brute_direction_minima(R, d=2):
 def brute_separation_margin(R, d=2):
     """The separation margin by the per-pair scan over every direction."""
     return min(brute_direction_minima(R, d).values())
+
+
+def _row_int_vec(obj, d, what):
+    if (not isinstance(obj, list) or len(obj) != d
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in obj)):
+        raise FileFormatError(f"{what} must be a list of {d} integers, got {obj!r}")
+    return tuple(obj)
+
+
+def _row_value(v):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise FileFormatError(f"bad value {v!r}")
+    try:
+        x = float(v)
+    except OverflowError as exc:
+        raise FileFormatError(f"value {v!r} is out of double range") from exc
+    if not math.isfinite(x):
+        raise FileFormatError(f"non-finite value {v!r}")
+    return x
+
+
+def reference_obj_to_grid(obj):
+    """The grid reader checking row by row, then through GridFunction (oracle)."""
+    if not isinstance(obj, dict):
+        raise FileFormatError("grid file must be a JSON object")
+    try:
+        d = obj["d"]
+        r = lio.parse_frac(obj["r"])
+        rows = obj["values"]
+    except KeyError as exc:
+        raise FileFormatError(f"grid file missing key {exc}") from exc
+    if not isinstance(d, int) or d < 2:
+        raise FileFormatError(f"bad dimension {d!r}")
+    if not isinstance(rows, list):
+        raise FileFormatError("values must be a list")
+    values = {}
+    for row in rows:
+        if not isinstance(row, dict) or "z" not in row or "v" not in row:
+            raise FileFormatError(f"bad grid row {row!r}")
+        z = _row_int_vec(row["z"], d, "z")
+        if z in values:
+            raise FileFormatError(f"duplicate grid point {z}")
+        values[z] = _row_value(row["v"])
+    try:
+        return GridFunction(d=d, support_radius=r, values=values)
+    except Exception as exc:
+        raise FileFormatError(str(exc)) from exc
+
+
+def reference_obj_to_sino(obj):
+    """The sinogram reader checking row by row (oracle).
+
+    A direction must have entries of gcd 1 whose first nonzero one is
+    positive, and the base must be the general reduction's (``reduced_key``).
+    """
+    if not isinstance(obj, dict):
+        raise FileFormatError("sinogram file must be a JSON object")
+    try:
+        d = obj["d"]
+        fam_obj = obj["family"]
+        rows = obj["rays"]
+    except KeyError as exc:
+        raise FileFormatError(f"sinogram file missing key {exc}") from exc
+    if not isinstance(d, int) or d < 2:
+        raise FileFormatError(f"bad dimension {d!r}")
+    meta = lio.obj_to_meta(fam_obj, d)
+    if not isinstance(rows, list):
+        raise FileFormatError("rays must be a list")
+    entries = {}
+    family = []
+    for row in rows:
+        if not isinstance(row, dict):
+            raise FileFormatError(f"bad ray row {row!r}")
+        try:
+            z = _row_int_vec(row["z"], d, "z")
+            dirv = _row_int_vec(row["dir"], d, "dir")
+            base = _row_int_vec(row["base"], d, "base")
+            v = _row_value(row["v"])
+        except KeyError as exc:
+            raise FileFormatError(f"ray row missing key {exc}") from exc
+        ray = Ray(base, dirv)
+        if (math.gcd(*dirv) != 1 or next(c for c in dirv if c) < 0
+                or reduced_key(ray) != (dirv, base)):
+            raise FileFormatError(
+                f"ray (dir={dirv}, base={base}) is not in reduced canonical form")
+        key = RayKey(dirv, base)
+        if key in entries and entries[key] != v:
+            raise FileFormatError(f"conflicting values for one line at {z}")
+        entries[key] = v
+        family.append((z, ray))
+    return Sinogram(d=d, entries=entries, meta=meta, family=tuple(family))

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+import lxray.lattice
+import lxray.rays
 from lxray import io as lio
-from lxray import (GridFunction, enumerate_ball, forward_family, iterate_recon,
-                   make_plan, norm2, one_point_directions, one_point_family)
-from lxray.cli import main, make_phantom
+from lxray import (GridFunction, Plane, enumerate_ball, forward_family,
+                   iterate_recon, make_plan, norm2, one_point_directions,
+                   one_point_family)
+from lxray.cli import _plan_from_sinogram, main, make_phantom
 from lxray.transform import FamilyMeta
 
 
@@ -239,20 +242,104 @@ def test_malformed_file_exit_code(tmp_path):
 
 @pytest.mark.parametrize("family", [["tstar"],
                                     ["tstar-plane", "1,1,0", "0,1,1"]])
-def test_wrong_family_ray_exit_code(tmp_path, family):
+def test_wrong_family_ray_exit_code(tmp_path, family, capsys):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     d = 2 if len(family) == 1 else 3
     run(["phantom", "--kind", "random-int", "--d", str(d), "--r", "2",
          "--seed", "9", "--out", str(g)])
     assert run(["forward", "--grid", str(g), "--family", *family,
                 "--out", str(s)]) == 0
+    text = s.read_text()
+    e1, e2 = [1, 0] + [0] * (d - 2), [0, 1] + [0] * (d - 2)
+    # valid reduced lines, each failing one clause of the family predicate
+    spoils = [
+        ([0] * d, e2, [0] * d),  # the origin row off its fixed axis
+        (e1, e2, [0] * d),  # based off z
+        (e1, [1, 1] + [0] * (d - 2), e1),  # based at z, z.dir = 1
+    ]
+    if d == 3:  # normal to z, based at z, out of the plane
+        spoils.append((e1, [0, 0, 1], e1))
+    for z, dirv, base in spoils:
+        obj = json.loads(text)
+        row = next(row for row in obj["rays"] if row["z"] == z)
+        row["dir"], row["base"] = dirv, base
+        s.write_text(json.dumps(obj))
+        assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
+        assert "is not its tstar" in capsys.readouterr().err
+    assert not r.exists()
+
+
+@pytest.mark.parametrize("kind", ["tstar", "free"])
+@pytest.mark.parametrize("dirv", [[0, 0], [0, -1], [0, 2]])
+def test_non_canonical_direction_exit_code(tmp_path, kind, dirv, capsys):
+    # a zero direction used to end in ZeroDivisionError (exit 1), a
+    # non-canonical one in a free file in "no sinogram entry" (exit 2)
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    run(["phantom", "--kind", "random-int", "--d", "2", "--r", "2",
+         "--seed", "9", "--out", str(g)])
+    run(["forward", "--grid", str(g), "--family", "tstar", "--out", str(s)])
     obj = json.loads(s.read_text())
-    origin = next(row for row in obj["rays"] if not any(row["z"]))
-    # a valid reduced line through the origin, but not the origin's family ray
-    origin["dir"] = [0, 1] + [0] * (d - 2)
-    origin["base"] = [0] * d
+    obj["family"]["kind"] = kind
+    row = next(row for row in obj["rays"] if row["z"] == [1, 0])
+    row["dir"] = dirv  # base (1, 0) has base.dir = 0 for each
     s.write_text(json.dumps(obj))
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
+    assert "reduced canonical form" in capsys.readouterr().err
+    assert not r.exists()
+
+
+def _forward_file(tmp_path, d, r, family, seed=11):
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
+    run(["phantom", "--kind", "random-int", "--d", str(d), "--r", str(r),
+         "--seed", str(seed), "--out", str(g)])
+    assert run(["forward", "--grid", str(g), "--family", *family,
+                "--out", str(s)]) == 0
+    return g, s
+
+
+def test_free_perpendicular_file_reconstructs_bit_exactly(tmp_path):
+    g, s = _forward_file(tmp_path, 2, 5, ["tstar"])
+    free, r, rf = (tmp_path / n for n in ("free.json", "r.json", "rf.json"))
+    obj = json.loads(s.read_text())
+    obj["family"]["kind"] = "free"
+    free.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 0
+    assert run(["recon", "--sino", str(free), "--out", str(rf)]) == 0
+    assert rf.read_bytes() == r.read_bytes()
+    assert read_grid(rf).values == read_grid(g).values
+
+
+@pytest.mark.parametrize("d, r, family, plane, annulus", [
+    (2, 5, ["tstar"], None, None),
+    (3, 3, ["tstar-plane", "1,1,0", "0,1,1"], Plane((1, 1, 0), (0, 1, 1)), None),
+    (2, 5, ["annulus", "2", "5"], None, (2, 5)),
+])
+def test_plan_from_sinogram_is_the_default_plan(tmp_path, d, r, family, plane,
+                                                 annulus):
+    _, s = _forward_file(tmp_path, d, r, family)
+    got = _plan_from_sinogram(lio.obj_to_sino(lio.read_json(str(s))))
+    alpha, beta = annulus or (None, None)
+    want = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    for name in ("order", "keys", "on_ray", "ends", "rays"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+def test_recon_never_solves_a_ray(tmp_path, monkeypatch):
+    # the plan's rays are the file's: no family ray and no primitive()
+    sinos = []
+    for name, d, family in (("c", 2, ["tstar"]),
+                            ("p", 3, ["tstar-plane", "1,1,0", "0,1,1"])):
+        (tmp_path / name).mkdir()
+        sinos.append(_forward_file(tmp_path / name, d, 3, family)[1])
+
+    def forbidden(*args):
+        raise AssertionError("recon solved a ray")
+    for mod in (lxray.rays, lxray.lattice):
+        monkeypatch.setattr(mod, "primitive", forbidden)
+    monkeypatch.setattr(lxray.rays, "perp_ray", forbidden)
+    monkeypatch.setattr(lxray.rays, "perp_ray_in_plane", forbidden)
+    for s in sinos:
+        assert run(["recon", "--sino", str(s), "--out", str(s) + ".r"]) == 0
 
 
 def test_budget_exit_code():

@@ -1,5 +1,7 @@
 """Property tests over randomly generated inputs (needs hypothesis)."""
 
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (brute_direction_minima, brute_forward, brute_line_count,
                       brute_ray_points, random_int_grid, reduced_key,
                       reference_corrected_sinogram, reference_data_residual,
-                      reference_layer_recon, reference_sweep)
+                      reference_layer_recon, reference_obj_to_grid,
+                      reference_obj_to_sino, reference_sweep)
 from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    cell_chord, chord_weight, constant_weight,
                    count_connecting_lines, data_residual, enumerate_ball,
@@ -20,11 +23,13 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin, traverse_cells)
+from lxray import io as lio
 from lxray.continuum import _corrected_sinogram
 from lxray.counting import (_direction_minimum, _point_columns,
                             primitive_count)
 from lxray.lattice import count_within
-from lxray.rays import _on_line
+from lxray.rays import _on_line, is_perp_ray, perp_ray, perp_ray_in_plane
+from lxray.transform import FamilyMeta
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,3 +315,130 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
 
 def _hex(values):
     return [(k, v.hex()) for k, v in values.items()]
+
+
+def _mutate(rows, how, i, rng, d, vec_keys):
+    """Spoil row i of a file's rows one way (a JSON file could hold it)."""
+    row = rows[i]
+    vec = rng.choice(vec_keys)
+    j = rng.randrange(d)
+    if how == "missing key":
+        del row[rng.choice(vec_keys + ("v",))]
+    elif how == "bool coordinate":
+        row[vec][j] = rng.choice((True, False))
+    elif how == "float coordinate":
+        row[vec][j] = float(row[vec][j])
+    elif how == "wrong length":
+        row[vec] = row[vec][:-1] if rng.random() < 0.5 else row[vec] + [0]
+    elif how == "duplicate point":
+        rows.insert(rng.randrange(len(rows) + 1), json.loads(json.dumps(row)))
+    elif how == "outside the ball":
+        row["z"] = [rng.choice((-1, 1)) * 9] + [0] * (d - 1)
+    elif how == "huge integer value":
+        row["v"] = 10 ** 400
+    elif how == "string value":
+        row["v"] = "1"
+    elif how == "nan value":
+        row["v"] = float("nan")
+    elif how == "not an object":
+        rows[i] = [row["z"], row["v"]]
+    elif "dir" not in row:  # the remaining spoils are of sinogram rows
+        return
+    elif how == "zero dir":
+        row["dir"] = [0] * d
+    elif how == "non-canonical dir":
+        row["dir"] = [-c for c in row["dir"]] if rng.random() < 0.5 \
+            else [2 * c for c in row["dir"]]
+    elif how == "unreduced base":
+        k = rng.choice((-1, 1))
+        row["base"] = [b + k * p for b, p in zip(row["base"], row["dir"])]
+    elif how == "conflicting values":
+        rows.append(dict(json.loads(json.dumps(row)), v=row["v"] + 1.0))
+
+
+MUTATIONS = ("missing key", "bool coordinate", "float coordinate",
+             "wrong length", "duplicate point", "outside the ball",
+             "huge integer value", "string value", "nan value", "not an object",
+             "zero dir", "non-canonical dir", "unreduced base",
+             "conflicting values")
+
+
+@st.composite
+def file_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.fractions(0, 4 if d == 2 else 3, max_denominator=4))
+    kind = draw(st.sampled_from(("tstar", "free") + (("tstar_plane",) * (d == 3))))
+    alpha = beta = None
+    if draw(st.booleans()):
+        beta = r + draw(st.fractions(0, 1, max_denominator=4))
+        alpha = beta * draw(st.fractions(0, 1, max_denominator=4))
+    how = draw(st.sampled_from((None,) + MUTATIONS))
+    return d, r, kind, alpha, beta, how, draw(st.integers(0, 2 ** 16))
+
+
+def _read(reader, obj):
+    try:
+        got = reader(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, GridFunction):
+        return got.d, got.support_radius, _hex(got.values)
+    return got.d, got.meta, _hex(got.entries), got.family
+
+
+@settings(max_examples=300, deadline=None)
+@given(file_cases())
+def test_column_readers_match_the_row_readers(case):
+    # the same object (insertion order, float.hex) or the same exception
+    # type and message as the row-by-row checks, for valid files and for
+    # files with one spoiled row
+    d, r, kind, alpha, beta, how, seed = case
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, float(rng.randint(-9, 9)),
+                                           rng.uniform(-1e3, 1e3)))
+                            for z in enumerate_ball(d, r)})
+    plane = Plane((1, 1, 0), (0, 1, 1)) if kind == "tstar_plane" else None
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    meta = FamilyMeta(kind, a=plane and plane.a, b=plane and plane.b,
+                      alpha=alpha, beta=beta, support_radius=r)
+    files = [(json.loads(json.dumps(lio.grid_to_obj(f))), "values",
+              lio.obj_to_grid, reference_obj_to_grid, ("z",)),
+             (json.loads(json.dumps(lio.sino_to_obj(
+                 forward_family(f, plan.rays.items(), meta)))), "rays",
+              lio.obj_to_sino, reference_obj_to_sino, ("z", "dir", "base"))]
+    for obj, key, reader, reference, vec_keys in files:
+        if how is not None and obj[key]:
+            _mutate(obj[key], how, rng.randrange(len(obj[key])), rng, d, vec_keys)
+        assert _read(reader, obj) == _read(reference, obj)
+
+
+@st.composite
+def kind_ray_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    plane = None
+    if d == 3 and draw(st.booleans()):
+        vec = st.tuples(*[st.integers(-2, 2)] * 3)
+        plane = Plane(*draw(st.tuples(vec, vec).filter(_independent)))
+    z = draw(_vec(d, -3, 3))
+    if draw(st.booleans()):  # z without an in-plane part
+        if plane is None:
+            z = (0, 0) + z[2:]
+        else:
+            (a0, a1, a2), (b0, b1, b2) = plane.a, plane.b
+            z = tuple(z[0] * c for c in (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                                         a0 * b1 - a1 * b0))
+    base = z if draw(st.booleans()) else draw(_vec(d, -3, 3))
+    dirs = [p for p in itertools.product(range(-2, 3), repeat=d)
+            if any(p) and p == primitive(p)]
+    normal = [p for p in dirs if not sum(a * b for a, b in zip(p, z))]
+    return z, Ray(base, draw(st.sampled_from(
+        normal if normal and draw(st.booleans()) else dirs))), plane
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind_ray_cases())
+def test_kind_predicate_is_ray_equality(case):
+    z, ray, plane = case
+    kind_ray = perp_ray(z) if plane is None else perp_ray_in_plane(z, plane)
+    assert is_perp_ray(z, ray, plane) == (ray == kind_ray)
+    assert is_perp_ray(z, kind_ray, plane)

@@ -173,6 +173,20 @@ def test_plan_refuses_rays_not_perpendicular_at_their_target():
                       points=plan.points, rays=rays, slices=plan.slices)
 
 
+def test_make_plan_takes_the_given_rays():
+    default = make_plan(2, 3, alpha=1, beta=3)
+    # rays of points outside the targets are ignored
+    assert make_plan(2, 3, alpha=1, beta=3,
+                     rays=dict(perp_family(enumerate_ball(2, 4)))) == default
+    rays = dict(default.rays)
+    del rays[(1, 0)]
+    with pytest.raises(PreconditionError, match=r"no ray for target \(1, 0\)"):
+        make_plan(2, 3, alpha=1, beta=3, rays=rays)
+    rays[(1, 0)] = Ray((1, 0), (1, 1))
+    with pytest.raises(PlanError, match=r"ray of \(1, 0\) is not based"):
+        make_plan(2, 3, alpha=1, beta=3, rays=rays)
+
+
 def test_shells_round_trip_high_dimension_small_radius():
     # the box [-1, 1]^d far outnumbers the ball's 2d + 1 points
     for d in (12, 40):
