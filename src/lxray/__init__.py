@@ -12,7 +12,7 @@ from .lattice import (FareySet, ShellDecomposition, as_fraction, ball_count,
                       totient_sieve, totient_sum)
 from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
                    perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
-                   ray_key)
+                   ray_key, traverse_cells)
 from .transform import (FamilyMeta, GridFunction, Sinogram, constant_weight,
                         forward, forward_family, forward_weighted,
                         project_and_bin, table_weight)
@@ -22,8 +22,7 @@ from .recon import (ReconPlan, make_plan, one_point_directions, one_point_family
 from .continuum import (BallField, cell_chord, chord_weight,
                         correction_identity_check, data_residual, forward_balls,
                         forward_continuous, forward_continuous_family,
-                        hits_centers_only, iterate_recon, layer_recon,
-                        traverse_cells)
+                        hits_centers_only, iterate_recon, layer_recon)
 from .counting import (CountReport, canonical_primitives, count_connecting_lines,
                        count_lines_through_origin, farey_asymptotic_report,
                        separation_margin, unbounded_ray_witnesses,

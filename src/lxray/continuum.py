@@ -3,7 +3,7 @@
 A grid function doubles as a description of the field that is constant on
 the unit cells centered at lattice points; its continuous line transform is
 the chord-weighted sum of cell values along the ray. The chord geometry
-and the grid walk live in ``rays`` (re-exported here); this module provides
+and the grid walk live in ``rays``; this module provides
 the continuous transform, the exact correction identity tying it to the
 chord-weighted discrete one, the disjoint-ball model, and the
 layer-by-layer plus iterative reconstructions built on the discrete shell
@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, le, mul, sub
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .lattice import IntVec, as_fraction, dot, norm2, vsub
-# the ray-cell geometry stays importable from here, _ball_window included
-from .rays import (Ray, _ball_window, _on_line, cell_chord,  # noqa: F401
-                   coordinate_plane, perp_ray, traverse_cells)
+from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
+                   traverse_cells, walk_box, walk_cells)
 from .recon import ReconPlan, datum, recon_shells
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
@@ -33,6 +35,25 @@ from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
 def chord_weight() -> Weight:
     """Weight model W(z, dir) = chord of the line through z in z's own cell."""
     return lambda z, dirv: cell_chord(Ray(tuple(z), tuple(dirv)), tuple(z))
+
+
+def _continuous_sums(f: GridFunction, rays: Sequence[Ray]) -> list[float]:
+    """``forward_continuous`` of each ray, the rays walked together.
+
+    Values are looked up by cell number, so no cell tuple is made. Unset
+    cells add 0.0, which leaves the double sum as it was: it starts at +0.0
+    and can never become -0.0.
+    """
+    radius = float(f.support_radius) + math.sqrt(f.d)
+    place, offset = walk_box(f.d, radius)
+    ids = repeat(offset)
+    for col, step in zip(zip(*f.values), place):
+        ids = map(add, ids, map(mul, col, repeat(step)))
+    get = dict(zip(ids, f.values.values())).get
+    sums = [0.0] * len(rays)
+    for i, cells, chords, _ in walk_cells(rays, radius):
+        sums[i] = reduce(add, map(mul, map(get, cells, repeat(0.0)), chords), 0.0)
+    return sums
 
 
 def forward_continuous(f: GridFunction, ray: Ray) -> float:
@@ -55,21 +76,37 @@ def forward_continuous(f: GridFunction, ray: Ray) -> float:
 def forward_continuous_family(f: GridFunction,
                               family: Iterable[tuple[IntVec, Ray]],
                               meta: FamilyMeta | None = None) -> Sinogram:
-    return project_family(f, family, meta, lambda ray: forward_continuous(f, ray))
+    """``forward_continuous`` of every line of the family, walked together."""
+    return project_family(f, family, meta, lambda rays: _continuous_sums(f, rays))
 
 
-def correction_identity_check(f: GridFunction, z: IntVec) -> tuple[float, float]:
-    """Both sides of the exact chord-correction identity at z's ray.
+def correction_identity_check(f: GridFunction, z: IntVec,
+                              ray: Ray | None = None) -> tuple[float, float]:
+    """Both sides of the exact chord-correction identity along a ray.
 
-    lhs: chord-weighted discrete transform of f along the ray of z.
+    lhs: chord-weighted discrete transform of f along the ray (default:
+    ``perp_ray(z)``).
     rhs: continuous transform of the cell field minus the chord
     contributions of all supported cells off the line.
     The two agree up to double-precision roundoff.
     """
-    ray = perp_ray(z)
+    if ray is None:
+        ray = perp_ray(z)
     lhs = forward_weighted(f, ray, chord_weight())
+    # Only a cell within sqrt(d)/2 of the line can meet it. The squared
+    # distance is q/|p|^2, q = |p|^2|u|^2 - (u.p)^2 an integer, so a cell
+    # with 4q > d|p|^2 misses by a margin far above roundoff: chord 0.0.
+    pp = norm2(ray.dir)
+    uu = up = repeat(0)
+    for col, bi, pi in zip(zip(*f.values), ray.base, ray.dir):
+        u = list(map(sub, col, repeat(bi)))
+        uu = map(add, uu, map(mul, u, u))
+        up = map(add, up, map(mul, u, repeat(pi)))
+    up = list(up)
+    q4 = map(mul, map(sub, map(mul, uu, repeat(pp)), map(mul, up, up)), repeat(4))
+    near = compress(f.values, map(le, q4, repeat(f.d * pp)))
     correction = 0.0
-    for zeta in sorted(f.values):
+    for zeta in sorted(near):  # the order of sorted(f.values)
         if _on_line(zeta, ray):
             continue
         v = f.values[zeta]

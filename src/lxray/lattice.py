@@ -65,6 +65,27 @@ def unit_vector(d: int, axis: int) -> IntVec:
     return tuple(1 if i == axis else 0 for i in range(d))
 
 
+def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
+    """Base-(2m + 1) numbering of the box [-m, m]^d, m = floor of the radius.
+
+    Returns (place, offset, size): z -> offset + z.place is injective on the
+    box, lands in range(size) and is affine in k along a ray.
+    """
+    m = math.isqrt(num // den)
+    place = tuple((2 * m + 1) ** i for i in reversed(range(d)))
+    return place, m * sum(place), (2 * m + 1) ** d
+
+
+def box_point(i: int, place: IntVec, offset: int) -> IntVec:
+    """The point of the box that ``box_index``'s (place, offset) number i."""
+    m = offset // sum(place)
+    z = []
+    for step in place:
+        c, i = divmod(i, step)
+        z.append(c - m)
+    return tuple(z)
+
+
 def enumerate_ball(d: int, r, center: IntVec | None = None) -> list[IntVec]:
     """All z in Z^d with |z - center|^2 <= r^2, in lexicographic order.
 

@@ -13,20 +13,24 @@ the lattice points of its ray, which is what drives the shell recursion.
 
 Last comes the ray-cell geometry of the continuum bridge, in doubles: the
 chord of a ray through a unit cell (slab clipping against the closed cube),
-the walk over the cells a ray crosses inside a ball, in parameter order,
-and the exact test for a lattice point on a ray's line.
+the walk over the cells rays cross inside a ball, in parameter order and
+by shared per-direction cut patterns, and the exact test for a lattice
+point on a ray's line.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, ne, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, dot, is_canonical_direction, norm2,
-                      primitive, scale, unit_vector, vsub)
+from .lattice import (IntVec, as_fraction, box_index, box_point, dot,
+                      is_canonical_direction, norm2, primitive, scale,
+                      unit_vector, vsub)
 
 
 class Ray(NamedTuple):
@@ -273,14 +277,148 @@ def cell_chord(ray: Ray, cell: IntVec) -> float:
 
 def _ball_window(ray: Ray, radius: float) -> tuple[float, float] | None:
     """Parameter interval where |base + t*dir| <= radius, or None."""
-    a = float(norm2(ray.dir))
-    b = 2.0 * float(dot(ray.base, ray.dir))
-    c = float(norm2(ray.base)) - radius * radius
+    a = float(sum(map(mul, ray.dir, ray.dir)))
+    b = 2.0 * float(sum(map(mul, ray.base, ray.dir)))
+    c = float(sum(map(mul, ray.base, ray.base))) - radius * radius
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         return None
     s = math.sqrt(disc)
     return (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
+
+
+def _cut_pattern(p: IntVec, spans: list[list[float]], place: IntVec
+                 ) -> tuple[list[float], list[float], list[int], list[bool]]:
+    """Direction p's cell cuts over sorted parameter spans, and its segments.
+
+    A lattice-based ray crosses the cell faces at t = (m + 1/2)/p_i whatever
+    its base, so the sorted cuts (a few beyond each span), each segment's
+    chord (t_{j+1} - t_j)|p| and its cell's offset floor(t_mid p_i + 1/2)
+    from the base (numbered by place) are the same doubles for every ray of
+    direction p. The offset is a multiple of p, the cell on the line, iff
+    the segment holds an integer t; no cut is an integer.
+    """
+    cuts: set[float] = set()
+    for lo, hi in spans:
+        for pi in p:
+            if pi:
+                a, b = sorted((lo * pi, hi * pi))
+                ms = range(math.floor(a) - 1, math.ceil(b) + 1)
+                cuts.update(map(truediv, map(add, ms, repeat(0.5)), repeat(pi)))
+    cuts = sorted(cuts)
+    nxt = cuts[1:]
+    mids = list(map(mul, map(add, cuts, nxt), repeat(0.5)))
+    offsets = repeat(0)
+    for pi, step in zip(p, place):
+        if pi:
+            off = map(math.floor, map(add, map(mul, mids, repeat(pi)), repeat(0.5)))
+            offsets = map(add, offsets, map(mul, off, repeat(step)))
+    speed = math.sqrt(norm2(p))
+    return (cuts, list(map(mul, map(sub, nxt, cuts), repeat(speed))),
+            list(offsets),
+            list(map(ne, map(math.floor, cuts), map(math.floor, nxt))))
+
+
+def _lone_walk_cut(ray: Ray, t0: float, t1: float, t: float) -> bool:
+    """Does a walk of this ray alone over the window (t0, t1) cut at t?
+
+    It takes axis i's cuts (k + 1/2 - b_i)/p_i for k from floor(lo + 1/2),
+    lo = b_i + t p_i rounded at the window's low-coordinate end, which can
+    leave out a cut within roundoff of the window; the range's top reaches
+    past the window's other end.
+    """
+    for bi, pi in zip(ray.base, ray.dir):
+        if pi:
+            m = math.floor(t * pi)  # t = (m + 1/2)/p_i if axis i cuts at t
+            lo = bi + (t0 if pi > 0 else t1) * pi
+            if (m + 0.5) / pi == t and math.floor(lo + 0.5) <= m + bi:
+                return True
+    return False
+
+
+def walk_cells(rays: Sequence[Ray], radius: float
+               ) -> Iterator[tuple[int, list[int], list[float], list[bool]]]:
+    """Each ray's cells inside the ball of the given radius, in walk order.
+
+    Yields (position in rays, ids, chords, on_line) for each ray meeting
+    the ball, grouped by direction: the crossed cells' numbers in
+    ``walk_box(d, radius)``, their chords and whether each lies on the
+    ray's line. A direction's cut pattern is built once over the union of
+    its rays' ball windows; per ray the window is bisected and the two end
+    segments are clipped by the ball, bit for bit as a walk of the ray
+    alone would. Nothing is kept between calls.
+    """
+    windows = [_ball_window(ray, radius) for ray in rays]
+    by_dir: dict[IntVec, list[int]] = {}
+    for i, w in enumerate(windows):
+        if w is not None:
+            by_dir.setdefault(rays[i].dir, []).append(i)
+    if not by_dir:
+        return
+    place, offset = walk_box(rays[0].d, radius)
+    for p, members in by_dir.items():
+        spans: list[list[float]] = []
+        for t0, t1 in sorted(windows[i] for i in members):
+            if spans and t0 <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], t1)
+            else:
+                spans.append([t0, t1])
+        cuts, chords, offsets, on_line = _cut_pattern(p, spans, place)
+        pp = norm2(p)
+        speed = math.sqrt(pp)
+        # With each window end farther than this from the nearest cut inside
+        # the window, a lone walk's k-ranges hold every cut in between, and
+        # the end segments' midpoints are so far from the faces that the
+        # rounded floor(b_i + t p_i + 1/2) gives their pattern segments' cells.
+        slack = 2.0 ** -40 * (radius + 2.0 * max(-spans[0][0], spans[-1][1])
+                              + 1.0)
+
+        def end(ray: Ray, ta: float, tb: float) -> tuple[int, float, bool]:
+            tm = 0.5 * (ta + tb)
+            cell = tuple([math.floor(bi + tm * pi + 0.5)
+                          for bi, pi in zip(ray.base, p)])
+            u = tuple(map(sub, cell, ray.base))
+            up = sum(map(mul, u, p))  # u is a multiple of p iff parallel to it
+            return (offset + sum(map(mul, cell, place)), (tb - ta) * speed,
+                    sum(map(mul, u, u)) * pp == up * up)
+
+        for i in members:
+            ray = rays[i]
+            t0, t1 = windows[i]
+            j0, j1 = bisect_right(cuts, t0), bisect_left(cuts, t1)
+            home = offset + sum(map(mul, ray.base, place))
+            if j0 < j1 and cuts[j0] - t0 > slack and t1 - cuts[j1 - 1] > slack:
+                # the ends lie in pattern segments j0 - 1 and j1 - 1
+                yield (i, list(map(add, offsets[j0 - 1:j1], repeat(home))),
+                       [(cuts[j0] - t0) * speed, *chords[j0:j1 - 1],
+                        (t1 - cuts[j1 - 1]) * speed], on_line[j0 - 1:j1])
+                continue
+            # a window end near a cut: decided cut by cut as a lone walk does
+            while (j0 < j1 and cuts[j0] - t0 <= slack
+                   and not _lone_walk_cut(ray, t0, t1, cuts[j0])):
+                j0 += 1
+            while (j0 < j1 and t1 - cuts[j1 - 1] <= slack
+                   and not _lone_walk_cut(ray, t0, t1, cuts[j1 - 1])):
+                j1 -= 1
+            if j0 >= j1:  # no face crossed inside the ball
+                walk = [end(ray, t0, t1)] if t0 < t1 else []
+            else:
+                walk = [end(ray, t0, cuts[j0]),
+                        *zip(map(add, offsets[j0:j1 - 1], repeat(home)),
+                             chords[j0:j1 - 1], on_line[j0:j1 - 1]),
+                        end(ray, cuts[j1 - 1], t1)]
+            if walk:
+                yield (i, *map(list, zip(*walk)))
+
+
+def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
+    """(place, offset) numbering every cell a walk within radius can cross.
+
+    A crossed cell holds a point of the ball, so each of its coordinates is
+    at most floor(|radius|) + 1 in absolute value.
+    """
+    m = math.floor(abs(radius)) + 1
+    return box_index(d, m * m, 1)[:2]
 
 
 def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
@@ -289,33 +427,11 @@ def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
     Steps through the grid planes (cell faces at half-integers) in order of
     the ray parameter; each sub-segment is attributed to the cell containing
     its midpoint. Cells whose centers lie within ``radius - sqrt(d)`` of the
-    origin get their full, unclipped chord.
+    origin get their full, unclipped chord. A one-ray ``walk_cells``.
     """
-    window = _ball_window(ray, radius)
-    if window is None:
-        return
-    t0, t1 = window
-    cuts = [t0, t1]
-    for bi, pi in zip(ray.base, ray.dir):
-        if pi == 0:
-            continue
-        lo = bi + t0 * pi if pi > 0 else bi + t1 * pi
-        hi = bi + t1 * pi if pi > 0 else bi + t0 * pi
-        k0 = math.floor(lo + 0.5)
-        k1 = math.floor(hi + 0.5)
-        for k in range(k0, k1 + 1):
-            t = (k + 0.5 - bi) / pi
-            if t0 < t < t1:
-                cuts.append(t)
-    cuts.sort()
-    speed = math.sqrt(norm2(ray.dir))
-    for ta, tb in zip(cuts, cuts[1:]):
-        if tb <= ta:
-            continue
-        tm = 0.5 * (ta + tb)
-        cell = tuple(math.floor(bi + tm * pi + 0.5)
-                     for bi, pi in zip(ray.base, ray.dir))
-        yield cell, (tb - ta) * speed
+    place, offset = walk_box(ray.d, radius)
+    for _, ids, chords, _ in walk_cells([ray], radius):
+        yield from zip((box_point(c, place, offset) for c in ids), chords)
 
 
 def _on_line(z: IntVec, ray: Ray) -> bool:

@@ -29,18 +29,19 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
-from .lattice import (IntVec, ShellDecomposition, as_fraction, build_shells,
-                      enumerate_ball, norm2)
-from .rays import (Plane, Ray, RayKey, _on_line, cell_chord, coordinate_plane,
-                   effectively_irrational, perp_family, ray_key, traverse_cells)
-from .transform import GridFunction, Sinogram, Weight, box_index
+from .lattice import (IntVec, ShellDecomposition, as_fraction, box_index,
+                      box_point, build_shells, enumerate_ball, norm2)
+from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
+                   effectively_irrational, perp_family, ray_key, walk_box,
+                   walk_cells)
+from .transform import GridFunction, Sinogram, Weight
 
 
 class ChordTable(NamedTuple):
     """Every plan ray's walk over the cells of the ball of radius r + sqrt(d).
 
     Sweep step i's ray crosses the cells ``ids[ends[i-1]:ends[i]]``, in
-    ``traverse_cells`` order, with the chords and on-its-line flags in the
+    ``walk_cells`` order, with the chords and on-its-line flags in the
     same slots of ``chords`` and ``on_line``; ``central[i]`` is the chord
     through the target's own cell. Ids index ``cells``, the distinct
     crossed cells: cell i is the plan's ``order[i]`` for every sweep step
@@ -132,19 +133,23 @@ class ReconPlan:
     def chord_table(self) -> ChordTable:
         """Each sweep step's cell walk, chords and central chord (walked once)."""
         radius = float(self.support_radius) + math.sqrt(self.d)
+        place, offset = walk_box(self.d, radius)
         cells = list(self.order)
-        cell_id = {z: i for i, z in enumerate(cells)}
+        cell_id = {offset + sum(map(mul, z, place)): i for i, z in enumerate(cells)}
+        rays = [self.rays[z] for z in self.order]
+        walks: list[tuple] = [((), (), ())] * len(rays)
+        for i, box_ids, chords, on_line in walk_cells(rays, radius):
+            walks[i] = box_ids, array("d", chords), array("b", on_line)
         ids, chords, on_line = array("i"), array("d"), array("b")
         ends, central = array("i"), array("d")
-        for z in self.order:
-            ray = self.rays[z]
-            for cell, chord in traverse_cells(ray, radius):
-                c = cell_id.setdefault(cell, len(cells))
+        for z, ray, (box_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
+            for b in box_ids:
+                c = cell_id.setdefault(b, len(cells))
                 if c == len(cells):
-                    cells.append(cell)
+                    cells.append(box_point(b, place, offset))
                 ids.append(c)
-                chords.append(chord)
-                on_line.append(_on_line(cell, ray))
+            chords.extend(ray_chords)
+            on_line.extend(ray_on)
             ends.append(len(ids))
             central.append(cell_chord(ray, z))
         return ChordTable(tuple(cells), ids, chords, on_line, ends, central)

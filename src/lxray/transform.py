@@ -17,7 +17,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
-from .lattice import IntVec, as_fraction, norm2
+from .lattice import IntVec, as_fraction, box_index, norm2
 from .rays import (Ray, RayKey, is_canonical_direction, ray_key, ray_points,
                    ray_span)
 
@@ -175,17 +175,6 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
     return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
 
 
-def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
-    """Base-(2m + 1) numbering of the box [-m, m]^d, m = floor of the radius.
-
-    Returns (place, offset, size): z -> offset + z.place is injective on the
-    box, lands in range(size) and is affine in k along a ray.
-    """
-    m = math.isqrt(num // den)
-    place = tuple((2 * m + 1) ** i for i in reversed(range(d)))
-    return place, m * sum(place), (2 * m + 1) ** d
-
-
 def _indexed_sums(f: GridFunction, num: int, den: int
                   ) -> Callable[[Ray, range], float]:
     """Unweighted ray sums over ``box_index`` ranges, in ``forward``'s order."""
@@ -210,21 +199,23 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
     num, den = _r2_terms(f)
     ray_sum = (_indexed_sums(f, num, den) if weight is None
                else lambda ray, ks: _weighted_sum(f, ray, ks, weight))
-    return project_family(f, family, meta,
-                          lambda ray: ray_sum(ray, ray_span(ray, num, den)))
+    return project_family(f, family, meta, lambda rays: [
+        ray_sum(ray, ray_span(ray, num, den)) for ray in rays])
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None,
-                   value: Callable[[Ray], float]) -> Sinogram:
-    """A sinogram of value(ray) per line of the family, from its first ray."""
+                   values: Callable[[list[Ray]], list[float]]) -> Sinogram:
+    """A sinogram with one entry per line of the family, in order of first
+    appearance; values maps the lines' first rays to their entries."""
     fam = tuple((tuple(z), ray) for z, ray in family)
-    entries: dict[RayKey, float] = {}
+    firsts: dict[RayKey, Ray] = {}
     for _, ray in fam:
         key = ray_key(ray)
-        if key not in entries:
+        if key not in firsts:
             _check_dim(f, ray)
-            entries[key] = value(ray)
+            firsts[key] = ray
+    entries = dict(zip(firsts, values(list(firsts.values()))))
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
     return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)

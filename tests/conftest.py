@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's ray enumeration and key
 machinery so that round-trip tests check two genuinely different routes.
-The continuum references keep the per-round cell walks that the plan's
-chord table replaced, so the table's consumers are checked bit for bit.
+The continuum references keep the one-ray cell walk that the shared cut
+patterns replaced, and the per-round walks that the plan's chord table
+replaced, so the walker and the table's consumers are checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
 replaced. The file-reader references keep the row-by-row checks that the
 column checks replaced.
@@ -15,10 +16,9 @@ import random
 from fractions import Fraction
 
 from lxray import (FileFormatError, GridFunction, MissingDataError, Ray,
-                   RayKey, Sinogram, ZeroWeightError, enumerate_ball,
-                   forward_continuous, primitive)
+                   RayKey, Sinogram, ZeroWeightError, enumerate_ball, primitive)
 from lxray import io as lio
-from lxray.rays import _on_line, cell_chord, traverse_cells
+from lxray.rays import _on_line, cell_chord
 from lxray.recon import datum
 
 
@@ -116,6 +116,55 @@ def reference_sweep(g, plan):
     return out
 
 
+def reference_traverse_cells(ray, radius):
+    """(cell, chord) for the cells one ray crosses inside the ball (oracle).
+
+    The walk of a single ray: the window where |base + t dir| <= radius,
+    each axis's face crossings (k + 1/2 - base_i)/dir_i over the k-range
+    the window spans, sorted, and each sub-segment given to the cell that
+    holds its midpoint.
+    """
+    a = float(sum(c * c for c in ray.dir))
+    b = 2.0 * float(sum(x * c for x, c in zip(ray.base, ray.dir)))
+    c = float(sum(x * x for x in ray.base)) - radius * radius
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return
+    s = math.sqrt(disc)
+    t0, t1 = (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
+    cuts = [t0, t1]
+    for bi, pi in zip(ray.base, ray.dir):
+        if pi == 0:
+            continue
+        lo = bi + t0 * pi if pi > 0 else bi + t1 * pi
+        hi = bi + t1 * pi if pi > 0 else bi + t0 * pi
+        for k in range(math.floor(lo + 0.5), math.floor(hi + 0.5) + 1):
+            t = (k + 0.5 - bi) / pi
+            if t0 < t < t1:
+                cuts.append(t)
+    cuts.sort()
+    speed = math.sqrt(a)
+    for ta, tb in zip(cuts, cuts[1:]):
+        if tb <= ta:
+            continue
+        tm = 0.5 * (ta + tb)
+        cell = tuple(math.floor(bi + tm * pi + 0.5)
+                     for bi, pi in zip(ray.base, ray.dir))
+        yield cell, (tb - ta) * speed
+
+
+def reference_forward_continuous(f, ray):
+    """Sum of v * chord over one ray's reference walk, clipped to the ball
+    of radius r + sqrt(d), nonzero values only, in walk order (oracle)."""
+    total = 0.0
+    radius = float(f.support_radius) + math.sqrt(f.d)
+    for cell, chord in reference_traverse_cells(ray, radius):
+        v = f.values.get(cell)
+        if v:
+            total += v * chord
+    return total
+
+
 def reference_layer_recon(g, plan):
     """The layer sweep walking each ray's cells (oracle for the chord table).
 
@@ -132,7 +181,7 @@ def reference_layer_recon(g, plan):
         ray = plan.rays[z]
         total = datum(g, key, z)
         nu = norms2[z]
-        for cell, chord in traverse_cells(ray, radius):
+        for cell, chord in reference_traverse_cells(ray, radius):
             if cell == z:
                 continue
             v = out.get(cell, 0.0)
@@ -152,7 +201,7 @@ def reference_corrected_sinogram(g, plan, f):
             continue
         total = datum(g, key, z)
         corr = 0.0
-        for cell, chord in traverse_cells(ray, radius):
+        for cell, chord in reference_traverse_cells(ray, radius):
             if _on_line(cell, ray):
                 continue
             v = f.values.get(cell)
@@ -163,10 +212,11 @@ def reference_corrected_sinogram(g, plan, f):
 
 
 def reference_data_residual(g, plan, f):
-    """Max |datum - forward_continuous(f, ray)| over the plan's rays."""
+    """Max |datum - reference_forward_continuous(f, ray)| over the plan's rays."""
     res = 0.0
     for z, key in zip(plan.order, plan.keys):
-        res = max(res, abs(datum(g, key, z) - forward_continuous(f, plan.rays[z])))
+        res = max(res, abs(datum(g, key, z)
+                           - reference_forward_continuous(f, plan.rays[z])))
     return res
 
 

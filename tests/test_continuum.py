@@ -7,11 +7,12 @@ import pytest
 
 from conftest import random_int_grid, reference_data_residual
 from lxray import continuum, rays, recon
-from lxray import (BallField, GridFunction, MissingDataError, PreconditionError,
-                   Ray, cell_chord, data_residual, enumerate_ball, forward_balls,
-                   forward_continuous, forward_continuous_family,
-                   correction_identity_check, hits_centers_only, iterate_recon,
-                   layer_recon, make_plan, perp_family, perp_ray, traverse_cells)
+from lxray import (BallField, GridFunction, MissingDataError, Plane,
+                   PreconditionError, Ray, cell_chord, data_residual,
+                   enumerate_ball, forward_balls, forward_continuous,
+                   forward_continuous_family, correction_identity_check,
+                   hits_centers_only, iterate_recon, layer_recon, make_plan,
+                   perp_family, perp_ray, traverse_cells)
 
 
 def test_cell_chord_examples():
@@ -231,15 +232,16 @@ def test_data_residual_refuses_other_dimension_or_larger_radius():
 def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
     # a regression to per-round walking fails here without a timing gate
     walked = Counter()
-    real = rays.traverse_cells
+    real = rays.walk_cells
 
-    def counting(ray, radius):
-        walked[ray] += 1
-        return real(ray, radius)
+    def counting(ray_list, radius):
+        for walk in real(ray_list, radius):
+            walked[ray_list[walk[0]]] += 1
+            yield walk
 
     for mod in (rays, recon, continuum):
-        if hasattr(mod, "traverse_cells"):
-            monkeypatch.setattr(mod, "traverse_cells", counting)
+        if hasattr(mod, "walk_cells"):
+            monkeypatch.setattr(mod, "walk_cells", counting)
     plan = make_plan(2, 5)
     f = random_int_grid(2, 5, seed=49)
     g = forward_continuous_family(f, plan.rays.items())
@@ -248,3 +250,38 @@ def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
     iterate_recon(g, plan, f_init=f, iters=3)
     assert walked and max(walked.values()) == 1
     assert set(walked) <= set(plan.rays.values())
+
+
+def test_family_forward_builds_one_cut_pattern_per_direction(monkeypatch):
+    built = Counter()
+    real = rays._cut_pattern
+
+    def counting(p, spans, place):
+        built[p] += 1
+        return real(p, spans, place)
+
+    def lone_walk(ray, radius):
+        raise AssertionError("a family ray was walked alone")
+
+    monkeypatch.setattr(rays, "_cut_pattern", counting)
+    monkeypatch.setattr(continuum, "traverse_cells", lone_walk)
+    plan = make_plan(3, 3)
+    family = list(plan.rays.items())
+    dirs = Counter(ray.dir for _, ray in family)
+    assert max(dirs.values()) > 1  # the family's rays do share directions
+    f = random_int_grid(3, 3, seed=50)
+    forward_continuous_family(f, family)
+    assert built == Counter(dict.fromkeys(dirs, 1))
+    forward_continuous_family(f, family)  # nothing is kept between calls
+    assert built == Counter(dict.fromkeys(dirs, 2))
+
+
+def test_correction_identity_along_a_plane_familys_ray():
+    plan = make_plan(3, 3, plane=Plane((1, 1, 0), (0, 1, 2)))
+    f = random_int_grid(3, 3, seed=51)
+    assert any(ray != perp_ray(z) for z, ray in plan.rays.items())
+    for z, ray in plan.rays.items():
+        lhs, rhs = correction_identity_check(f, z, ray)
+        assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
+    assert correction_identity_check(f, z) == \
+        correction_identity_check(f, z, perp_ray(z))

@@ -12,13 +12,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (brute_direction_minima, brute_forward, brute_line_count,
-                      brute_ray_points, random_int_grid, reduced_key,
+                      brute_ray_points, on_line, random_int_grid, reduced_key,
                       reference_corrected_sinogram, reference_data_residual,
-                      reference_layer_recon, reference_obj_to_grid,
-                      reference_obj_to_sino, reference_sweep)
+                      reference_forward_continuous, reference_layer_recon,
+                      reference_obj_to_grid, reference_obj_to_sino,
+                      reference_sweep, reference_traverse_cells)
 from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    cell_chord, chord_weight, constant_weight,
-                   count_connecting_lines, data_residual, enumerate_ball,
+                   correction_identity_check, count_connecting_lines,
+                   data_residual, enumerate_ball, forward_continuous,
                    forward_continuous_family, forward_family, forward_weighted,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
@@ -27,8 +29,9 @@ from lxray import io as lio
 from lxray.continuum import _corrected_sinogram
 from lxray.counting import (_direction_minimum, _point_columns,
                             primitive_count)
-from lxray.lattice import count_within
-from lxray.rays import _on_line, is_perp_ray, perp_ray, perp_ray_in_plane
+from lxray.lattice import box_point, count_within
+from lxray.rays import (is_perp_ray, perp_ray, perp_ray_in_plane, walk_box,
+                        walk_cells)
 from lxray.transform import FamilyMeta
 
 
@@ -284,8 +287,8 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
     start = 0
     for i, (z, end) in enumerate(zip(plan.order, table.ends)):
         ray = plan.rays[z]
-        want = [(cell, chord.hex(), _on_line(cell, ray))
-                for cell, chord in traverse_cells(ray, radius)]
+        want = [(cell, chord.hex(), on_line(cell, ray))
+                for cell, chord in reference_traverse_cells(ray, radius)]
         got = [(table.cells[c], chord.hex(), bool(on)) for c, chord, on in zip(
             table.ids[start:end], table.chords[start:end],
             table.on_line[start:end])]
@@ -311,6 +314,72 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
     for h in (f, layer, small):
         assert data_residual(g, plan, h).hex() == \
             reference_data_residual(g, plan, h).hex()
+
+
+@st.composite
+def family_walk_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(0, 4 if d < 4 else 3, max_denominator=12))
+    vec = st.tuples(*[st.integers(-5, 5)] * d).filter(any)
+    dirs = [primitive(v) for v in draw(st.lists(vec, min_size=1, max_size=3))]
+    m = math.floor(r) + 3  # some rays miss the r + sqrt(d) ball
+    rays = []
+    for _ in range(draw(st.integers(1, 12))):
+        p = draw(st.sampled_from(dirs))
+        base = draw(st.tuples(*[st.integers(-m, m)] * d))
+        k = draw(st.integers(-3, 3))  # a base not normal to its ray
+        rays.append(Ray(tuple(b + k * c for b, c in zip(base, p)), p))
+    return d, r, rays, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_walk_cases())
+@example((2, Fraction(3), [Ray((0, 0), (1, 1)), Ray((1, 0), (1, 1)),
+                           Ray((2, -1), (1, 1)), Ray((9, 9), (1, 1)),
+                           Ray((0, 1), (3, 5)), Ray((5, 2), (3, 5)),
+                           Ray((-3, -5), (3, 5))], 1))
+@example((3, Fraction(5, 2), [Ray((0, 0, 0), (1, 1, 1)), Ray((1, 0, 0), (1, 1, 1)),
+                              Ray((0, 1, -1), (1, 1, 1)), Ray((3, 3, 3), (1, 1, 1)),
+                              Ray((2, 0, 1), (1, 1, 1))], 2))
+# window ends within roundoff of a face crossing, where a lone walk's
+# k-range leaves the crossing out
+@example((4, Fraction(23, 6), [Ray((4, 1, -1, -3), (3, -2, 0, 0)),
+                               Ray((0, 0, 0, 0), (3, -2, 0, 0))], 3))
+@example((4, Fraction(19, 5), [Ray((-1, -5, -2, 1), (5, -1, 1, 3))], 4))
+def test_family_walk_and_continuous_forward_match_the_reference_walk(case):
+    d, r, rays, seed = case
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, float(rng.randint(-9, 9)),
+                                           rng.uniform(-9, 9)))
+                            for z in enumerate_ball(d, r)})
+    radius = float(r) + math.sqrt(d)
+    place, offset = walk_box(d, radius)
+    walks = {i: [(box_point(c, place, offset), w.hex(), on)
+                 for c, w, on in zip(ids, chords, flags)]
+             for i, ids, chords, flags in walk_cells(rays, radius)}
+    for i, ray in enumerate(rays):
+        want = [(cell, chord.hex(), on_line(cell, ray))
+                for cell, chord in reference_traverse_cells(ray, radius)]
+        assert walks.get(i, []) == want
+        assert [(c, w.hex()) for c, w in traverse_cells(ray, radius)] == \
+            [w[:2] for w in want]
+        fc = forward_continuous(f, ray)
+        assert fc.hex() == reference_forward_continuous(f, ray).hex()
+        # the correction identity's right side, every supported cell scanned
+        corr = 0.0
+        for zeta in sorted(f.values):
+            if not on_line(zeta, ray) and f.values[zeta]:
+                corr += f.values[zeta] * cell_chord(ray, zeta)
+        lhs, rhs = correction_identity_check(f, ray.base, ray)
+        assert rhs.hex() == (fc - corr).hex()
+        assert lhs.hex() == forward_weighted(f, ray, chord_weight()).hex()
+    g = forward_continuous_family(f, [(ray.base, ray) for ray in rays])
+    firsts = {}
+    for ray in rays:
+        firsts.setdefault(ray_key(ray), ray)
+    assert list(g.entries) == list(firsts)
+    assert [v.hex() for v in g.entries.values()] == \
+        [reference_forward_continuous(f, ray).hex() for ray in firsts.values()]
 
 
 def _hex(values):
