@@ -24,9 +24,9 @@ from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .lattice import IntVec, as_fraction, dot, norm2, vsub
+from .lattice import IntVec, as_fraction, box_points, dot, norm2, vsub
 from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
-                   traverse_cells, walk_box, walk_cells)
+                   walk_box, walk_cells)
 from .recon import ReconPlan, datum, recon_shells
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
@@ -65,12 +65,12 @@ def forward_continuous(f: GridFunction, ray: Ray) -> float:
     if ray.d != f.d:
         raise PreconditionError("ray and grid dimensions differ")
     radius = float(f.support_radius) + math.sqrt(f.d)
-    total = 0.0
-    for cell, chord in traverse_cells(ray, radius):
-        v = f.values.get(cell)
-        if v:
-            total += v * chord
-    return total
+    place, offset = walk_box(f.d, radius)
+    for _, ids, chords, _ in walk_cells([ray], radius):
+        cells = box_points(ids, place, offset)
+        return reduce(add, map(mul, map(f.values.get, cells, repeat(0.0)),
+                               chords), 0.0)
+    return 0.0
 
 
 def forward_continuous_family(f: GridFunction,
@@ -97,7 +97,7 @@ def correction_identity_check(f: GridFunction, z: IntVec,
     # distance is q/|p|^2, q = |p|^2|u|^2 - (u.p)^2 an integer, so a cell
     # with 4q > d|p|^2 misses by a margin far above roundoff: chord 0.0.
     pp = norm2(ray.dir)
-    uu = up = repeat(0)
+    uu = up = [0] * len(f.values)
     for col, bi, pi in zip(zip(*f.values), ray.base, ray.dir):
         u = list(map(sub, col, repeat(bi)))
         uu = map(add, uu, map(mul, u, u))

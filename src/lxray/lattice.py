@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence
+from operator import floordiv, mod, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
 
@@ -76,14 +77,18 @@ def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
     return place, m * sum(place), (2 * m + 1) ** d
 
 
-def box_point(i: int, place: IntVec, offset: int) -> IntVec:
-    """The point of the box that ``box_index``'s (place, offset) number i."""
+def box_points(ids: Iterable[int], place: IntVec, offset: int
+               ) -> Iterator[IntVec]:
+    """The points of the box that ``box_index``'s (place, offset) number ids.
+
+    Coordinate k of number i is (i // place[k]) mod (2m + 1) - m, taken
+    column by column, so no point is built digit by digit.
+    """
+    ids = list(ids)
     m = offset // sum(place)
-    z = []
-    for step in place:
-        c, i = divmod(i, step)
-        z.append(c - m)
-    return tuple(z)
+    return zip(*[map(sub, map(mod, map(floordiv, ids, repeat(step)),
+                              repeat(2 * m + 1)), repeat(m))
+                 for step in place])
 
 
 def enumerate_ball(d: int, r, center: IntVec | None = None) -> list[IntVec]:

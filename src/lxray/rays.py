@@ -28,7 +28,7 @@ from operator import add, mul, ne, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, box_index, box_point, dot,
+from .lattice import (IntVec, as_fraction, box_index, box_points, dot,
                       is_canonical_direction, norm2, primitive, scale,
                       unit_vector, vsub)
 
@@ -366,20 +366,19 @@ def walk_cells(rays: Sequence[Ray], radius: float
         cuts, chords, offsets, on_line = _cut_pattern(p, spans, place)
         pp = norm2(p)
         speed = math.sqrt(pp)
-        # With each window end farther than this from the nearest cut inside
-        # the window, a lone walk's k-ranges hold every cut in between, and
-        # the end segments' midpoints are so far from the faces that the
-        # rounded floor(b_i + t p_i + 1/2) gives their pattern segments' cells.
+        # Only a cut within this of a window end can be one a lone walk's
+        # k-ranges leave out, or put an end segment's midpoint so near a face
+        # that the rounded floor(b_i + t p_i + 1/2) leaves its pattern cell:
+        # with no cut that near, end() would return the pattern's cells.
         slack = 2.0 ** -40 * (radius + 2.0 * max(-spans[0][0], spans[-1][1])
                               + 1.0)
 
-        def end(ray: Ray, ta: float, tb: float) -> tuple[int, float, bool]:
+        def end(base: IntVec, home: int, ta: float, tb: float
+                ) -> tuple[int, float, bool]:
             tm = 0.5 * (ta + tb)
-            cell = tuple([math.floor(bi + tm * pi + 0.5)
-                          for bi, pi in zip(ray.base, p)])
-            u = tuple(map(sub, cell, ray.base))
+            u = [math.floor(bi + tm * pi + 0.5) - bi for bi, pi in zip(base, p)]
             up = sum(map(mul, u, p))  # u is a multiple of p iff parallel to it
-            return (offset + sum(map(mul, cell, place)), (tb - ta) * speed,
+            return (home + sum(map(mul, u, place)), (tb - ta) * speed,
                     sum(map(mul, u, u)) * pp == up * up)
 
         for i in members:
@@ -388,12 +387,12 @@ def walk_cells(rays: Sequence[Ray], radius: float
             j0, j1 = bisect_right(cuts, t0), bisect_left(cuts, t1)
             home = offset + sum(map(mul, ray.base, place))
             if j0 < j1 and cuts[j0] - t0 > slack and t1 - cuts[j1 - 1] > slack:
-                # the ends lie in pattern segments j0 - 1 and j1 - 1
+                # no cut near an end: the ends lie in segments j0 - 1 and j1 - 1
                 yield (i, list(map(add, offsets[j0 - 1:j1], repeat(home))),
                        [(cuts[j0] - t0) * speed, *chords[j0:j1 - 1],
                         (t1 - cuts[j1 - 1]) * speed], on_line[j0 - 1:j1])
                 continue
-            # a window end near a cut: decided cut by cut as a lone walk does
+            # a cut near a window end is kept only if a lone walk makes it
             while (j0 < j1 and cuts[j0] - t0 <= slack
                    and not _lone_walk_cut(ray, t0, t1, cuts[j0])):
                 j0 += 1
@@ -401,14 +400,14 @@ def walk_cells(rays: Sequence[Ray], radius: float
                    and not _lone_walk_cut(ray, t0, t1, cuts[j1 - 1])):
                 j1 -= 1
             if j0 >= j1:  # no face crossed inside the ball
-                walk = [end(ray, t0, t1)] if t0 < t1 else []
-            else:
-                walk = [end(ray, t0, cuts[j0]),
-                        *zip(map(add, offsets[j0:j1 - 1], repeat(home)),
-                             chords[j0:j1 - 1], on_line[j0:j1 - 1]),
-                        end(ray, cuts[j1 - 1], t1)]
-            if walk:
-                yield (i, *map(list, zip(*walk)))
+                if t0 < t1:
+                    c, w, on = end(ray.base, home, t0, t1)
+                    yield i, [c], [w], [on]
+                continue
+            ca, wa, oa = end(ray.base, home, t0, cuts[j0])
+            cb, wb, ob = end(ray.base, home, cuts[j1 - 1], t1)
+            yield (i, [ca, *map(add, offsets[j0:j1 - 1], repeat(home)), cb],
+                   [wa, *chords[j0:j1 - 1], wb], [oa, *on_line[j0:j1 - 1], ob])
 
 
 def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
@@ -431,7 +430,7 @@ def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
     """
     place, offset = walk_box(ray.d, radius)
     for _, ids, chords, _ in walk_cells([ray], radius):
-        yield from zip((box_point(c, place, offset) for c in ids), chords)
+        yield from zip(box_points(ids, place, offset), chords)
 
 
 def _on_line(z: IntVec, ray: Ray) -> bool:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
 from .lattice import (IntVec, ShellDecomposition, as_fraction, box_index,
-                      box_point, build_shells, enumerate_ball, norm2)
+                      box_points, build_shells, enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_key, walk_box,
                    walk_cells)
@@ -144,14 +144,12 @@ class ReconPlan:
         ends, central = array("i"), array("d")
         for z, ray, (box_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
             for b in box_ids:
-                c = cell_id.setdefault(b, len(cells))
-                if c == len(cells):
-                    cells.append(box_point(b, place, offset))
-                ids.append(c)
+                ids.append(cell_id.setdefault(b, len(cell_id)))
             chords.extend(ray_chords)
             on_line.extend(ray_on)
             ends.append(len(ids))
             central.append(cell_chord(ray, z))
+        cells.extend(box_points(list(cell_id)[len(cells):], place, offset))
         return ChordTable(tuple(cells), ids, chords, on_line, ends, central)
 
 

