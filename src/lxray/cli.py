@@ -161,6 +161,12 @@ def cmd_forward(args) -> int:
 
 
 def cmd_recon(args) -> int:
+    if args.iterate is not None and args.weight is not None:
+        raise PreconditionError("--iterate and --weight are mutually exclusive")
+    if args.one_point is not None and args.iterate is not None:
+        raise PreconditionError("--one-point and --iterate are mutually exclusive")
+    if args.residuals is not None and args.iterate is None:
+        raise PreconditionError("--residuals needs --iterate")
     sino = lio.obj_to_sino(lio.read_json(args.sino))
     weight = _parse_weight(args.weight)
     r_override = as_fraction(args.r) if args.r is not None else None

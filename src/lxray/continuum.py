@@ -24,7 +24,8 @@ from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .lattice import IntVec, as_fraction, box_points, dot, norm2, vsub
+from .lattice import (IntVec, ball_radius, box_ids, box_points, dot, norm2,
+                      vsub)
 from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
                    walk_box, walk_cells)
 from .recon import ReconPlan, datum, recon_shells
@@ -46,10 +47,7 @@ def _continuous_sums(f: GridFunction, rays: Sequence[Ray]) -> list[float]:
     """
     radius = float(f.support_radius) + math.sqrt(f.d)
     place, offset = walk_box(f.d, radius)
-    ids = repeat(offset)
-    for col, step in zip(zip(*f.values), place):
-        ids = map(add, ids, map(mul, col, repeat(step)))
-    get = dict(zip(ids, f.values.values())).get
+    get = dict(zip(box_ids(f.values, place, offset), f.values.values())).get
     sums = [0.0] * len(rays)
     for i, cells, chords, _ in walk_cells(rays, radius):
         sums[i] = reduce(add, map(mul, map(get, cells, repeat(0.0)), chords), 0.0)
@@ -129,7 +127,7 @@ class BallField:
     balls: dict[IntVec, tuple[float, float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.support_radius = as_fraction(self.support_radius)
+        self.support_radius = ball_radius(self.d, self.support_radius)
         r2 = self.support_radius * self.support_radius
         den, num = r2.denominator, r2.numerator
         clean = {}
@@ -234,8 +232,6 @@ def _corrected_sinogram(g: Sinogram, plan: ReconPlan,
     for z, key, end, central in zip(plan.order, plan.keys, table.ends,
                                     table.central):
         span, start = slice(start, end), end
-        if key in entries:
-            continue
         total = datum(g, key, z)
         corr = 0.0
         for c, chord, on in zip(ids[span], chords[span], on_line[span]):

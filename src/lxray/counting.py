@@ -1,13 +1,11 @@
 """Brute-force verification of counting and separation estimates.
 
 Exhaustive, exact-arithmetic checks: the number of lines through at least
-two ball lattice points (sandwiched between its proved bounds),
-the line count through the origin, the Farey asymptotic ratio, and the
-integer separation estimate for projections of the lattice along a
-rational direction. The two-point-line count sums lens sizes over
-directions, O(r^(2d-1)) exact integer steps guarded by an explicit budget;
-the tests check it against a pair-scan oracle. The origin count deduplicates
-lines by their reduced key.
+two ball lattice points (sandwiched between its proved bounds), the Farey
+asymptotic ratio, and the integer separation estimate for projections of
+the lattice along a rational direction. The two-point-line count sums lens
+sizes over directions, O(r^(2d-1)) exact integer steps guarded by an
+explicit budget; the tests check it against a pair-scan oracle.
 
 The separation scan decides every (direction, point) pair in exact integer
 arithmetic, but scans one direction per orbit of the signed coordinate
@@ -29,12 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterator
 
 from .errors import BudgetError, PreconditionError
 from .lattice import (IntVec, as_fraction, ball_count, ball_radius, count_within,
                       enumerate_ball, farey_count, mobius_sieve, norm2, primitive)
-from .rays import Ray, ray_key
 
 # default ceiling on lens steps, directions x rows (d=4 radius 7 fits under it)
 DEFAULT_LENS_BUDGET = 150_000_000
@@ -104,22 +100,6 @@ def count_connecting_lines(r, d: int = 2, *,
             lines -= _lens(rows, tuple(2 * c for c in theta))
         total += mult * lines
     return total
-
-
-def count_lines_through_origin(r, d: int = 2) -> int:
-    """Distinct lines through the origin with a second ball lattice point.
-
-    Equals the number of canonical primitive vectors of norm <= r; counted
-    here by line-key dedup so the identity can be cross-checked against
-    direct primitive enumeration.
-    """
-    origin = (0,) * d
-    keys = set()
-    for z in enumerate_ball(d, r):
-        if z == origin:
-            continue
-        keys.add(ray_key(Ray(origin, primitive(z))))
-    return len(keys)
 
 
 def verify_count_bounds(r, d: int = 2, *,
@@ -239,15 +219,3 @@ def farey_asymptotic_report(n: int, d: int = 2) -> float:
     if d != 2:
         raise PreconditionError("asymptotic report implemented for d=2")
     return farey_count(n, 2) * math.pi ** 2 / (3.0 * n * n)
-
-
-def unbounded_ray_witnesses(z: IntVec, count: int) -> Iterator[Ray]:
-    """Distinct rays through one lattice point, as many as requested.
-
-    Witnesses that the family of rational lines meeting a fixed ball point
-    is infinite: directions (1, k, 0, ...) are pairwise non-parallel, so
-    the lines are pairwise distinct and all pass through z.
-    """
-    z = tuple(z)
-    for k in range(count):
-        yield Ray(z, (1, k) + (0,) * (len(z) - 2))

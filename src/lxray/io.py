@@ -15,7 +15,9 @@ produce byte-identical files. Values must be finite: a NaN or infinity is
 a format error on reading and is refused on writing, so every file is
 standard JSON. The optional family "r" records the data-side support
 radius so reconstructions can re-check the annulus precondition without
-re-supplying it. Writes are atomic (temp file plus rename).
+re-supplying it. A negative radius, in a grid or a family, and annulus
+bounds other than 0 <= alpha <= beta are format errors. Writes are atomic
+(temp file plus rename).
 
 Reading checks each row once, as columns: vectors of d integers (no
 bools), finite values, distinct grid points inside the declared ball, and
@@ -36,7 +38,7 @@ from itertools import chain, repeat
 from operator import eq, gt, itemgetter, lt, mul
 
 from .errors import FileFormatError, PreconditionError
-from .lattice import as_fraction, is_canonical_direction
+from .lattice import as_fraction, ball_radius, is_canonical_direction
 from .rays import Ray, RayKey, ray_key
 from .transform import FamilyMeta, GridFunction, Sinogram
 
@@ -53,6 +55,14 @@ def parse_frac(s) -> Fraction:
         return as_fraction(s)
     except PreconditionError as exc:
         raise FileFormatError(f"bad rational {s!r}") from exc
+
+
+def _radius(d: int, r: Fraction) -> Fraction:
+    """A file's support radius; a negative one is a format error."""
+    try:
+        return ball_radius(d, r)
+    except PreconditionError as exc:
+        raise FileFormatError(str(exc)) from exc
 
 
 def _int_vec(obj, d: int, what: str) -> tuple[int, ...]:
@@ -136,6 +146,7 @@ def obj_to_grid(obj) -> GridFunction:
         raise FileFormatError(f"grid file missing key {exc}") from exc
     if not isinstance(d, int) or d < 2:
         raise FileFormatError(f"bad dimension {d!r}")
+    r = _radius(d, r)
     if not isinstance(rows, list):
         raise FileFormatError("values must be a list")
     checked = _grid_columns(rows, d, r)
@@ -203,11 +214,14 @@ def obj_to_meta(obj, d: int) -> FamilyMeta:
     b = _int_vec(obj["b"], d, "b") if "b" in obj else None
     if kind == "tstar_plane" and (a is None or b is None):
         raise FileFormatError("tstar_plane family needs both a and b")
+    alpha, beta = (parse_frac(obj[k]) if k in obj else None
+                   for k in ("alpha", "beta"))
+    lo = alpha or 0  # no alpha: the annulus starts at 0
+    if lo < 0 or beta is not None and beta < lo:
+        raise FileFormatError("need 0 <= alpha <= beta")
     return FamilyMeta(
-        kind=kind, a=a, b=b,
-        alpha=parse_frac(obj["alpha"]) if "alpha" in obj else None,
-        beta=parse_frac(obj["beta"]) if "beta" in obj else None,
-        support_radius=parse_frac(obj["r"]) if "r" in obj else None,
+        kind=kind, a=a, b=b, alpha=alpha, beta=beta,
+        support_radius=_radius(d, parse_frac(obj["r"])) if "r" in obj else None,
     )
 
 

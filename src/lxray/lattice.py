@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mod, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, floordiv, mod, mul, sub
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
 
@@ -77,6 +77,18 @@ def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
     return place, m * sum(place), (2 * m + 1) ** d
 
 
+def box_ids(points: Collection[IntVec], place: IntVec, offset: int
+            ) -> list[int]:
+    """``box_index``'s numbers offset + z.place of the points, in order.
+
+    Taken column by column, the inverse of ``box_points``; no points give [].
+    """
+    ids = [offset] * len(points)
+    for col, step in zip(zip(*points), place):
+        ids = map(add, ids, map(mul, col, repeat(step)))
+    return list(ids)
+
+
 def box_points(ids: Iterable[int], place: IntVec, offset: int
                ) -> Iterator[IntVec]:
     """The points of the box that ``box_index``'s (place, offset) number ids.
@@ -91,32 +103,27 @@ def box_points(ids: Iterable[int], place: IntVec, offset: int
                  for step in place])
 
 
-def enumerate_ball(d: int, r, center: IntVec | None = None) -> list[IntVec]:
-    """All z in Z^d with |z - center|^2 <= r^2, in lexicographic order.
+def enumerate_ball(d: int, r) -> list[IntVec]:
+    """All z in Z^d with |z|^2 <= r^2, in lexicographic order.
 
-    The membership test compares the integer squared distance against the
+    The membership test compares the integer squared norm against the
     exact rational r^2, so the boundary is decided exactly for any rational
     (or float-valued) radius.
     """
-    rfrac = ball_radius(d, r)
-    if center is None:
-        center = (0,) * d
-    if len(center) != d:
-        raise PreconditionError(f"center has dimension {len(center)}, expected {d}")
-    r2 = rfrac * rfrac
+    r2 = ball_radius(d, r) ** 2
     num, den = r2.numerator, r2.denominator
 
     out: list[IntVec] = []
     coords = [0] * d
 
     def sweep(i: int, remaining: int) -> None:
-        # remaining = den*r^2 - den*(partial squared distance), an integer
+        # remaining = den*r^2 - den*(partial squared norm), an integer
         if i == d:
             out.append(tuple(coords))
             return
         m = math.isqrt(remaining // den)
         for off in range(-m, m + 1):
-            coords[i] = center[i] + off
+            coords[i] = off
             sweep(i + 1, remaining - den * off * off)
 
     sweep(0, num)
@@ -191,16 +198,6 @@ def is_canonical_direction(v: Sequence[int]) -> bool:
     return tuple(v) == primitive(v)
 
 
-def prim_norm_le(theta: Sequence[int], rho) -> bool:
-    """True iff the canonical primitive direction has Euclidean norm <= rho.
-
-    This is the 'short rational direction' filter: directions failing it
-    behave like irrational ones on balls of radius < rho/2.
-    """
-    rf = as_fraction(rho)
-    return norm2(theta) <= rf * rf
-
-
 @dataclass(frozen=True)
 class ShellDecomposition:
     """Partition of a point set into shells of equal squared norm.
@@ -217,29 +214,24 @@ class ShellDecomposition:
     def __len__(self) -> int:
         return len(self.shells)
 
-    def points(self) -> list[IntVec]:
-        return [z for shell in self.shells for z in shell]
 
-
-def build_shells(points: Iterable[IntVec], origin: Sequence | None = None,
-                 plane=None) -> ShellDecomposition:
-    """Group points by exact squared distance to origin, outermost first.
+def build_shells(points: Iterable[IntVec], plane=None) -> ShellDecomposition:
+    """Group points by exact squared norm, outermost first.
 
     With ``plane`` given (any object exposing ``scaled_inplane_norm2`` and
-    ``det``), the distance is that of the point's projection onto the
-    plane, so the decomposition orders a two-dimensional slice by its own
-    radial norm. Points are grouped by the exact scaled norm (an integer
-    for integer input) and each shell's norm becomes a Fraction once. Ties
-    form one shell; an empty input yields an empty decomposition.
+    ``det``), the norm is that of the point's projection onto the plane,
+    so the decomposition orders a two-dimensional slice by its own radial
+    norm. Points are grouped by the exact integer scaled norm and each
+    shell's norm becomes a Fraction once. Ties form one shell; an empty
+    input yields an empty decomposition.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise PreconditionError("points must be pairwise distinct")
-    groups: dict[int | Fraction, list[IntVec]] = {}
+    groups: dict[int, list[IntVec]] = {}
     for z in pts:
-        delta = vsub(z, origin) if origin is not None else z
-        n = (plane.scaled_inplane_norm2(delta) if plane is not None
-             else sum(c * c for c in delta))
+        n = (plane.scaled_inplane_norm2(z) if plane is not None
+             else sum(c * c for c in z))
         groups.setdefault(n, []).append(z)
     det = plane.det if plane is not None else 1
     ordered = sorted(groups.items(), reverse=True)
@@ -247,30 +239,6 @@ def build_shells(points: Iterable[IntVec], origin: Sequence | None = None,
         shells=tuple(tuple(sorted(g)) for _, g in ordered),
         norms2=tuple(Fraction(n, det) for n, _ in ordered),
     )
-
-
-@dataclass(frozen=True)
-class FareySet:
-    """Reduced rational tuples with denominator at most n (level-n Farey points)."""
-
-    n: int
-    d: int
-    points: frozenset
-
-
-def farey_set(n: int, d: int = 2) -> FareySet:
-    """The Farey points of level n as exact Fractions (d=2 only).
-
-    For d >= 3 only counts are exposed (see ``farey_count``) to bound
-    memory; requesting the point set raises.
-    """
-    if n < 1:
-        raise PreconditionError("Farey level must be >= 1")
-    if d != 2:
-        raise PreconditionError("Farey point sets are exposed only for d=2")
-    pts = {Fraction(p, q) for q in range(1, n + 1)
-           for p in range(q) if math.gcd(p, q) == 1}
-    return FareySet(n=n, d=d, points=frozenset(pts))
 
 
 def farey_count(n: int, d: int = 2) -> int:

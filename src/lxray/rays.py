@@ -28,7 +28,7 @@ from operator import add, mul, ne, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, box_index, box_points, dot,
+from .lattice import (IntVec, as_fraction, box_index, dot,
                       is_canonical_direction, norm2, primitive, scale,
                       unit_vector, vsub)
 
@@ -190,20 +190,17 @@ def is_perp_ray(z: IntVec, ray: Ray, plane: Plane | None = None) -> bool:
     return pa * pa == sum(map(mul, p, p)) * plane.aa
 
 
-def ray_span(ray: Ray, num: int, den: int,
-             center: IntVec | None = None) -> range:
-    """The integer k with den * |base + k*dir - center|^2 <= num, as a range.
+def ray_span(ray: Ray, num: int, den: int) -> range:
+    """The integer k with den * |base + k*dir|^2 <= num, as a range.
 
-    num/den is the squared radius. With a = den|dir|^2, b = 2 den (u.dir),
-    c = den|u|^2 - num (u = base - center) the condition is
-    a k^2 + b k + c <= 0, i.e. (2ak + b)^2 <= disc = b^2 - 4ac; for integer
-    k that holds iff |2ak + b| <= isqrt(disc), so the range is exact and no
-    k in it needs re-checking.
+    num/den is the squared radius. With a = den|dir|^2, b = 2 den (base.dir),
+    c = den|base|^2 - num the condition is a k^2 + b k + c <= 0, i.e.
+    (2ak + b)^2 <= disc = b^2 - 4ac; for integer k that holds iff
+    |2ak + b| <= isqrt(disc), so the range is exact and no k in it needs
+    re-checking.
     """
-    p = ray.dir
-    u = vsub(ray.base, center) if center is not None else ray.base
     pp = up = uu = 0
-    for ui, pi in zip(u, p):
+    for ui, pi in zip(ray.base, ray.dir):
         pp += pi * pi
         up += ui * pi
         uu += ui * ui
@@ -216,15 +213,14 @@ def ray_span(ray: Ray, num: int, den: int,
     return range(-((b + s) // a2), (s - b) // a2 + 1)
 
 
-def points_on_ray(ray: Ray, r, center: IntVec | None = None) -> list[IntVec]:
-    """Lattice points of the ray within |x - center| <= r, ordered along it.
+def points_on_ray(ray: Ray, r) -> list[IntVec]:
+    """Lattice points of the ray within |x| <= r, ordered along it.
 
     The k-range comes from ``ray_span`` (exact integer arithmetic, no
     floating ray marching).
     """
     r2 = as_fraction(r) ** 2
-    return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator,
-                                         center)))
+    return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator)))
 
 
 def ray_points(ray: Ray, ks: range) -> Iterator[IntVec]:
@@ -418,19 +414,6 @@ def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
     """
     m = math.floor(abs(radius)) + 1
     return box_index(d, m * m, 1)[:2]
-
-
-def traverse_cells(ray: Ray, radius: float) -> Iterator[tuple[IntVec, float]]:
-    """Yield (cell, chord) for cells the ray crosses within the given ball.
-
-    Steps through the grid planes (cell faces at half-integers) in order of
-    the ray parameter; each sub-segment is attributed to the cell containing
-    its midpoint. Cells whose centers lie within ``radius - sqrt(d)`` of the
-    origin get their full, unclipped chord. A one-ray ``walk_cells``.
-    """
-    place, offset = walk_box(ray.d, radius)
-    for _, ids, chords, _ in walk_cells([ray], radius):
-        yield from zip(box_points(ids, place, offset), chords)
 
 
 def _on_line(z: IntVec, ray: Ray) -> bool:

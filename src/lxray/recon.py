@@ -29,8 +29,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
-from .lattice import (IntVec, ShellDecomposition, as_fraction, box_index,
-                      box_points, build_shells, enumerate_ball, norm2)
+from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
+                      box_ids, box_index, box_points, build_shells,
+                      enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_key, walk_box,
                    walk_cells)
@@ -66,11 +67,12 @@ class ReconPlan:
     the target set. Construction compiles the sweep (slices by key, shells
     outermost first): step i recovers ``order[i]`` from line ``keys[i]``,
     and ``on_ray[ends[i-1]:ends[i]]`` lists the sweep steps of the other
-    plan points on that ray, in ray order. It refuses a target outside the
-    ball or of another dimension, a ray not based at its target
-    perpendicular to its direction, and a plan point on a target's ray that
-    is not in an earlier shell. The continuum rounds read ``chord_table``,
-    built on first use and kept; no field, so equality and repr ignore it.
+    plan points on that ray, in ray order. It refuses a negative radius, a
+    target outside the ball or of another dimension, a ray not based at its
+    target perpendicular to its direction, and a plan point on a target's
+    ray that is not in an earlier shell. The continuum rounds read
+    ``chord_table``, built on first use and kept; no field, so equality and
+    repr ignore it.
     """
 
     d: int
@@ -88,9 +90,7 @@ class ReconPlan:
     ends: array = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise PreconditionError("dimension must be >= 2")
-        r2 = as_fraction(self.support_radius) ** 2
+        r2 = ball_radius(self.d, self.support_radius) ** 2
         num, den = r2.numerator, r2.denominator
         place, offset, _ = box_index(self.d, num, den)
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
@@ -98,7 +98,7 @@ class ReconPlan:
         for z in self.order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
-        boxes = [offset + sum(map(mul, z, place)) for z in self.order]
+        boxes = box_ids(self.order, place, offset)
         step_of = {j: i for i, j in enumerate(boxes)}
         keys: list[RayKey] = []
         self.on_ray, self.ends = array("i"), array("i")
@@ -126,24 +126,21 @@ class ReconPlan:
                 self.ends.append(len(self.on_ray))
         self.keys = tuple(keys)
 
-    def ray_keys(self) -> set[RayKey]:
-        return set(self.keys)
-
     @cached_property
     def chord_table(self) -> ChordTable:
         """Each sweep step's cell walk, chords and central chord (walked once)."""
         radius = float(self.support_radius) + math.sqrt(self.d)
         place, offset = walk_box(self.d, radius)
         cells = list(self.order)
-        cell_id = {offset + sum(map(mul, z, place)): i for i, z in enumerate(cells)}
+        cell_id = {b: i for i, b in enumerate(box_ids(cells, place, offset))}
         rays = [self.rays[z] for z in self.order]
         walks: list[tuple] = [((), (), ())] * len(rays)
-        for i, box_ids, chords, on_line in walk_cells(rays, radius):
-            walks[i] = box_ids, array("d", chords), array("b", on_line)
+        for i, walk_ids, chords, on_line in walk_cells(rays, radius):
+            walks[i] = walk_ids, array("d", chords), array("b", on_line)
         ids, chords, on_line = array("i"), array("d"), array("b")
         ends, central = array("i"), array("d")
-        for z, ray, (box_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
-            for b in box_ids:
+        for z, ray, (walk_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
+            for b in walk_ids:
                 ids.append(cell_id.setdefault(b, len(cell_id)))
             chords.extend(ray_chords)
             on_line.extend(ray_on)
@@ -170,6 +167,8 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               rays: Mapping[IntVec, Ray] | None = None) -> ReconPlan:
     """Build a reconstruction plan over a point set (default: the full ball).
 
+    The support radius must be nonnegative and d >= 2 (``ball_radius``).
+
     alpha/beta restrict the targets to in-plane norms within [alpha, beta];
     beta must reach the support radius, or values outside the annulus
     would feed the sweep unknown. ``rays`` maps each target to its ray
@@ -177,7 +176,7 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
     is a PreconditionError, and the compile refuses a ray that is not
     based at its target and normal to it. The plan compiles its sweep once.
     """
-    r = as_fraction(support_radius)
+    r = ball_radius(d, support_radius)
     if plane is not None and plane.d != d:
         raise PreconditionError("plane dimension mismatch")
     af = as_fraction(alpha) if alpha is not None else None
@@ -294,18 +293,17 @@ def recon_one_point(g: Sinogram, points: Iterable[IntVec],
     return GridFunction(d=g.d, support_radius=rf, values=out)
 
 
-def one_point_directions(points: Iterable[IntVec], r,
-                         spread: int = 7) -> dict[IntVec, IntVec]:
+def one_point_directions(points: Iterable[IntVec], r) -> dict[IntVec, IntVec]:
     """Assign each point an effectively irrational direction at radius r.
 
-    Uses directions (m, 1, 0, ...) with m > 2r, cycling m over ``spread``
+    Uses directions (m, 1, 0, ...) with m > 2r, cycling m over seven
     consecutive values so nearby points get different rays.
     """
     rf = as_fraction(r)
     base = math.isqrt(math.floor(4 * rf * rf)) + 1  # floor(2r) + 1 > 2r
     out: dict[IntVec, IntVec] = {}
     for i, z in enumerate(sorted(tuple(p) for p in points)):
-        m = base + (i % spread)
+        m = base + i % 7
         theta = (m, 1) + (0,) * (len(z) - 2)
         assert effectively_irrational(theta, rf)
         out[z] = theta

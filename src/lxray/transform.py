@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
-from .lattice import IntVec, as_fraction, box_index, norm2
+from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
+                      norm2)
 from .rays import (Ray, RayKey, is_canonical_direction, ray_key, ray_points,
                    ray_span)
 
@@ -29,9 +30,9 @@ Weight = Callable[[IntVec, IntVec], float]
 class GridFunction:
     """Sparse real-valued function on Z^d supported in a declared ball.
 
-    Unstored points read as zero; every stored point must satisfy
-    |z|^2 <= r^2 (checked exactly against the rational radius) and every
-    value must be finite.
+    Unstored points read as zero; the radius r must be nonnegative, every
+    stored point must satisfy |z|^2 <= r^2 (checked exactly against the
+    rational radius) and every value must be finite.
     """
 
     d: int
@@ -39,9 +40,7 @@ class GridFunction:
     values: dict[IntVec, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise PreconditionError("dimension must be >= 2")
-        self.support_radius = as_fraction(self.support_radius)
+        self.support_radius = ball_radius(self.d, self.support_radius)
         r2 = self.support_radius * self.support_radius
         den, num = r2.denominator, r2.numerator
         clean: dict[IntVec, float] = {}
@@ -85,28 +84,12 @@ class GridFunction:
     def get(self, z: IntVec) -> float:
         return self.values.get(tuple(z), 0.0)
 
-    def support(self) -> list[IntVec]:
-        return sorted(self.values)
-
-    def values_equal(self, other: "GridFunction") -> bool:
-        """Pointwise float equality as functions (missing entries read 0)."""
-        if self.d != other.d:
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(self.get(z) == other.get(z) for z in keys)
-
 
 def constant_weight(c: float) -> Weight:
     if c == 0:
         raise ZeroWeightError("constant weight must be nonzero")
     c = float(c)
     return lambda z, dirv: c
-
-
-def table_weight(table: Mapping[tuple[IntVec, IntVec], float]) -> Weight:
-    def w(z, dirv):
-        return table[(tuple(z), tuple(dirv))]
-    return w
 
 
 @dataclass(frozen=True)
@@ -179,7 +162,7 @@ def _indexed_sums(f: GridFunction, num: int, den: int
                   ) -> Callable[[Ray, range], float]:
     """Unweighted ray sums over ``box_index`` ranges, in ``forward``'s order."""
     place, offset, _ = box_index(f.d, num, den)
-    index = {offset + sum(map(mul, z, place)): v for z, v in f.values.items()}
+    index = dict(zip(box_ids(f.values, place, offset), f.values.values()))
 
     def ray_sum(ray: Ray, ks: range) -> float:
         step = sum(map(mul, ray.dir, place))

@@ -7,7 +7,10 @@ patterns replaced, and the per-round walks that the plan's chord table
 replaced, so the walker and the table's consumers are checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
 replaced. The file-reader references keep the row-by-row checks that the
-column checks replaced.
+column checks replaced. The last group holds helpers that only the tests
+call: the through-origin line recount, the Farey point sets, witnesses of
+the unbounded ray family, short-direction and table-weight models, the
+one-ray cell walk and function equality.
 """
 
 import itertools
@@ -15,10 +18,12 @@ import math
 import random
 from fractions import Fraction
 
-from lxray import (FileFormatError, GridFunction, MissingDataError, Ray,
-                   RayKey, Sinogram, ZeroWeightError, enumerate_ball, primitive)
+from lxray import (FileFormatError, GridFunction, MissingDataError,
+                   PreconditionError, Ray, RayKey, Sinogram, ZeroWeightError,
+                   enumerate_ball, primitive)
 from lxray import io as lio
-from lxray.rays import _on_line, cell_chord
+from lxray.lattice import box_points
+from lxray.rays import _on_line, cell_chord, walk_box, walk_cells
 from lxray.recon import datum
 
 
@@ -375,3 +380,58 @@ def reference_obj_to_sino(obj):
         entries[key] = v
         family.append((z, ray))
     return Sinogram(d=d, entries=entries, meta=meta, family=tuple(family))
+
+
+def values_equal(f, g):
+    """Pointwise float equality as functions; unstored points read 0."""
+    keys = set(f.values) | set(g.values)
+    return f.d == g.d and all(f.get(z) == g.get(z) for z in keys)
+
+
+def shell_points(dec):
+    """The points of a shell decomposition, outermost shell first."""
+    return [z for shell in dec.shells for z in shell]
+
+
+def table_weight(table):
+    """The weight model W(z, dir) = table[(z, dir)]."""
+    return lambda z, dirv: table[(tuple(z), tuple(dirv))]
+
+
+def prim_norm_le(theta, rho):
+    """True iff the direction theta has Euclidean norm <= rho."""
+    return sum(c * c for c in theta) <= Fraction(rho) ** 2
+
+
+def farey_set(n, d=2):
+    """The level-n Farey points, reduced p/q in [0, 1) with q <= n, as
+    Fractions; only d=2 is enumerated."""
+    if n < 1:
+        raise PreconditionError("Farey level must be >= 1")
+    if d != 2:
+        raise PreconditionError("Farey point sets are exposed only for d=2")
+    return {Fraction(p, q) for q in range(1, n + 1)
+            for p in range(q) if math.gcd(p, q) == 1}
+
+
+def count_lines_through_origin(r, d=2):
+    """Distinct lines through the origin and a second ball lattice point,
+    deduplicated by their reduced key."""
+    origin = (0,) * d
+    return len({reduced_key(Ray(origin, primitive(z)))
+                for z in enumerate_ball(d, r) if any(z)})
+
+
+def unbounded_ray_witnesses(z, count):
+    """count rays through z with the pairwise non-parallel directions
+    (1, k, 0, ...), so pairwise distinct lines."""
+    z = tuple(z)
+    return [Ray(z, (1, k) + (0,) * (len(z) - 2)) for k in range(count)]
+
+
+def traverse_cells(ray, radius):
+    """(cell, chord) of one ray's ``walk_cells`` walk, the cell numbers
+    decoded by ``box_points``."""
+    place, offset = walk_box(ray.d, radius)
+    for _, ids, chords, _ in walk_cells([ray], radius):
+        yield from zip(box_points(ids, place, offset), chords)

@@ -4,6 +4,7 @@ import pytest
 
 import lxray.lattice
 import lxray.rays
+from conftest import values_equal
 from lxray import io as lio
 from lxray import (GridFunction, Plane, enumerate_ball, forward_family,
                    iterate_recon, make_plan, norm2, one_point_directions,
@@ -91,7 +92,7 @@ def test_pipeline_matches_in_process(tmp_path):
          "--seed", "3", "--out", str(g)])
     run(["forward", "--grid", str(g), "--family", "tstar", "--out", str(s)])
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 0
-    assert read_grid(r).values_equal(read_grid(g))
+    assert values_equal(read_grid(r), read_grid(g))
 
 
 def test_pipeline_plane_family(tmp_path):
@@ -101,7 +102,7 @@ def test_pipeline_plane_family(tmp_path):
     run(["forward", "--grid", str(g), "--family", "tstar-plane", "1,1,0",
          "0,1,1", "--out", str(s)])
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 0
-    assert read_grid(r).values_equal(read_grid(g))
+    assert values_equal(read_grid(r), read_grid(g))
 
 
 def test_forward_point_phantom_single_hit(tmp_path):
@@ -163,22 +164,30 @@ def test_const_weight_pipeline(tmp_path):
          "const", "2.0", "--out", str(s)])
     assert run(["recon", "--sino", str(s), "--weight", "const", "2.0",
                 "--out", str(r)]) == 0
-    assert read_grid(r).values_equal(read_grid(g))
+    assert values_equal(read_grid(r), read_grid(g))
 
 
-def test_one_point_pipeline(tmp_path):
+def _one_point_files(tmp_path):
+    """A one-point sinogram of a random-int d=2 r=3 grid and its direction
+    file; returns the grid and both paths."""
     grid = make_phantom("random-int", 2, 3, seed=12)
     pts = enumerate_ball(2, 3)
     dirs = one_point_directions(pts, 3)
     sino = forward_family(grid, one_point_family(pts, dirs),
                           FamilyMeta("free", support_radius=grid.support_radius))
-    s, dirfile, r = (tmp_path / n for n in ("s.json", "dirs.json", "r.json"))
+    s, dirfile = tmp_path / "op.json", tmp_path / "dirs.json"
     lio.write_json_atomic(str(s), lio.sino_to_obj(sino))
     lio.write_json_atomic(str(dirfile),
                           [{"z": list(z), "dir": list(t)} for z, t in dirs.items()])
+    return grid, s, dirfile
+
+
+def test_one_point_pipeline(tmp_path):
+    grid, s, dirfile = _one_point_files(tmp_path)
+    r = tmp_path / "r.json"
     assert run(["recon", "--sino", str(s), "--one-point", str(dirfile),
                 "--out", str(r)]) == 0
-    assert read_grid(r).values_equal(grid)
+    assert values_equal(read_grid(r), grid)
 
 
 def test_iterate_pipeline_writes_residuals(tmp_path):
@@ -464,3 +473,54 @@ def test_overflowing_sweep_is_not_written(tmp_path):
     s.write_text(json.dumps(obj))
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "s.json"]
+
+
+def test_negative_support_radius_exit_code(tmp_path):
+    # a negative radius is refused from a flag (exit 2) and from a grid or
+    # sinogram file (exit 4), before anything is written
+    g, s = _forward_file(tmp_path, 2, 3, ["tstar"])
+    bad_g, bad_s, r, c = (tmp_path / n for n in ("bg.json", "bs.json",
+                                                 "r.json", "g.csv"))
+    assert run(["phantom", "--kind", "point", "--r", "-3", "--out", str(r)]) == 2
+    assert run(["recon", "--sino", str(s), "--r", "-3", "--out", str(r)]) == 2
+    bad_g.write_text(json.dumps(dict(json.loads(g.read_text()), r="-3")))
+    assert run(["export", "--grid", str(bad_g), "--out", str(c)]) == 4
+    assert run(["forward", "--grid", str(bad_g), "--family", "tstar",
+                "--out", str(r)]) == 4
+    obj = json.loads(s.read_text())
+    obj["family"]["r"] = "-4"
+    bad_s.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(bad_s), "--out", str(r)]) == 4
+    assert not r.exists() and not c.exists()
+
+
+@pytest.mark.parametrize("flags, ignored", [
+    (["--sino", "{tstar}", "--iterate", "2", "--weight", "const", "2"],
+     "--weight"),
+    (["--sino", "{tstar}", "--residuals", "{res}"], "--residuals"),
+    (["--sino", "{one_point}", "--one-point", "{dirs}", "--iterate", "2"],
+     "--one-point"),
+], ids=["iterate-with-weight", "residuals-without-iterate",
+        "one-point-with-iterate"])
+def test_recon_refuses_flags_it_would_ignore(tmp_path, flags, ignored, capsys):
+    _, tstar = _forward_file(tmp_path, 2, 3, ["tstar"])
+    _, one_point, dirs = _one_point_files(tmp_path)
+    out = tmp_path / "r.json"
+    before = sorted(tmp_path.iterdir())
+    argv = [f.format(tstar=tstar, one_point=one_point, dirs=dirs,
+                     res=tmp_path / "res.csv") for f in flags]
+    assert run(["recon", *argv, "--out", str(out)]) == 2
+    assert ignored in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("alpha, beta", [("5", "4"), ("-1", "4")])
+def test_inverted_annulus_in_file_exit_code(tmp_path, alpha, beta, capsys):
+    _, s = _forward_file(tmp_path, 2, 4, ["annulus", "2", "4"])
+    r = tmp_path / "r.json"
+    obj = json.loads(s.read_text())
+    obj["family"].update(alpha=alpha, beta=beta)
+    s.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
+    assert "alpha" in capsys.readouterr().err
+    assert not r.exists()

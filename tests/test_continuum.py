@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_int_grid, reference_data_residual
+from conftest import random_int_grid, reference_data_residual, traverse_cells
 from lxray import continuum, rays, recon
 from lxray import (BallField, GridFunction, MissingDataError, Plane,
                    PreconditionError, Ray, cell_chord, data_residual,
                    enumerate_ball, forward_balls, forward_continuous,
                    forward_continuous_family, correction_identity_check,
                    hits_centers_only, iterate_recon, layer_recon, make_plan,
-                   perp_family, perp_ray, traverse_cells)
+                   perp_family, perp_ray)
 
 
 def test_cell_chord_examples():
@@ -111,6 +111,8 @@ def test_ball_field_validation():
         BallField(2, 2, {(0, 0): (0.25, 0.0, 1.0)})
     with pytest.raises(PreconditionError):
         BallField(2, 2, {(5, 5): (0.25, 1.0, 1.0)})
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        BallField(2, -1)
 
 
 def test_forward_balls_example():

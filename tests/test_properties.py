@@ -17,7 +17,8 @@ from conftest import (brute_direction_minima, brute_forward, brute_line_count,
                       reference_corrected_sinogram, reference_data_residual,
                       reference_forward_continuous, reference_layer_recon,
                       reference_obj_to_grid, reference_obj_to_sino,
-                      reference_sweep, reference_traverse_cells)
+                      reference_sweep, reference_traverse_cells,
+                      traverse_cells)
 from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    cell_chord, chord_weight, constant_weight,
                    correction_identity_check, count_connecting_lines,
@@ -25,7 +26,7 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    forward_continuous_family, forward_family, forward_weighted,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
-                   separation_margin, traverse_cells)
+                   separation_margin)
 from lxray import io as lio
 from lxray.continuum import _corrected_sinogram
 from lxray.counting import (_direction_minimum, _point_columns,
@@ -114,7 +115,8 @@ def test_shell_sweep_round_trip_is_bit_exact(case):
     f = random_int_grid(d, r, seed)
     plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
     g = forward_family(f, plan.rays.items())
-    assert plan.ray_keys() == set(g.entries)
+    assert set(plan.keys) == set(g.entries)
+    assert len(set(plan.keys)) == len(plan.keys)  # one line per target
     rec = (recon_annulus(g, plan) if beta is not None
            else recon_shells(g, plan))
     assert set(rec.values) == set(plan.points)
@@ -206,8 +208,13 @@ def ray_span_cases(draw):
 @example((Ray((0, 1), (1, 9)), Fraction(4), None))             # |dir|^2 > 4 r^2
 @example((Ray((1, 1, 1, 1), (1, 1, 1, 1)), Fraction(2), None))  # r^2 on a point
 def test_points_on_ray_matches_box_scan_in_ray_order(case):
+    # the ball about center: the ray translated by -center meets the ball
+    # about the origin, and its moved base is seldom normal to its direction
     ray, r, center = case
-    assert points_on_ray(ray, r, center) == brute_ray_points(ray, r, center)
+    c = center or (0,) * ray.d
+    moved = Ray(tuple(b - x for b, x in zip(ray.base, c)), ray.dir)
+    assert [tuple(a + x for a, x in zip(z, c)) for z in points_on_ray(moved, r)] \
+        == brute_ray_points(ray, r, center)
 
 
 @st.composite

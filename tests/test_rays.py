@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import on_line
+from conftest import on_line, shell_points
 from lxray import (Plane, PreconditionError, Ray, coordinate_plane,
                    effectively_irrational, enumerate_ball, make_plan, norm2,
                    perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
@@ -95,9 +95,11 @@ def test_points_on_ray_against_scan():
 
 
 def test_points_on_ray_with_center_and_rational_radius():
-    ray = Ray((0, 0), (1, 0))
-    got = points_on_ray(ray, Fraction(3, 2), center=(4, 0))
-    assert got == [(3, 0), (4, 0), (5, 0)]
+    # the ray (0, 0) + k(1, 0) against the ball about (4, 0), translated
+    # so that the ball's center is the origin
+    ray = Ray((-4, 0), (1, 0))
+    got = points_on_ray(ray, Fraction(3, 2))
+    assert got == [(-1, 0), (0, 0), (1, 0)]
 
 
 def test_effectively_irrational_examples():
@@ -125,7 +127,7 @@ def test_group_slices_partitions():
     pl = Plane((1, 1, 0), (0, 1, 1))
     pts = enumerate_ball(3, 3)
     slices = make_plan(3, 3, plane=pl).slices
-    groups = {k: dec.points() for k, dec in slices.items()}
+    groups = {k: shell_points(dec) for k, dec in slices.items()}
     collected = [z for grp in groups.values() for z in grp]
     assert sorted(collected) == sorted(pts)
     for grp in groups.values():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_int_grid
+from conftest import random_int_grid, shell_points, values_equal
 from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    PreconditionError, ReconPlan, ShellDecomposition,
                    build_shells, constant_weight, chord_weight, enumerate_ball,
@@ -23,7 +23,7 @@ def test_one_point_round_trip_indicator():
     dirs = {z: (5, 2) for z in pts}
     g = forward_family(f, one_point_family(pts, dirs))
     rec = recon_one_point(g, pts, dirs, 1)
-    assert rec.values_equal(f)
+    assert values_equal(rec, f)
 
 
 def test_one_point_round_trip_zero():
@@ -32,7 +32,7 @@ def test_one_point_round_trip_zero():
     f = GridFunction(2, 2)
     g = forward_family(f, one_point_family(pts, dirs))
     rec = recon_one_point(g, pts, dirs, 2)
-    assert rec.values_equal(f)
+    assert values_equal(rec, f)
 
 
 def test_one_point_round_trip_random():
@@ -42,7 +42,7 @@ def test_one_point_round_trip_random():
     f = random_int_grid(2, 10, seed=12)
     g = forward_family(f, one_point_family(pts, dirs))
     rec = recon_one_point(g, pts, dirs, 10)
-    assert rec.values_equal(f)
+    assert values_equal(rec, f)
 
 
 def test_one_point_weighted():
@@ -73,7 +73,7 @@ def test_shells_hand_example_ball_one():
     f = GridFunction(2, 1, {(0, 0): 1.0})
     plan = make_plan(2, 1)
     rec = recon_shells(tstar_data(f, plan), plan)
-    assert rec.values_equal(f)
+    assert values_equal(rec, f)
     assert rec.get((0, 0)) == 1.0
 
 
@@ -81,20 +81,20 @@ def test_shells_round_trip_small():
     for seed in range(5):
         f = random_int_grid(2, 2, seed=seed)
         plan = make_plan(2, 2)
-        assert recon_shells(tstar_data(f, plan), plan).values_equal(f)
+        assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
 
 
 def test_shells_round_trip_d3_slices():
     f = random_int_grid(3, 3, seed=20)
     plan = make_plan(3, 3)
-    assert recon_shells(tstar_data(f, plan), plan).values_equal(f)
+    assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
 
 
 def test_shells_round_trip_general_plane():
     pl = Plane((1, 1, 0), (0, 1, 1))
     plan = make_plan(3, 4, plane=pl)
     f = random_int_grid(3, 4, seed=21)
-    assert recon_shells(tstar_data(f, plan), plan).values_equal(f)
+    assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
 
 
 def test_shells_missing_entry():
@@ -114,7 +114,7 @@ def test_non_overdetermined_audit():
         n = len(enumerate_ball(d, r))
         assert len(plan.points) == n
         assert len(g.entries) == n
-        assert plan.ray_keys() == set(g.entries)
+        assert set(plan.keys) == set(g.entries)
 
 
 def test_intra_shell_order_independence():
@@ -138,7 +138,7 @@ def test_intra_shell_order_independence():
                       plane=plan.plane, weight=plan.weight, alpha=plan.alpha,
                       beta=plan.beta)
     assert plan2.order != plan.order
-    assert recon_shells(g, plan2).values_equal(baseline)
+    assert values_equal(recon_shells(g, plan2), baseline)
 
 
 def test_plan_refuses_points_not_in_an_earlier_shell():
@@ -153,7 +153,7 @@ def test_plan_refuses_points_not_in_an_earlier_shell():
         replan(dec.shells[::-1], dec.norms2[::-1])
     # one merged shell: the ray of (1, 0) meets (1, -1) in the same shell
     with pytest.raises(PlanError, match="not in an earlier shell"):
-        replan((dec.points(),), dec.norms2[:1])
+        replan((shell_points(dec),), dec.norms2[:1])
     # only the point opening the last shell is late on the ray of (0, 0)
     small = make_plan(2, 1)
     shells = (((1, 0), (0, 1), (0, -1)), ((-1, 0), (0, 0)))
@@ -192,12 +192,23 @@ def test_shells_round_trip_high_dimension_small_radius():
     for d in (12, 40):
         f = random_int_grid(d, 1, seed=d)
         plan = make_plan(d, 1)
-        assert recon_shells(tstar_data(f, plan), plan).values_equal(f)
+        assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
 
 
 def test_plan_refuses_targets_outside_the_ball():
     with pytest.raises(PreconditionError, match="outside the support ball"):
         make_plan(2, 2, points=[(0, 0), (2, 1)])
+
+
+def test_plan_refuses_a_negative_radius():
+    # the ball test squares the radius, so it cannot see a negative one
+    for make in (lambda: make_plan(2, -2, points=[(0, 0), (1, 1)]),
+                 lambda: make_plan(2, -2),
+                 lambda: ReconPlan(d=2, support_radius=-1, points=((0, 0),),
+                                   rays={(0, 0): Ray((0, 0), (1, 0))},
+                                   slices={(): build_shells([(0, 0)])})):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            make()
 
 
 def test_right_inverse_on_used_rays():
@@ -218,7 +229,7 @@ def test_annulus_full_equals_shells():
     plan_full = make_plan(2, 3)
     plan_ann = make_plan(2, 3, alpha=0, beta=3)
     g = tstar_data(f, plan_ann)
-    assert recon_annulus(g, plan_ann).values_equal(recon_shells(g, plan_full))
+    assert values_equal(recon_annulus(g, plan_ann), recon_shells(g, plan_full))
 
 
 def test_annulus_partial_recovery():
@@ -251,7 +262,7 @@ def test_weighted_constant_matches_unweighted():
     plan = make_plan(2, 3, weight=constant_weight(4.0))
     g = tstar_data(f, plan, weight=constant_weight(4.0))
     rec = recon_shells_weighted(g, plan)
-    assert rec.values_equal(f)
+    assert values_equal(rec, f)
 
 
 def test_weighted_random_round_trip():

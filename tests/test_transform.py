@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_forward, random_int_grid
+from conftest import brute_forward, random_int_grid, table_weight, values_equal
 from lxray import (GridFunction, PreconditionError, Ray, ZeroWeightError,
                    constant_weight, effectively_irrational, enumerate_ball,
                    forward, forward_family, forward_weighted, norm2,
@@ -46,7 +46,6 @@ def test_forward_weighted_examples():
 
 
 def test_table_weight():
-    from lxray import table_weight
     ray = Ray((0, 0), (0, 1))
     table = {((0, y), (0, 1)): float(2 + y) for y in (-1, 0, 1)}
     got = forward_weighted(ones(2, 1), ray, table_weight(table))
@@ -156,11 +155,15 @@ def test_grid_function_validation():
     for bad in (math.nan, math.inf, -math.inf, 10 ** 400):
         with pytest.raises(PreconditionError):
             GridFunction(2, 1, {(0, 0): bad})
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        GridFunction(2, -1)
+    with pytest.raises(PreconditionError, match="dimension"):
+        GridFunction(1, 1)
 
 
 def test_values_equal_ignores_explicit_zeros():
     a = GridFunction(2, 2, {(0, 0): 1.0})
     b = GridFunction(2, 2, {(0, 0): 1.0, (1, 1): 0.0})
-    assert a.values_equal(b) and b.values_equal(a)
+    assert values_equal(a, b) and values_equal(b, a)
     c = GridFunction(2, 2, {(0, 0): 1.0, (1, 1): 2.0})
-    assert not a.values_equal(c)
+    assert not values_equal(a, c)
