@@ -147,7 +147,8 @@ def cmd_forward(args) -> int:
         raise PreconditionError("--continuous and --weight are mutually exclusive")
     weight = _parse_weight(args.weight)
     points = plan_targets(enumerate_ball(grid.d, grid.support_radius),
-                          plane or coordinate_plane(grid.d), alpha, beta)
+                          plane or coordinate_plane(grid.d),
+                          grid.support_radius, alpha, beta)
     family = perp_family(points, plane)
     meta = FamilyMeta(kind=kind,
                       a=plane.a if plane else None, b=plane.b if plane else None,
@@ -234,7 +235,7 @@ def cmd_count(args) -> int:
     if args.what == "farey":
         count = farey_count(args.n, 2)
         oracle = totient_sum(args.n)
-        ratio = farey_asymptotic_report(args.n, 2)
+        ratio = farey_asymptotic_report(count, args.n)
         _emit_report(
             [f"Farey count at level {args.n}: {count} "
              f"(totient-sieve oracle {oracle}, match: {count == oracle})",

@@ -1,22 +1,14 @@
 """Brute-force verification of counting and separation estimates.
 
-Exhaustive, exact-arithmetic checks: the number of lines through at least
-two ball lattice points (sandwiched between its proved bounds), the Farey
-asymptotic ratio, and the integer separation estimate for projections of
-the lattice along a rational direction. The two-point-line count sums lens
-sizes over directions, O(r^(2d-1)) exact integer steps guarded by an
-explicit budget; the tests check it against a pair-scan oracle.
-
-The separation scan decides every (direction, point) pair in exact integer
-arithmetic, but scans one direction per orbit of the signed coordinate
-permutations: they map the ball's points onto themselves and leave the
-quantity unchanged, so every orbit member has the same minimum. The
-products of one direction with all points come at once from the points'
-coordinate columns, through C iterators.
-
-Both budgets are checked before any ball or direction list is built: ball
-sizes are counted row by row and primitive directions by Moebius inversion
-(``primitive_count``).
+Exhaustive, exact integer checks: the number of lines through at least two
+ball lattice points, between its proved bounds; the Farey asymptotic
+ratio; and the separation estimate for projections of the lattice along a
+rational direction. The line count sums lens sizes over directions, each
+lens one C pass over the ball's row columns. The separation scan takes one
+direction per orbit of the signed coordinate permutations, which map the
+ball onto itself and keep the quantity, against the points' coordinate
+columns. Both budgets are checked before any ball or direction list is
+built.
 """
 
 from __future__ import annotations
@@ -25,12 +17,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul, sub
 
 from .errors import BudgetError, PreconditionError
 from .lattice import (IntVec, as_fraction, ball_count, ball_radius, count_within,
-                      enumerate_ball, farey_count, mobius_sieve, norm2, primitive)
+                      enumerate_ball, mobius_sieve, norm2)
 
 # default ceiling on lens steps, directions x rows (d=4 radius 7 fits under it)
 DEFAULT_LENS_BUDGET = 150_000_000
@@ -61,15 +53,16 @@ class CountReport:
 
 
 def _lens(rows: dict[IntVec, int], v: IntVec) -> int:
-    """P(v) = #{z in B : z + v in B}, one intersection of two integer
-    intervals of the last coordinate per row of the ball."""
+    """P(v) = #{z in B : z + v in B}, all rows in one C pass over the row
+    columns. Row p, half-width m, meets row p + v[:-1], half-width m2 (-1,
+    empty, if absent), shifted by t in min(m, m2 - t) + min(m, m2 + t) + 1
+    points if that is positive."""
     head, t = v[:-1], v[-1]
-    total = 0
-    for p, m in rows.items():
-        m2 = rows.get(tuple(a + b for a, b in zip(p, head)))
-        if m2 is not None:
-            total += max(0, min(m, m2 - t) - max(-m, -m2 - t) + 1)
-    return total
+    shifted = zip(*[map(add, col, repeat(h)) for col, h in zip(zip(*rows), head)])
+    m2 = list(map(rows.get, shifted, repeat(-1)))
+    hi = map(min, rows.values(), map(sub, m2, repeat(t)))
+    lo = map(min, rows.values(), map(add, m2, repeat(t)))
+    return len(rows) + sum(map(max, map(add, hi, lo), repeat(-1)))
 
 
 def count_connecting_lines(r, d: int = 2, *,
@@ -120,10 +113,21 @@ def verify_count_bounds(r, d: int = 2, *,
                        upper_bound=upper, passed=lower < count < upper)
 
 
+def _half_ball(r, d: int) -> list[IntVec]:
+    """One point of each pair +-z of nonzero ball points: the ball's
+    lexicographic order is symmetric about the origin, so the points after
+    it are those whose first nonzero entry is positive."""
+    ball = enumerate_ball(d, r)
+    return ball[len(ball) // 2 + 1:]
+
+
 def canonical_primitives(r, d: int = 2) -> list[IntVec]:
-    """Canonical primitive vectors of norm <= r (one per antipodal pair)."""
-    return [z for z in enumerate_ball(d, r)
-            if any(c != 0 for c in z) and primitive(z) == z]
+    """Canonical primitive vectors of norm <= r (one per antipodal pair):
+    the points of ``_half_ball`` whose entries have gcd 1, in ball order."""
+    half = _half_ball(r, d)
+    if not half:
+        return []
+    return list(compress(half, map((1).__eq__, map(math.gcd, *zip(*half)))))
 
 
 def primitive_count(rho, d: int = 2, *, cap: int | None = None) -> int:
@@ -157,15 +161,9 @@ def _check_budget(n: int, rho, d: int, budget: int, what: str) -> None:
 
 
 def _point_columns(R: Fraction, d: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Coordinate columns and squared norms of one point of each pair +-z of
-    nonzero ball points; z and -z give every direction the same q.
-
-    Lexicographic order lists the ball symmetrically about the origin, so
-    the points after the origin are those with a positive first nonzero
-    entry.
-    """
-    ball = enumerate_ball(d, R)
-    half = ball[len(ball) // 2 + 1:]
+    """Coordinate columns and squared norms of the points of ``_half_ball``;
+    z and -z give every direction the same q."""
+    half = _half_ball(R, d)
     return list(zip(*half)), list(map(norm2, half))
 
 
@@ -195,12 +193,11 @@ def separation_margin(R, d: int = 2, *,
 
     zeta ranges over primitive directions of norm <= R, z over nonzero ball
     lattice points; the quantity is a nonnegative integer, zero exactly on
-    collinear pairs, so the minimum over the rest being >= 1 is the exact
-    separation estimate for lattice projections. Every pair is decided in
-    exact integer arithmetic, by scanning one direction per orbit of the
-    signed coordinate permutations (see the module docstring) against one
-    point of each pair +-z. ``budget`` caps the pairs, directions x nonzero
-    points, and is checked before anything is built.
+    collinear pairs, so a minimum >= 1 over the rest is the exact separation
+    estimate for lattice projections. One direction per orbit (see the
+    module docstring) is scanned against one point of each pair +-z.
+    ``budget`` caps the pairs, directions x nonzero points, and is checked
+    before anything is built.
     """
     rf = ball_radius(d, R)
     # nonzero ball points, exact up to the budget
@@ -214,8 +211,6 @@ def separation_margin(R, d: int = 2, *,
     return min(_direction_minimum(zeta, cols, norms) for zeta in reps)
 
 
-def farey_asymptotic_report(n: int, d: int = 2) -> float:
-    """Ratio of the level-n Farey count to its n -> infinity law 3 n^2 / pi^2."""
-    if d != 2:
-        raise PreconditionError("asymptotic report implemented for d=2")
-    return farey_count(n, 2) * math.pi ** 2 / (3.0 * n * n)
+def farey_asymptotic_report(count: int, n: int) -> float:
+    """Ratio of a level-n Farey count (d=2) to its asymptotic law 3 n^2 / pi^2."""
+    return count * math.pi ** 2 / (3.0 * n * n)

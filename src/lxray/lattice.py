@@ -24,7 +24,7 @@ from .errors import BudgetError, PreconditionError
 
 IntVec = tuple[int, ...]
 
-# enumeration cost guard for the definitional Farey counters
+# ceiling on the tuples farey_count decides
 FAREY_ENUM_BUDGET = 60_000_000
 
 
@@ -193,9 +193,7 @@ def primitive(z: Sequence[int]) -> IntVec:
 
 def is_canonical_direction(v: Sequence[int]) -> bool:
     """True iff v is a canonical primitive vector."""
-    if all(c == 0 for c in v):
-        return False
-    return tuple(v) == primitive(v)
+    return any(v) and tuple(v) == primitive(v)
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,11 @@ def build_shells(points: Iterable[IntVec], plane=None) -> ShellDecomposition:
 
 
 def farey_count(n: int, d: int = 2) -> int:
-    """Number of level-n Farey points in dimension d, by direct enumeration.
+    """Number of level-n Farey points in dimension d, tuple by tuple.
 
     Counts tuples (p_1,...,p_{d-1}, q) with 0 <= p_i < q <= n whose d
-    entries have gcd 1. This is the definitional count; ``totient_sieve``
-    provides the independent cross-check for d=2.
+    entries have gcd 1: per q one byte per tuple, zeroed by slice if some
+    prime of q divides every p_i. ``totient_sieve`` is the cross-check.
     """
     if n < 1:
         raise PreconditionError("Farey level must be >= 1")
@@ -258,21 +256,23 @@ def farey_count(n: int, d: int = 2) -> int:
         if work > FAREY_ENUM_BUDGET:
             raise BudgetError(f"farey_count({n}, {d}) needs more steps "
                               f"than the budget of {FAREY_ENUM_BUDGET}")
-    if d == 2:  # still one gcd per pair (p, q), mapped in C per q
-        return sum(list(map(math.gcd, range(q), repeat(q))).count(1)
-                   for q in range(1, n + 1))
+    primes = [[] for _ in range(n + 1)]  # the primes of each q
+    for p in range(2, n + 1):
+        if not primes[p]:
+            for m in range(p, n + 1, p):
+                primes[m].append(p)
     total = 0
     for q in range(1, n + 1):
-        stack = [(0, q)]
-        # depth-first over p-tuples, carrying the running gcd with q
-        while stack:
-            depth, g = stack.pop()
-            if depth == d - 1:
-                if g == 1:
-                    total += 1
-                continue
-            for p in range(q):
-                stack.append((depth + 1, math.gcd(g, p)))
+        step = q ** (d - 2)  # byte p_1 step + (p_2..p_{d-1} in base q)
+        tuples = bytearray(b"\x01") * (q * step)
+        for p in primes[q]:
+            tails = [0]  # bytes of the p_2..p_{d-1} all multiples of p
+            for _ in range(d - 2):
+                tails = [s * q + t for s in tails for t in range(0, q, p)]
+            gap = bytes(q // p)  # p_1 = 0, p, 2p, ...
+            for s in tails:
+                tuples[s::p * step] = gap
+        total += tuples.count(1)
     return total
 
 

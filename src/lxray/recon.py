@@ -150,9 +150,13 @@ class ReconPlan:
         return ChordTable(tuple(cells), ids, chords, on_line, ends, central)
 
 
-def plan_targets(points: list[IntVec], geom: Plane, alpha: Fraction | None,
-                 beta: Fraction | None) -> list[IntVec]:
-    """The points whose norm in plane geom lies in [alpha, beta]; None is open."""
+def plan_targets(points: list[IntVec], geom: Plane, r: Fraction,
+                 alpha: Fraction | None, beta: Fraction | None) -> list[IntVec]:
+    """The points whose norm in plane geom lies in [alpha, beta]; None is
+    open. A beta below the support radius r would leave the sweep unknowns."""
+    if beta is not None and beta < r:
+        raise PreconditionError(
+            f"annulus outer bound {beta} is below the support radius {r}")
     if alpha is None and beta is None:
         return points
     # exact integer bounds on det * in-plane norm^2
@@ -169,9 +173,8 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
 
     The support radius must be nonnegative and d >= 2 (``ball_radius``).
 
-    alpha/beta restrict the targets to in-plane norms within [alpha, beta];
-    beta must reach the support radius, or values outside the annulus
-    would feed the sweep unknown. ``rays`` maps each target to its ray
+    alpha/beta restrict the targets to in-plane norms within [alpha, beta]
+    (``plan_targets``). ``rays`` maps each target to its ray
     (default: the perpendicular family of ``plane``); a target without one
     is a PreconditionError, and the compile refuses a ray that is not
     based at its target and normal to it. The plan compiles its sweep once.
@@ -181,15 +184,12 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
         raise PreconditionError("plane dimension mismatch")
     af = as_fraction(alpha) if alpha is not None else None
     bf = as_fraction(beta) if beta is not None else None
-    if bf is not None and bf < r:
-        raise PreconditionError(
-            f"annulus outer bound {bf} is below the support radius {r}")
     geom = plane if plane is not None else coordinate_plane(d)
     pts = [tuple(z) for z in points] if points is not None else enumerate_ball(d, r)
     bad = next((z for z in pts if len(z) != d), None)
     if bad is not None:  # before build_shells, whose norms need d entries
         raise PreconditionError(f"target {bad} has wrong dimension")
-    pts = plan_targets(pts, geom, af, bf)
+    pts = plan_targets(pts, geom, r, af, bf)
     if rays is None:
         rays = dict(perp_family(pts, plane))
     else:

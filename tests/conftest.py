@@ -6,8 +6,11 @@ The continuum references keep the one-ray cell walk that the shared cut
 patterns replaced, and the per-round walks that the plan's chord table
 replaced, so the walker and the table's consumers are checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
-replaced. The file-reader references keep the row-by-row checks that the
-column checks replaced. The last group holds helpers that only the tests
+replaced. The counting references keep the gcd-per-tuple Farey count, the
+``primitive()`` filter for canonical primitives and the row-by-row lens
+size that the prime sieve, the gcd column and the lens columns replaced.
+The file-reader references keep the row-by-row checks that the column
+checks replaced. The last group holds helpers that only the tests
 call: the through-origin line recount, the Farey point sets, witnesses of
 the unbounded ray family, short-direction and table-weight models, the
 one-ray cell walk and function equality.
@@ -267,6 +270,45 @@ def brute_line_count(r, d=2):
                 base = tuple(a - q * b for a, b in zip(zi, p))
                 seen.add((p, base))
     return len(seen)
+
+
+def reference_farey_count(n, d=2):
+    """Level-n Farey points in dimension d, one gcd per tuple (oracle):
+    mapped in C per q for d=2, depth-first over p-tuples carrying the
+    running gcd with q for d >= 3."""
+    if d == 2:
+        return sum(list(map(math.gcd, range(q), itertools.repeat(q))).count(1)
+                   for q in range(1, n + 1))
+    total = 0
+    for q in range(1, n + 1):
+        stack = [(0, q)]
+        while stack:
+            depth, g = stack.pop()
+            if depth == d - 1:
+                if g == 1:
+                    total += 1
+                continue
+            for p in range(q):
+                stack.append((depth + 1, math.gcd(g, p)))
+    return total
+
+
+def reference_canonical_primitives(r, d=2):
+    """The nonzero ball points that ``primitive`` maps to themselves (oracle)."""
+    return [z for z in enumerate_ball(d, r)
+            if any(c != 0 for c in z) and primitive(z) == z]
+
+
+def reference_lens(rows, v):
+    """#{z : z + v in the rows' set} row by row (oracle): rows maps a prefix
+    to the half-width m of its last coordinates [-m, m]."""
+    head, t = v[:-1], v[-1]
+    total = 0
+    for p, m in rows.items():
+        m2 = rows.get(tuple(a + b for a, b in zip(p, head)))
+        if m2 is not None:
+            total += max(0, min(m, m2 - t) - max(-m, -m2 - t) + 1)
+    return total
 
 
 def lagrange_q(zeta, z):

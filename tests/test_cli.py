@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 
+import lxray.cli
+import lxray.counting
 import lxray.lattice
 import lxray.rays
 from conftest import values_equal
@@ -134,13 +137,25 @@ def test_forward_annulus_restricts_rays(tmp_path):
     assert zs and all(4 <= norm2(z) <= 16 for z in zs)
 
 
-def test_annulus_beta_below_radius_exit_code(tmp_path):
-    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+def test_annulus_beta_below_radius_exit_code(tmp_path, capsys):
+    # forward refuses the family no recon could invert, and writes nothing
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
     run(["phantom", "--kind", "random-int", "--d", "2", "--r", "4",
          "--seed", "6", "--out", str(g)])
-    run(["forward", "--grid", str(g), "--family", "annulus", "1", "3",
-         "--out", str(s)])
+    assert run(["forward", "--grid", str(g), "--family", "annulus", "1", "3",
+                "--out", str(s)]) == 2
+    assert ("annulus outer bound 3 is below the support radius 4"
+            in capsys.readouterr().err)
+    assert not s.exists()
+    # recon keeps its own refusal for a file written before that check
+    _, s = _forward_file(tmp_path, 2, 4, ["annulus", "1", "4"])
+    obj = json.loads(s.read_text())
+    obj["family"]["beta"] = "3"
+    s.write_text(json.dumps(obj))
+    r = tmp_path / "r.json"
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 2
+    assert "below the support radius 4" in capsys.readouterr().err
+    assert not r.exists()
 
 
 def test_weighted_pipeline(tmp_path):
@@ -349,6 +364,23 @@ def test_recon_never_solves_a_ray(tmp_path, monkeypatch):
     monkeypatch.setattr(lxray.rays, "perp_ray_in_plane", forbidden)
     for s in sinos:
         assert run(["recon", "--sino", str(s), "--out", str(s) + ".r"]) == 0
+
+
+def test_count_farey_counts_once(monkeypatch, capsys):
+    calls = []
+    real = lxray.cli.farey_count
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (lxray.cli, lxray.counting, lxray.lattice):
+        if hasattr(mod, "farey_count"):
+            monkeypatch.setattr(mod, "farey_count", counted)
+    assert run(["count", "farey", "--n", "30"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert len(calls) == 1 and payload["count"] == 278
+    assert payload["asymptotic_ratio"] == 278 * math.pi ** 2 / (3.0 * 30 * 30)
 
 
 def test_budget_exit_code():

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import lxray.lattice
+import lxray.rays
 from conftest import (brute_line_count, brute_separation_margin,
                       count_lines_through_origin, unbounded_ray_witnesses)
 from lxray import counting
 from lxray import (BudgetError, PreconditionError, ball_count,
                    canonical_primitives, count_connecting_lines,
-                   enumerate_ball, farey_asymptotic_report, primitive,
-                   separation_margin, ray_key, verify_count_bounds)
+                   enumerate_ball, farey_asymptotic_report, farey_count,
+                   primitive, separation_margin, ray_key, verify_count_bounds)
 from lxray.counting import DEFAULT_LENS_BUDGET, primitive_count
 
 
@@ -127,6 +129,23 @@ def test_separation_scans_one_direction_per_orbit(monkeypatch, R, d):
     assert len(seen) == len(orbits) and set(seen) == orbits
 
 
+def test_counting_kernels_call_no_primitive(monkeypatch):
+    # the canonical primitives come from one gcd column, not per point
+    calls = []
+    real = lxray.lattice.primitive
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    for mod in (lxray.lattice, lxray.rays, counting):
+        if hasattr(mod, "primitive"):
+            monkeypatch.setattr(mod, "primitive", counted)
+    assert verify_count_bounds(8).count == 8900
+    assert separation_margin(5) == 1
+    assert calls == []
+
+
 def separation_pairs(d, R):
     """Canonical primitives of norm <= R times nonzero ball points."""
     return len(canonical_primitives(R, d)) * (len(enumerate_ball(d, R)) - 1)
@@ -170,8 +189,11 @@ def test_primitive_count_examples():
 
 
 def test_farey_asymptotic_values():
-    assert farey_asymptotic_report(1) == pytest.approx(math.pi ** 2 / 3)
-    assert farey_asymptotic_report(3) == pytest.approx(4 * math.pi ** 2 / 27)
+    # the ratio is a function of the count: nothing is counted twice
+    assert farey_asymptotic_report(farey_count(1), 1) == \
+        pytest.approx(math.pi ** 2 / 3)
+    assert farey_asymptotic_report(farey_count(3), 3) == \
+        pytest.approx(4 * math.pi ** 2 / 27)
 
 
 def test_unbounded_ray_witnesses():

@@ -14,22 +14,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (brute_direction_minima, brute_forward, brute_line_count,
                       brute_ray_points, on_line, random_int_grid, reduced_key,
+                      reference_canonical_primitives,
                       reference_corrected_sinogram, reference_data_residual,
-                      reference_forward_continuous, reference_layer_recon,
+                      reference_farey_count, reference_forward_continuous,
+                      reference_layer_recon, reference_lens,
                       reference_obj_to_grid, reference_obj_to_sino,
                       reference_sweep, reference_traverse_cells,
                       traverse_cells)
 from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    cell_chord, chord_weight, constant_weight,
                    correction_identity_check, count_connecting_lines,
-                   data_residual, enumerate_ball, forward_continuous,
-                   forward_continuous_family, forward_family, forward_weighted,
+                   data_residual, enumerate_ball, farey_count,
+                   forward_continuous, forward_continuous_family,
+                   forward_family, forward_weighted,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
 from lxray import io as lio
 from lxray.continuum import _corrected_sinogram
-from lxray.counting import (_direction_minimum, _point_columns,
+from lxray.counting import (_direction_minimum, _lens, _point_columns,
                             primitive_count)
 from lxray.lattice import count_within
 from lxray.rays import (is_perp_ray, perp_ray, perp_ray_in_plane, walk_box,
@@ -84,6 +87,48 @@ def test_counted_sizes_match_enumeration(d, r, cap):
     assert capped == points if points <= cap else capped > cap
     capped = primitive_count(r, d, cap=cap)
     assert capped == prims if prims <= cap else capped > cap
+
+
+@st.composite
+def farey_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    return d, draw(st.integers(1, {2: 300, 3: 25, 4: 10}[d]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(farey_cases())
+@example((2, 300))
+@example((3, 25))
+@example((4, 10))
+def test_farey_sieve_count_matches_gcd_per_tuple(case):
+    d, n = case
+    assert farey_count(n, d) == reference_farey_count(n, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.fractions(0, 8, max_denominator=6))
+@example(2, Fraction(1, 2))
+@example(3, Fraction(0))
+@example(4, Fraction(7, 2))
+def test_canonical_primitives_match_primitive_filter(d, r):
+    if d > 2:
+        r = r / (d - 1)
+    assert canonical_primitives(r, d) == reference_canonical_primitives(r, d)
+
+
+@st.composite
+def lens_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    prefix = st.tuples(*[st.integers(-4, 4)] * (d - 1))
+    rows = draw(st.dictionaries(prefix, st.integers(0, 6), max_size=40))
+    return rows, draw(st.tuples(*[st.integers(-8, 8)] * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lens_cases())
+def test_lens_columns_match_row_loop(case):
+    rows, v = case
+    assert _lens(rows, v) == reference_lens(rows, v)
 
 
 def _independent(ab):
