@@ -11,8 +11,7 @@ from .lattice import (ShellDecomposition, as_fraction, ball_count,
                       is_canonical_direction, norm2, primitive, totient_sieve,
                       totient_sum)
 from .rays import (Plane, Ray, RayKey, coordinate_plane, effectively_irrational,
-                   perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
-                   ray_key)
+                   perp_family, perp_ray, points_on_ray, ray_key)
 from .transform import (FamilyMeta, GridFunction, Sinogram, constant_weight,
                         forward, forward_family, forward_weighted,
                         project_and_bin)

@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -278,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("forward", help="project a grid along a ray family")
     p.add_argument("--grid", required=True)
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--continuous", action="store_true",
                    help="continuous transform of the unit-cell field")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("recon", help="reconstruct a grid from a sinogram")
     p.add_argument("--sino", required=True)
@@ -305,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residuals", default=None,
                    help="residual CSV path for --iterate")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_recon)
 
     p = sub.add_parser("export", help="write a grid as CSV for plotting")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("count", help="counting and separation reports")
     csub = p.add_subparsers(dest="what", required=True)
@@ -318,28 +315,30 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", required=True)
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--budget", type=int, default=DEFAULT_LENS_BUDGET)
-    c.set_defaults(func=cmd_count)
     c = csub.add_parser("farey", help="Farey count and asymptotic ratio")
     c.add_argument("--n", type=int, required=True)
-    c.set_defaults(func=cmd_count)
     c = csub.add_parser("separation", help="projection separation scan")
     c.add_argument("--R", required=True)
     c.add_argument("--d", type=int, default=2)
-    c.set_defaults(func=cmd_count)
     c = csub.add_parser("bounds", help="sandwich bounds for the line count")
     c.add_argument("--r", required=True)
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--budget", type=int, default=DEFAULT_LENS_BUDGET)
-    c.set_defaults(func=cmd_count)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a wrapper set on this module is seen
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -35,11 +35,11 @@ import os
 import tempfile
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import eq, gt, itemgetter, lt, mul
+from operator import eq, gt, itemgetter
 
 from .errors import FileFormatError, PreconditionError
-from .lattice import as_fraction, ball_radius, is_canonical_direction
-from .rays import Ray, RayKey, ray_key
+from .lattice import as_fraction, ball_radius, dots, is_canonical_direction
+from .rays import Ray, RayKey, ray_key, ray_keys
 from .transform import FamilyMeta, GridFunction, Sinogram
 
 FAMILY_KINDS = ("tstar", "tstar_plane", "free")
@@ -100,10 +100,6 @@ def _values(vs: list) -> list[float] | None:
     except OverflowError:
         return None
     return vals if all(map(math.isfinite, vals)) else None
-
-
-def _dots(us, vs) -> list[int]:
-    return list(map(sum, map(map, repeat(mul), us, vs)))
 
 
 def write_json_atomic(path: str, obj) -> None:
@@ -169,7 +165,7 @@ def _grid_columns(rows: list, d: int, r: Fraction):
     points = list(map(tuple, zs))
     r2 = r * r
     if (len(set(points)) != len(points)
-            or r2.denominator * max(_dots(points, points), default=0) > r2.numerator):
+            or r2.denominator * max(dots(points, points), default=0) > r2.numerator):
         return None
     return points, vals
 
@@ -226,15 +222,10 @@ def obj_to_meta(obj, d: int) -> FamilyMeta:
 
 
 def sino_to_obj(s: Sinogram) -> dict:
-    rows = []
-    for z, ray in sorted(s.family):
-        key = ray_key(ray)
-        rows.append({
-            "z": list(z),
-            "dir": list(key.dir),
-            "base": list(key.base),
-            "v": s.entries[key],
-        })
+    family = sorted(s.family)
+    keys = ray_keys([ray for _, ray in family])
+    rows = [{"z": list(z), "dir": list(key.dir), "base": list(key.base),
+             "v": s.entries[key]} for (z, _), key in zip(family, keys)]
     return {"d": s.d, "family": meta_to_obj(s.meta), "rays": rows}
 
 
@@ -277,14 +268,13 @@ def _sino_columns(rows: list, d: int):
     if (set(map(math.gcd, *zip(*dirs))) != {1}
             or not all(map(gt, dirs, repeat((0,) * d)))):
         return None
-    bp = _dots(bases, dirs)  # reduced: 0 <= base.dir < |dir|^2
-    if min(bp) < 0 or not all(map(lt, bp, _dots(dirs, dirs))):
+    rays, keys = list(map(Ray, bases, dirs)), list(map(RayKey, dirs, bases))
+    if ray_keys(rays) != keys:  # reduced: 0 <= base.dir < |dir|^2
         return None
-    keys = list(map(RayKey, dirs, bases))
     entries = dict(zip(keys, vals))
     if len(entries) < len(keys) and not all(map(eq, map(entries.get, keys), vals)):
         return None  # conflicting values for one line
-    return entries, tuple(zip(zs, map(Ray, bases, dirs)))
+    return entries, tuple(zip(zs, rays))
 
 
 def _sino_by_rows(rows: list, d: int):

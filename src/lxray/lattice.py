@@ -1,14 +1,10 @@
 """Exact integer-lattice primitives.
 
-Lattice points are plain tuples of Python ints; radii and squared norms are
-``fractions.Fraction``. Every geometric comparison in this module is exact:
-nothing is ever decided by floating point. Float radii are accepted but are
-converted to the exact rational value of the float before use.
-
-Directions are represented by their canonical primitive vector: the integer
-vector divided by the gcd of its entries, sign-flipped so that the first
-nonzero entry is positive. Two integer vectors span the same line direction
-iff they have the same canonical primitive.
+Lattice points are tuples of ints; radii and squared norms are Fractions
+(a float radius is taken at its exact value), and no comparison here is
+decided in floating point. A direction is its canonical primitive vector:
+divided by the gcd of its entries, sign-flipped so the first nonzero entry
+is positive. Two integer vectors span one direction iff they share it.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
@@ -29,12 +25,8 @@ FAREY_ENUM_BUDGET = 60_000_000
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational of an int, Fraction, float or 'p/q' string.
-
-    A float gives the exact binary value of the float. Anything else, a
-    malformed string, a zero denominator or a non-finite float raises
-    PreconditionError.
-    """
+    """Exact rational of an int, Fraction, float (its binary value) or 'p/q'
+    string; anything else, or a bad string or float, is a PreconditionError."""
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, (int, float, str)):
@@ -58,20 +50,14 @@ def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def scale(k, v: Sequence) -> tuple:
-    return tuple(k * c for c in v)
-
-
 def unit_vector(d: int, axis: int) -> IntVec:
     return tuple(1 if i == axis else 0 for i in range(d))
 
 
 def box_index(d: int, num: int, den: int) -> tuple[IntVec, int, int]:
-    """Base-(2m + 1) numbering of the box [-m, m]^d, m = floor of the radius.
-
-    Returns (place, offset, size): z -> offset + z.place is injective on the
-    box, lands in range(size) and is affine in k along a ray.
-    """
+    """Base-(2m + 1) numbering of the box [-m, m]^d, m = floor of the radius:
+    (place, offset, size), z -> offset + z.place injective on the box, into
+    range(size) and affine in k along a ray."""
     m = math.isqrt(num // den)
     place = tuple((2 * m + 1) ** i for i in reversed(range(d)))
     return place, m * sum(place), (2 * m + 1) ** d
@@ -84,18 +70,26 @@ def box_ids(points: Collection[IntVec], place: IntVec, offset: int
     Taken column by column, the inverse of ``box_points``; no points give [].
     """
     ids = [offset] * len(points)
-    for col, step in zip(zip(*points), place):
-        ids = map(add, ids, map(mul, col, repeat(step)))
+    for i, step in enumerate(place):
+        ids = map(add, ids, map(mul, map(itemgetter(i), points), repeat(step)))
     return list(ids)
+
+
+def dots(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]
+         ) -> list[int]:
+    """u.v for each pair of rows of one length, column by column; read by
+    ``itemgetter``, as ``zip(*rows)`` makes one iterator per row for the
+    garbage collector to traverse."""
+    acc = [0] * len(us)
+    for col in map(itemgetter, range(len(us[0]) if us else 0)):
+        acc = map(add, acc, map(mul, map(col, us), map(col, vs)))
+    return list(acc)
 
 
 def box_points(ids: Iterable[int], place: IntVec, offset: int
                ) -> Iterator[IntVec]:
-    """The points of the box that ``box_index``'s (place, offset) number ids.
-
-    Coordinate k of number i is (i // place[k]) mod (2m + 1) - m, taken
-    column by column, so no point is built digit by digit.
-    """
+    """The box points that ``box_index``'s (place, offset) number ids:
+    coordinate k of id i is (i // place[k]) mod (2m + 1) - m, by columns."""
     ids = list(ids)
     m = offset // sum(place)
     return zip(*[map(sub, map(mod, map(floordiv, ids, repeat(step)),
@@ -104,12 +98,8 @@ def box_points(ids: Iterable[int], place: IntVec, offset: int
 
 
 def enumerate_ball(d: int, r) -> list[IntVec]:
-    """All z in Z^d with |z|^2 <= r^2, in lexicographic order.
-
-    The membership test compares the integer squared norm against the
-    exact rational r^2, so the boundary is decided exactly for any rational
-    (or float-valued) radius.
-    """
+    """All z in Z^d with |z|^2 <= r^2, in lexicographic order, the boundary
+    decided exactly against the rational r^2."""
     r2 = ball_radius(d, r) ** 2
     num, den = r2.numerator, r2.denominator
 
@@ -143,11 +133,9 @@ def ball_radius(d: int, r) -> Fraction:
 def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
     """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, counted row by row.
 
-    Every prefix of the first d-1 coordinates holds a whole row of
-    2 isqrt(...) + 1 last coordinates, by the exact test of
-    ``enumerate_ball``, and a prefix and its mirror hold equal rows. With a
-    ``cap`` the count stops once it passes the cap and returns a number
-    above it; a result <= cap is exact.
+    Each prefix of the first d-1 coordinates holds a row of 2 isqrt(...) + 1
+    last coordinates (``enumerate_ball``'s exact test), as does its mirror.
+    With a ``cap`` the count stops past the cap; a result <= cap is exact.
     """
     den = r2.denominator
 
@@ -173,12 +161,8 @@ def ball_count(d: int, r) -> int:
 
 
 def primitive(z: Sequence[int]) -> IntVec:
-    """Canonical primitive vector of a nonzero integer vector.
-
-    Divides by the gcd of the entries and flips the sign so the first
-    nonzero entry is positive; primitive(k*z) == primitive(z) for any
-    nonzero integer k.
-    """
+    """Canonical primitive vector of a nonzero integer vector:
+    primitive(k*z) == primitive(z) for any nonzero integer k."""
     g = 0
     for c in z:
         g = math.gcd(g, c)
@@ -200,10 +184,9 @@ def is_canonical_direction(v: Sequence[int]) -> bool:
 class ShellDecomposition:
     """Partition of a point set into shells of equal squared norm.
 
-    ``shells[j]`` holds the points whose squared (in-plane) distance to the
-    origin is ``norms2[j]``; norms strictly decrease with j, so the last
-    shell is the innermost one. Points within a shell are in lexicographic
-    order (a reproducibility convention; no semantics attach to it).
+    ``shells[j]`` holds the points of squared (in-plane) norm ``norms2[j]``;
+    norms strictly decrease, so the last shell is innermost. A shell is in
+    lexicographic order, for reproducibility only.
     """
 
     shells: tuple[tuple[IntVec, ...], ...]
@@ -214,15 +197,10 @@ class ShellDecomposition:
 
 
 def build_shells(points: Iterable[IntVec], plane=None) -> ShellDecomposition:
-    """Group points by exact squared norm, outermost first.
-
-    With ``plane`` given (any object exposing ``scaled_inplane_norm2`` and
-    ``det``), the norm is that of the point's projection onto the plane,
-    so the decomposition orders a two-dimensional slice by its own radial
-    norm. Points are grouped by the exact integer scaled norm and each
-    shell's norm becomes a Fraction once. Ties form one shell; an empty
-    input yields an empty decomposition.
-    """
+    """Group points by exact squared norm, outermost first; ties share a
+    shell. With a ``plane`` (``scaled_inplane_norm2`` and ``det``), the
+    norm is that of the projection, grouped by the integer scaled norm, so
+    a 2D slice is ordered by its own radial norm."""
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise PreconditionError("points must be pairwise distinct")

@@ -1,21 +1,18 @@
 """Rational rays on the integer lattice.
 
-A ray is an (unoriented) straight line carrying lattice points: a lattice
-base point plus a canonical primitive integer direction. Lines are
-identified by a reduced key so that any two rays describing the same line
-hash and compare equal; sinograms are stored per key.
+A ray is an unoriented line through lattice points: a lattice base point
+plus a canonical primitive direction. A reduced key makes all rays of one
+line hash and compare equal; sinograms are stored per key.
 
-The module also builds the per-point ray family used by the exact
-inversions: each lattice point z is assigned the line through z that is
-perpendicular, within a chosen coordinate or general integer plane, to z's
-in-plane component. That makes z the unique in-plane-norm minimizer among
-the lattice points of its ray, which is what drives the shell recursion.
+The per-point family of the exact inversions gives each lattice point z
+the line through z perpendicular, within a coordinate or general integer
+plane, to z's in-plane part, so z is the unique in-plane-norm minimizer on
+its ray: that drives the shell recursion. Keys, ball spans and the family
+are computed as columns over many rays.
 
-Last comes the ray-cell geometry of the continuum bridge, in doubles: the
-chord of a ray through a unit cell (slab clipping against the closed cube),
-the walk over the cells rays cross inside a ball, in parameter order and
-by shared per-direction cut patterns, and the exact test for a lattice
-point on a ray's line.
+Last comes the continuum bridge's ray-cell geometry, in doubles: a ray's
+chord through a unit cell (slab clipping), the cell walk of rays in a ball
+by shared per-direction cut patterns, and the exact point-on-line test.
 """
 
 from __future__ import annotations
@@ -23,14 +20,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul, ne, sub, truediv
+from itertools import compress, repeat
+from operator import (add, floordiv, ge, itemgetter, lt, mul, ne, neg, not_,
+                      sub, truediv)
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, box_index, dot,
-                      is_canonical_direction, norm2, primitive, scale,
-                      unit_vector, vsub)
+from .lattice import (IntVec, as_fraction, box_ids, box_index, dot, dots,
+                      is_canonical_direction, norm2, primitive, unit_vector,
+                      vsub)
 
 
 class Ray(NamedTuple):
@@ -43,21 +41,15 @@ class Ray(NamedTuple):
 
 
 class RayKey(NamedTuple):
-    """Line identity: canonical direction plus the reduced base point.
-
-    The base is shifted along the direction so that 0 <= base.dir < |dir|^2;
-    every lattice point of the line reduces to the same representative.
-    """
+    """Line identity: the canonical direction and the base shifted along
+    it into 0 <= base.dir < |dir|^2, the same for every point of the line."""
 
     dir: IntVec
     base: IntVec
 
 
 def ray_key(ray: Ray) -> RayKey:
-    """The line's key; a base already in [0, |dir|^2) keeps the Ray's tuples.
-
-    That holds for every perpendicular-family ray (base.dir = 0).
-    """
+    """The line's key; a base already in [0, |dir|^2) keeps the Ray's tuples."""
     p, base = ray.dir, ray.base
     k = sum(map(mul, base, p)) // sum(map(mul, p, p))
     if k == 0:
@@ -65,14 +57,22 @@ def ray_key(ray: Ray) -> RayKey:
     return RayKey(p, tuple(bi - k * pi for bi, pi in zip(base, p)))
 
 
+def ray_keys(rays: Sequence[Ray]) -> list[RayKey]:
+    """``ray_key`` of rays of one dimension; only those whose base.dir //
+    |dir|^2 is not 0 (none of a perpendicular family) call it."""
+    bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, bases)))
+    shifts = map(floordiv, dots(bases, dirs), dots(dirs, dirs))
+    for i in compress(range(len(keys)), shifts):
+        keys[i] = ray_key(rays[i])
+    return keys
+
+
 @dataclass(frozen=True)
 class Plane:
-    """Integer plane span{a, b} with its Gram data.
-
-    a and b must be linearly independent integer vectors; det is the Gram
-    determinant (a.a)(b.b) - (a.b)^2 > 0. Projections onto the plane are
-    exact rationals with denominator det.
-    """
+    """Integer plane span{a, b} of independent a, b, with Gram determinant
+    det = (a.a)(b.b) - (a.b)^2 > 0: projections are rationals over det."""
 
     a: IntVec
     b: IntVec
@@ -102,11 +102,8 @@ class Plane:
         return s * s * self.bb - 2 * s * t * self.ab + t * t * self.aa
 
     def slice_key(self, z: Sequence[int]) -> IntVec:
-        """det * (component of z orthogonal to the plane), an integer vector.
-
-        Two lattice points share a key iff they lie in the same affine
-        slice parallel to the plane. z must have d entries.
-        """
+        """det * (z's component normal to the plane), an integer vector:
+        points share it iff they share an affine slice parallel to the plane."""
         s, t = sum(map(mul, z, self.a)), sum(map(mul, z, self.b))
         un, vn = s * self.bb - t * self.ab, t * self.aa - s * self.ab
         # det * proj(z) is un * a + vn * b
@@ -120,63 +117,47 @@ def coordinate_plane(d: int) -> Plane:
 
 
 def perp_ray(z: Sequence[int]) -> Ray:
-    """The ray through z perpendicular to z's first-two-coordinates part.
-
-    For z with z1 = z2 = 0 the perpendicularity constraint is vacuous and
-    the direction is fixed to the first axis (any fixed rational in-plane
-    direction serves the shell inversion equally well).
-    """
-    z = tuple(z)
-    d = len(z)
-    if d < 2:
-        raise PreconditionError("dimension must be >= 2")
-    if z[0] == 0 and z[1] == 0:
-        return Ray(z, unit_vector(d, 0))
-    dirv = primitive((-z[1], z[0]) + (0,) * (d - 2))
-    return Ray(z, dirv)
-
-
-def perp_ray_in_plane(z: Sequence[int], plane: Plane) -> Ray:
-    """The ray through z, parallel to the plane, perpendicular to z in it.
-
-    The direction is the canonical primitive of -(z.b)a + (z.a)b, which is
-    orthogonal to z by construction (asserted exactly); in the degenerate
-    case z.a = z.b = 0 the direction is fixed to primitive(a).
-    """
-    z = tuple(z)
-    if len(z) != plane.d:
-        raise PreconditionError("point and plane dimensions differ")
-    s, t = dot(z, plane.a), dot(z, plane.b)
-    if s == 0 and t == 0:
-        return Ray(z, primitive(plane.a))
-    w = vsub(scale(s, plane.b), scale(t, plane.a))
-    assert dot(w, z) == 0
-    return Ray(z, primitive(w))
+    """The ray through z normal to z's first two coordinates; where both
+    are 0, the first axis (any fixed in-plane direction would serve)."""
+    return perp_family([z])[0][1]
 
 
 def perp_family(points: Iterable[IntVec],
                 plane: Plane | None = None) -> list[tuple[IntVec, Ray]]:
-    """One ray per point: the per-point perpendicular family.
-
-    Each ray is based at its point and normal to it, and a line holds at
-    most one lattice point z with z.dir = 0, so distinct points never share
-    a line and the inversion stays non-overdetermined; nothing is checked.
-    """
-    if plane is None:
-        return [(tuple(z), perp_ray(z)) for z in points]
-    return [(tuple(z), perp_ray_in_plane(z, plane)) for z in points]
+    """One ray per point, based at it and normal to it: ``perp_ray``, or in
+    a plane (a, b) the primitive of (z.a)b - (z.b)a (of a where z.a = z.b =
+    0). Taken as columns, one gcd per point of the plane's dimension. A line
+    holds one lattice point z with z.dir = 0 at most, so distinct points
+    never share a line: the inversion stays non-overdetermined."""
+    zs = list(map(tuple, points))
+    if not zs:
+        return []
+    d = plane.d if plane is not None else len(zs[0])
+    if d < 2:
+        raise PreconditionError("dimension must be >= 2")
+    if set(map(len, zs)) != {d}:
+        raise PreconditionError("point and plane dimensions differ")
+    geom = plane if plane is not None else coordinate_plane(d)
+    s, t = (dots(zs, [v] * len(zs)) for v in (geom.a, geom.b))
+    # the in-plane normal (z.a) b - (z.b) a, divided by its gcd g, negated
+    # where its first nonzero entry is negative; g is 0 only without one
+    w = [list(map(sub, map(mul, s, repeat(bi)), map(mul, t, repeat(ai))))
+         for ai, bi in zip(geom.a, geom.b)]
+    g = list(map(math.gcd, *w))
+    q = list(map(mul, map(max, g, repeat(1)), map(
+        pow, repeat(-1), map(lt, zip(*w), repeat((0,) * d)))))
+    dirs = zip(*[map(floordiv, col, q) for col in w])
+    family = list(zip(zs, map(tuple.__new__, repeat(Ray), zip(zs, dirs))))
+    axis = primitive(geom.a)
+    for i in compress(range(len(zs)), map(not_, g)):
+        family[i] = zs[i], Ray(zs[i], axis)
+    return family
 
 
 def is_perp_ray(z: IntVec, ray: Ray, plane: Plane | None = None) -> bool:
-    """True iff ray is z's perpendicular-family ray, for a canonical ray.dir.
-
-    Equal to ``ray == perp_ray(z)`` (``perp_ray_in_plane(z, plane)`` with a
-    plane) whenever ray.dir is a canonical primitive vector, in O(d) and
-    without ``primitive``: the ray must be based at z, normal to z and lie
-    in the plane. Inside the plane the directions normal to a nonzero
-    vector form one line, which has one canonical primitive vector; where
-    z has no in-plane part, the direction must be the fixed axis.
-    """
+    """``ray == perp_family([z], plane)[0][1]`` for a canonical ray.dir, in
+    O(d): based at z, normal to z and in the plane, where the normals to a
+    nonzero vector form one line; without an in-plane part, the fixed axis."""
     p = ray.dir
     if ray.base != z or sum(map(mul, z, p)):
         return False
@@ -191,34 +172,45 @@ def is_perp_ray(z: IntVec, ray: Ray, plane: Plane | None = None) -> bool:
 
 
 def ray_span(ray: Ray, num: int, den: int) -> range:
-    """The integer k with den * |base + k*dir|^2 <= num, as a range.
+    """The k with den |base + k dir|^2 <= num, as a range (``ray_spans``)."""
+    (k,), (n,) = ray_spans((ray,), num, den)
+    return range(k, k + n)
 
-    num/den is the squared radius. With a = den|dir|^2, b = 2 den (base.dir),
-    c = den|base|^2 - num the condition is a k^2 + b k + c <= 0, i.e.
-    (2ak + b)^2 <= disc = b^2 - 4ac; for integer k that holds iff
-    |2ak + b| <= isqrt(disc), so the range is exact and no k in it needs
-    re-checking.
+
+def ray_spans(rays: Sequence[Ray], num: int, den: int
+              ) -> tuple[list[int], list[int]]:
+    """Each ray's first k and count of k with den |base + k dir|^2 <= num.
+
+    With A = den|dir|^2, B = den base.dir, C = den|base|^2 - num that is
+    (Ak + B)^2 <= D = B^2 - AC, for integer k iff |Ak + B| <= isqrt(D):
+    exact. Columns over rays of one dimension; D < 0 counts 0.
     """
-    pp = up = uu = 0
-    for ui, pi in zip(ray.base, ray.dir):
-        pp += pi * pi
-        up += ui * pi
-        uu += ui * ui
-    a2 = 2 * den * pp
-    b = 2 * den * up
-    disc = b * b - 2 * a2 * (den * uu - num)
-    if disc < 0:
-        return range(0)
-    s = math.isqrt(disc)
-    return range(-((b + s) // a2), (s - b) // a2 + 1)
+    bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
+    a = list(map(mul, dots(dirs, dirs), repeat(den)))
+    b = list(map(mul, dots(bases, dirs), repeat(den)))
+    c = map(sub, map(mul, dots(bases, bases), repeat(den)), repeat(num))
+    disc = list(map(sub, map(mul, b, b), map(mul, a, c)))
+    s = list(map(math.isqrt, map(abs, disc)))  # counted only where disc >= 0
+    below = list(map(floordiv, map(add, b, s), a))  # minus the first k
+    counts = map(add, map(floordiv, map(sub, s, b), a), below)
+    return (list(map(neg, below)),
+            list(map(mul, map(add, counts, repeat(1)), map(ge, disc, repeat(0)))))
+
+
+def ray_boxes(rays: Sequence[Ray], num: int, den: int, place: IntVec,
+              offset: int) -> tuple[list[int], list[int], list[int]]:
+    """``ray_spans`` in ``box_index(d, num, den)``'s numbers: ray i's ball
+    points are firsts[i] + j*steps[i], j < counts[i]. A step is 0 only for a
+    direction too long for two points of the box, so for at most one."""
+    ks, counts = ray_spans(rays, num, den)
+    steps = box_ids(list(map(itemgetter(1), rays)), place, 0)
+    firsts = list(map(add, box_ids(list(map(itemgetter(0), rays)), place, offset),
+                      map(mul, ks, steps)))
+    return firsts, steps, counts
 
 
 def points_on_ray(ray: Ray, r) -> list[IntVec]:
-    """Lattice points of the ray within |x| <= r, ordered along it.
-
-    The k-range comes from ``ray_span`` (exact integer arithmetic, no
-    floating ray marching).
-    """
+    """Lattice points of the ray within |x| <= r, in order (``ray_span``)."""
     r2 = as_fraction(r) ** 2
     return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator)))
 
@@ -233,12 +225,9 @@ def ray_points(ray: Ray, ks: range) -> Iterator[IntVec]:
 
 
 def effectively_irrational(theta: Sequence[int], r) -> bool:
-    """True iff |theta|^2 > 4 r^2 for the canonical primitive theta.
-
-    Consecutive lattice points of any line with this direction are more
-    than 2r apart, so the line meets a radius-r ball in at most one
-    lattice point: the direction acts irrationally at scale r.
-    """
+    """True iff |theta|^2 > 4 r^2 for the canonical primitive theta: the
+    lattice points of its lines are over 2r apart, so a line meets a
+    radius-r ball in one at most (irrational at scale r)."""
     if not is_canonical_direction(theta):
         raise PreconditionError("direction must be a canonical primitive vector")
     rf = as_fraction(r)
@@ -246,12 +235,9 @@ def effectively_irrational(theta: Sequence[int], r) -> bool:
 
 
 def cell_chord(ray: Ray, cell: IntVec) -> float:
-    """Length of the ray's intersection with the closed unit cube at cell.
-
-    Slab clipping in doubles; 0.0 when the line misses the cube. Lattice
-    bases and integer cell centers keep the degenerate ray-in-face case
-    unreachable (faces sit at half-integers).
-    """
+    """Length of the ray in the closed unit cube at cell, by slab clipping;
+    0.0 if it misses. Faces sit at half-integers, so no lattice-based ray
+    lies in one."""
     tmin, tmax = -math.inf, math.inf
     for bi, pi, ci in zip(ray.base, ray.dir, cell):
         if pi == 0:
@@ -285,14 +271,13 @@ def _ball_window(ray: Ray, radius: float) -> tuple[float, float] | None:
 
 def _cut_pattern(p: IntVec, spans: list[list[float]], place: IntVec
                  ) -> tuple[list[float], list[float], list[int], list[bool]]:
-    """Direction p's cell cuts over sorted parameter spans, and its segments.
+    """Direction p's cell cuts over sorted parameter spans, and segments.
 
-    A lattice-based ray crosses the cell faces at t = (m + 1/2)/p_i whatever
-    its base, so the sorted cuts (a few beyond each span), each segment's
-    chord (t_{j+1} - t_j)|p| and its cell's offset floor(t_mid p_i + 1/2)
-    from the base (numbered by place) are the same doubles for every ray of
-    direction p. The offset is a multiple of p, the cell on the line, iff
-    the segment holds an integer t; no cut is an integer.
+    Any lattice-based ray crosses faces at t = (m + 1/2)/p_i, so the sorted
+    cuts (a few past each span), each segment's chord (t_{j+1} - t_j)|p|
+    and its cell's offset floor(t_mid p_i + 1/2) from the base (numbered by
+    place) are the same doubles for every ray of direction p. The offset
+    is on the line iff the segment holds an integer t; no cut is one.
     """
     cuts: set[float] = set()
     for lo, hi in spans:
@@ -318,10 +303,9 @@ def _cut_pattern(p: IntVec, spans: list[list[float]], place: IntVec
 def _lone_walk_cut(ray: Ray, t0: float, t1: float, t: float) -> bool:
     """Does a walk of this ray alone over the window (t0, t1) cut at t?
 
-    It takes axis i's cuts (k + 1/2 - b_i)/p_i for k from floor(lo + 1/2),
-    lo = b_i + t p_i rounded at the window's low-coordinate end, which can
-    leave out a cut within roundoff of the window; the range's top reaches
-    past the window's other end.
+    It takes axis i's cuts (k + 1/2 - b_i)/p_i from k = floor(lo + 1/2),
+    lo = b_i + t p_i rounded at the window's low-coordinate end, so it can
+    miss a cut within roundoff of the window; its top reaches past it.
     """
     for bi, pi in zip(ray.base, ray.dir):
         if pi:
@@ -336,13 +320,11 @@ def walk_cells(rays: Sequence[Ray], radius: float
                ) -> Iterator[tuple[int, list[int], list[float], list[bool]]]:
     """Each ray's cells inside the ball of the given radius, in walk order.
 
-    Yields (position in rays, ids, chords, on_line) for each ray meeting
-    the ball, grouped by direction: the crossed cells' numbers in
-    ``walk_box(d, radius)``, their chords and whether each lies on the
-    ray's line. A direction's cut pattern is built once over the union of
-    its rays' ball windows; per ray the window is bisected and the two end
-    segments are clipped by the ball, bit for bit as a walk of the ray
-    alone would. Nothing is kept between calls.
+    Yields (position in rays, ids, chords, on_line) per ray meeting the
+    ball, by direction: cell numbers in ``walk_box(d, radius)``, chords and
+    whether each cell is on the line. A direction's cut pattern is built
+    once over its rays' ball windows; per ray the window is bisected and
+    its end segments clipped, bit for bit as a lone walk would.
     """
     windows = [_ball_window(ray, radius) for ray in rays]
     by_dir: dict[IntVec, list[int]] = {}
@@ -407,11 +389,8 @@ def walk_cells(rays: Sequence[Ray], radius: float
 
 
 def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
-    """(place, offset) numbering every cell a walk within radius can cross.
-
-    A crossed cell holds a point of the ball, so each of its coordinates is
-    at most floor(|radius|) + 1 in absolute value.
-    """
+    """(place, offset) numbering every cell a walk within radius can cross:
+    such a cell holds a ball point, so |coordinate| <= floor(|radius|) + 1."""
     m = math.floor(abs(radius)) + 1
     return box_index(d, m * m, 1)[:2]
 

@@ -1,19 +1,13 @@
-"""Exact inversions of the discrete transform.
+"""Exact inversions of the discrete transform, one ray per point recovered.
 
-Two mechanisms, both non-overdetermined (one ray consumed per point
-recovered):
-
-* the one-point formula, for far-from-rational directions: a line whose
-  primitive direction is longer than the support diameter meets the ball
-  in at most one lattice point, so the datum along it IS the value there;
-* the shell recursion for the per-point perpendicular family: each point z
-  is the strict in-plane-norm minimizer among the lattice points of its
-  ray, so sweeping shells from the outermost inward leaves, at each step,
-  a single unknown on the ray.
-
-The recursion works slice by slice (2D affine slices parallel to the
-chosen plane) and supports weighted data and annulus-restricted targets.
-Exact for integer data: every subtraction is an exact double operation.
+* The one-point formula: a line whose primitive direction is longer than
+  the support diameter meets the ball in at most one lattice point, so
+  its datum IS the value there.
+* The shell recursion for the per-point perpendicular family: each point
+  is the strict in-plane-norm minimizer on its ray, so sweeping shells
+  outermost first leaves one unknown per ray. It works slice by slice
+  (affine 2D slices parallel to the plane), with weighted data and annulus
+  targets, and is exact for integer data.
 """
 
 from __future__ import annotations
@@ -23,30 +17,29 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
-from operator import itemgetter, mul, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, ne, or_, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
 from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
-                      box_ids, box_index, box_points, build_shells,
+                      box_ids, box_index, box_points, build_shells, dots,
                       enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
-                   effectively_irrational, perp_family, ray_key, walk_box,
-                   walk_cells)
+                   effectively_irrational, perp_family, ray_boxes, ray_key,
+                   walk_box, walk_cells)
 from .transform import GridFunction, Sinogram, Weight
 
 
 class ChordTable(NamedTuple):
-    """Every plan ray's walk over the cells of the ball of radius r + sqrt(d).
+    """Every plan ray's cell walk in the ball of radius r + sqrt(d).
 
-    Sweep step i's ray crosses the cells ``ids[ends[i-1]:ends[i]]``, in
-    ``walk_cells`` order, with the chords and on-its-line flags in the
-    same slots of ``chords`` and ``on_line``; ``central[i]`` is the chord
-    through the target's own cell. Ids index ``cells``, the distinct
-    crossed cells: cell i is the plan's ``order[i]`` for every sweep step
-    i, the cells of no target follow in order of first crossing.
+    Step i's ray crosses cells ``ids[ends[i-1]:ends[i]]`` in ``walk_cells``
+    order, with chords and on-its-line flags in the same slots of
+    ``chords`` and ``on_line``; ``central[i]`` is the chord through the
+    target's own cell. Ids index ``cells``: cell i is ``order[i]`` for each
+    step i, then the cells of no target in order of first crossing.
     """
 
     cells: tuple[IntVec, ...]
@@ -61,18 +54,14 @@ class ChordTable(NamedTuple):
 class ReconPlan:
     """Everything a shell sweep needs: targets, rays, slices, shells, sweep.
 
-    ``plane`` is None for the standard family (rays perpendicular to the
-    first two coordinates); slices and in-plane norms then use the
-    coordinate plane. ``alpha``/``beta`` record an annulus restriction of
-    the target set. Construction compiles the sweep (slices by key, shells
-    outermost first): step i recovers ``order[i]`` from line ``keys[i]``,
-    and ``on_ray[ends[i-1]:ends[i]]`` lists the sweep steps of the other
+    ``plane`` None is the standard family; ``alpha``/``beta`` record an
+    annulus of targets. Construction compiles the sweep (slices by key,
+    shells outermost first): step i recovers ``order[i]`` from line
+    ``keys[i]``; ``on_ray[ends[i-1]:ends[i]]`` lists the steps of the other
     plan points on that ray, in ray order. It refuses a negative radius, a
     target outside the ball or of another dimension, a ray not based at its
-    target perpendicular to its direction, and a plan point on a target's
-    ray that is not in an earlier shell. The continuum rounds read
-    ``chord_table``, built on first use and kept; no field, so equality and
-    repr ignore it.
+    target normal to it, and a plan point on a target's ray not in an
+    earlier shell. ``chord_table`` is built once, out of equality and repr.
     """
 
     d: int
@@ -98,33 +87,43 @@ class ReconPlan:
         for z in self.order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
+        rays = list(map(self.rays.__getitem__, self.order))
+        bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
+        # the first step whose ray is not based at its target normal to it
+        bad = next(compress(count(), map(ne, map(len, dirs), repeat(self.d))),
+                   len(rays))
+        bad = next(compress(count(), map(or_, map(ne, bases[:bad], self.order),
+                                         dots(self.order[:bad], dirs[:bad]))), bad)
+        firsts, steps, counts = ray_boxes(rays[:bad], num, den, place, offset)
+        # such a ray holds its target, unless the target is outside the ball
+        stop = counts.index(0) if 0 in counts else bad
         boxes = box_ids(self.order, place, offset)
-        step_of = {j: i for i, j in enumerate(boxes)}
-        keys: list[RayKey] = []
+        step_of = dict(zip(boxes, count()))
+        # each step's first step of its shell: from there on, not yet swept
+        heads = chain.from_iterable(map(repeat, accumulate(
+            map(len, shells), initial=0), map(len, shells)))
         self.on_ray, self.ends = array("i"), array("i")
-        for shell in shells:
-            first = len(self.ends)  # steps from here on are not yet swept
-            for me, z in enumerate(shell, first):
-                p = self.rays[z].dir
-                if self.rays[z].base != z or sum(map(mul, z, p)):
-                    raise PlanError(f"the ray of {z} is not based at it or not normal to it")
-                keys.append(RayKey(p, z))  # base.dir = 0: the base is reduced
-                rem = num - den * sum(map(mul, z, z))
-                if rem < 0:
-                    raise PreconditionError(f"target {z} outside the support ball")
-                # the ball points z + k*p have |k| <= kmax since z.p = 0
-                kmax = math.isqrt(rem // (den * sum(map(mul, p, p))))
-                step = sum(map(mul, p, place)) or 1  # 0 only if kmax is 0
-                lo = boxes[me] - kmax * step
-                span = range(lo, lo + (2 * kmax + 1) * step, step)
-                hits = [i for i in map(step_of.get, span) if i not in (None, me)]
-                late = [self.order[i] for i in hits if i >= first]
-                if late:
-                    raise PlanError(
-                        f"{late[0]} on the ray of {z} is not in an earlier shell")
+        for me, lo, step, n, home, head in zip(range(stop), firsts, steps,
+                                               counts, boxes, heads):
+            if n > 1:  # the ray's other ball points, before and after home
+                span = chain(range(lo, home, step),
+                             range(home + step, lo + n * step, step))
+                hits = list(map(step_of.__getitem__,
+                                filter(step_of.__contains__, span)))
+                if hits and max(hits) >= head:
+                    late = self.order[next(i for i in hits if i >= head)]
+                    raise PlanError(f"{late} on the ray of {self.order[me]} "
+                                    f"is not in an earlier shell")
                 self.on_ray.extend(hits)
-                self.ends.append(len(self.on_ray))
-        self.keys = tuple(keys)
+            self.ends.append(len(self.on_ray))
+        if stop < bad:
+            raise PreconditionError(
+                f"target {self.order[stop]} outside the support ball")
+        if bad < len(rays):
+            raise PlanError(
+                f"the ray of {self.order[bad]} is not based at it or not normal to it")
+        # base.dir = 0, so each base is reduced: the key is (dir, target)
+        self.keys = tuple(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
 
     @cached_property
     def chord_table(self) -> ChordTable:
@@ -169,15 +168,12 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               plane: Plane | None = None, weight: Weight | None = None,
               alpha=None, beta=None,
               rays: Mapping[IntVec, Ray] | None = None) -> ReconPlan:
-    """Build a reconstruction plan over a point set (default: the full ball).
+    """A plan over a point set (default: the full ball), compiled once.
 
-    The support radius must be nonnegative and d >= 2 (``ball_radius``).
-
-    alpha/beta restrict the targets to in-plane norms within [alpha, beta]
-    (``plan_targets``). ``rays`` maps each target to its ray
-    (default: the perpendicular family of ``plane``); a target without one
-    is a PreconditionError, and the compile refuses a ray that is not
-    based at its target and normal to it. The plan compiles its sweep once.
+    The radius must be nonnegative and d >= 2 (``ball_radius``);
+    alpha/beta bound the targets' in-plane norms (``plan_targets``).
+    ``rays`` maps each target to its ray (default: the perpendicular
+    family of ``plane``); a target without one is a PreconditionError.
     """
     r = ball_radius(d, support_radius)
     if plane is not None and plane.d != d:
@@ -219,17 +215,23 @@ def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
     """Invert per-point-perpendicular-family data by the shell sweep.
 
-    Forward substitution over the plan's sweep: a target's value is its ray
-    datum minus the already-recovered values on the ray, in ray order
-    (ball points outside the plan read as zero). With a plan weight W,
-    data are weighted sums and the update divides by W(z, direction). A
-    required entry missing from g is an error, never imputed.
+    Forward substitution: a target's value is its ray's datum minus the
+    values recovered on the ray, in ray order (points outside the plan
+    read 0). With a plan weight W the data are weighted sums and each
+    update divides by W(z, dir). The data are read as one column; the
+    first step without an entry in g is an error, never imputed.
     """
+    data = list(map(g.entries.get, plan.keys))
+    if None in data:
+        i = data.index(None)
+        datum(g, plan.keys[i], plan.order[i])
     w = plan.weight
     vals: list[float] = []
     start = 0
-    for z, key, end in zip(plan.order, plan.keys, plan.ends):
-        total = datum(g, key, z)
+    for z, total, end in zip(plan.order, data, plan.ends):
+        if start == end and w is None:  # no other plan point on the ray
+            vals.append(total)
+            continue
         steps, start = plan.on_ray[start:end], end
         if w is None:
             # zeros are skipped: -0.0 - -0.0 would be +0.0
@@ -266,10 +268,9 @@ def recon_one_point(g: Sinogram, points: Iterable[IntVec],
                     r, weight: Weight | None = None) -> GridFunction:
     """Read f off one ray per point, for effectively irrational directions.
 
-    Each target must lie in the support ball and its direction must satisfy
-    the |prim|^2 > 4 r^2 criterion, which makes the target the only ball
-    lattice point on its ray; the datum (weight-divided if given) is then
-    the value itself.
+    Each target must lie in the ball and its direction satisfy |prim|^2 >
+    4 r^2, so the target is its ray's only ball point and the datum
+    (divided by the weight, if given) is the value.
     """
     rf = as_fraction(r)
     r2 = rf * rf
@@ -294,11 +295,8 @@ def recon_one_point(g: Sinogram, points: Iterable[IntVec],
 
 
 def one_point_directions(points: Iterable[IntVec], r) -> dict[IntVec, IntVec]:
-    """Assign each point an effectively irrational direction at radius r.
-
-    Uses directions (m, 1, 0, ...) with m > 2r, cycling m over seven
-    consecutive values so nearby points get different rays.
-    """
+    """An effectively irrational direction (m, 1, 0, ...), m > 2r, per
+    point; m cycles over seven values so nearby points get different rays."""
     rf = as_fraction(r)
     base = math.isqrt(math.floor(4 * rf * rf)) + 1  # floor(2r) + 1 > 2r
     out: dict[IntVec, IntVec] = {}

@@ -1,10 +1,9 @@
 """Forward transforms on lattice functions.
 
-The discrete transform of a function f on Z^d along a ray is the plain sum
-of f over the ray's lattice points; the weighted variant multiplies each
-term by W(y, direction). Values are doubles: sums are bit-exact whenever f
-is integer-valued with |f| <= 2^40, which is what the exact round-trip
-tests rely on.
+The discrete transform along a ray sums f over the ray's lattice points;
+the weighted one multiplies each term by W(y, direction). Values are
+doubles, exact for integer-valued f with |f| <= 2^40 (the exact round
+trips rely on it).
 """
 
 from __future__ import annotations
@@ -12,28 +11,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import chain, compress, count, repeat
+from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
 from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
                       norm2)
-from .rays import (Ray, RayKey, is_canonical_direction, ray_key, ray_points,
-                   ray_span)
+from .rays import (Ray, RayKey, is_canonical_direction, ray_boxes, ray_key,
+                   ray_keys, ray_points, ray_span, ray_spans)
 
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]
 
+# rays whose span columns are held at once: bounds the forward's memory
+COLUMN_BLOCK = 2048
+
 
 @dataclass
 class GridFunction:
-    """Sparse real-valued function on Z^d supported in a declared ball.
-
-    Unstored points read as zero; the radius r must be nonnegative, every
-    stored point must satisfy |z|^2 <= r^2 (checked exactly against the
-    rational radius) and every value must be finite.
-    """
+    """Sparse real function on Z^d in a declared ball: unstored points read
+    0; r >= 0, each stored |z|^2 <= r^2 exactly and each value finite."""
 
     d: int
     support_radius: Fraction
@@ -63,12 +61,9 @@ class GridFunction:
     def over_checked_points(cls, d: int, support_radius,
                             points: Sequence[IntVec],
                             values: Sequence[float]) -> "GridFunction":
-        """values[i] at points[i], for distinct d-tuples known to be in the ball.
-
-        Skips the per-point checks (a compiled plan made them once); the
-        values are still made doubles and checked in one pass, since
-        arithmetic on finite data can overflow (1e308 - -1e308).
-        """
+        """values[i] at points[i], distinct d-tuples known to be in the ball
+        (a compiled plan checked them once); the values are still made
+        doubles and checked, as finite data can overflow (1e308 - -1e308)."""
         try:
             vals = list(map(float, values))
             finite = all(map(math.isfinite, vals))
@@ -94,13 +89,9 @@ def constant_weight(c: float) -> Weight:
 
 @dataclass(frozen=True)
 class FamilyMeta:
-    """Describes the ray set of a sinogram.
-
-    kind is one of "tstar" (per-point perpendicular family), "tstar_plane"
-    (ditto relative to an integer plane a, b) or "free"; alpha/beta, when
-    set, restrict the family to points with in-plane norm in [alpha, beta].
-    support_radius records the data-side ball radius when known.
-    """
+    """A sinogram's ray set: kind "tstar" (per-point perpendicular family),
+    "tstar_plane" (in the integer plane a, b) or "free"; alpha/beta bound
+    the points' in-plane norms; support_radius is the data's, if known."""
 
     kind: str
     a: IntVec | None = None
@@ -112,11 +103,8 @@ class FamilyMeta:
 
 @dataclass
 class Sinogram:
-    """Transform values stored once per line.
-
-    entries maps canonical ray keys to values; family keeps the point-to-ray
-    association the reconstructions rebuild their plans from.
-    """
+    """Values per line key (entries), with the point-to-ray family the
+    reconstructions rebuild their plans from."""
 
     d: int
     entries: dict[RayKey, float]
@@ -158,32 +146,35 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
     return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
 
 
-def _indexed_sums(f: GridFunction, num: int, den: int
-                  ) -> Callable[[Ray, range], float]:
-    """Unweighted ray sums over ``box_index`` ranges, in ``forward``'s order."""
-    place, offset, _ = box_index(f.d, num, den)
-    index = dict(zip(box_ids(f.values, place, offset), f.values.values()))
-
-    def ray_sum(ray: Ray, ks: range) -> float:
-        step = sum(map(mul, ray.dir, place))
-        lo = offset + sum(map(mul, ray.base, place)) + ks.start * step
-        # step is 0 only for a direction too long for two points of the
-        # box; the span then holds at most one point
-        span = (range(lo, lo + len(ks) * step, step) if step
-                else range(lo, lo + len(ks)))
-        return float(sum(map(index.get, span, repeat(0.0))))
-    return ray_sum
-
-
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
-    """Project f along every ray of a family; r^2 is formed once."""
+    """Project f along every ray of a family; the spans are taken as columns."""
     num, den = _r2_terms(f)
-    ray_sum = (_indexed_sums(f, num, den) if weight is None
-               else lambda ray, ks: _weighted_sum(f, ray, ks, weight))
-    return project_family(f, family, meta, lambda rays: [
-        ray_sum(ray, ray_span(ray, num, den)) for ray in rays])
+    if weight is not None:
+        def values(rays: list[Ray]) -> list[float]:
+            ks, counts = ray_spans(rays, num, den)
+            return [_weighted_sum(f, ray, range(k, k + n), weight)
+                    for ray, k, n in zip(rays, ks, counts)]
+    else:
+        def values(rays: list[Ray]) -> list[float]:
+            place, offset, _ = box_index(f.d, num, den)
+            index = dict(zip(box_ids(f.values, place, offset), f.values.values()))
+            sums: list[float] = []
+            for at in range(0, len(rays), COLUMN_BLOCK):
+                firsts, steps, counts = ray_boxes(rays[at:at + COLUMN_BLOCK],
+                                                  num, den, place, offset)
+                # a lone point's value times 0 (no point) or 1, plus sum()'s
+                # int start 0, which turns a -0.0 into 0.0
+                block = list(map(add, repeat(0), map(mul, map(
+                    index.get, firsts, repeat(0.0)), map(bool, counts))))
+                for i, lo, step, n in compress(zip(count(), firsts, steps, counts),
+                                               map(gt, counts, repeat(1))):
+                    block[i] = float(sum(map(index.get, range(lo, lo + n * step, step),
+                                             repeat(0.0))))
+                sums += block
+            return sums
+    return project_family(f, family, meta, values)
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
@@ -192,26 +183,25 @@ def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
     """A sinogram with one entry per line of the family, in order of first
     appearance; values maps the lines' first rays to their entries."""
     fam = tuple((tuple(z), ray) for z, ray in family)
-    firsts: dict[RayKey, Ray] = {}
-    for _, ray in fam:
-        key = ray_key(ray)
-        if key not in firsts:
-            _check_dim(f, ray)
-            firsts[key] = ray
-    entries = dict(zip(firsts, values(list(firsts.values()))))
+    rays = list(map(itemgetter(1), fam))
+    if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
+        raise PreconditionError("ray and grid dimensions differ")
+    keys = ray_keys(rays)
+    if len(set(keys)) < len(keys):  # repeated lines: keep each one's first ray
+        firsts: dict[RayKey, Ray] = {}
+        for key, ray in zip(keys, rays):
+            firsts.setdefault(key, ray)
+        keys, rays = list(firsts), list(firsts.values())
+    entries = dict(zip(keys, values(rays)))
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
     return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)
 
 
 def project_and_bin(f: GridFunction, theta: IntVec) -> dict[RayKey, float]:
-    """Group the supported points by the line they share in direction theta.
-
-    Two points fall in one bin iff their difference is an integer multiple
-    of theta; each bin id is the line's RayKey and the bin value is the sum
-    of f over the bin. Every bin value equals the discrete transform along
-    the binned line, exactly for integer-valued f.
-    """
+    """Bin the supported points by their line in direction theta (points
+    differing by a multiple of theta share one): RayKey -> sum of f, which
+    is the discrete transform along that line, exactly for integer f."""
     if not is_canonical_direction(theta):
         raise PreconditionError("direction must be a canonical primitive vector")
     theta = tuple(theta)

@@ -6,7 +6,8 @@ The continuum references keep the one-ray cell walk that the shared cut
 patterns replaced, and the per-round walks that the plan's chord table
 replaced, so the walker and the table's consumers are checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
-replaced. The counting references keep the gcd-per-tuple Farey count, the
+replaced, and the family reference the one ``primitive()`` per point that
+the gcd column of ``perp_family`` replaced. The counting references keep the gcd-per-tuple Farey count, the
 ``primitive()`` filter for canonical primitives and the row-by-row lens
 size that the prime sieve, the gcd column and the lens columns replaced.
 The file-reader references keep the row-by-row checks that the column
@@ -88,6 +89,31 @@ def reduced_key(ray):
     p = ray.dir
     k = sum(a * b for a, b in zip(ray.base, p)) // sum(c * c for c in p)
     return p, tuple(a - k * b for a, b in zip(ray.base, p))
+
+
+def reference_perp_family(points, plane=None):
+    """The perpendicular family point by point, one ``primitive`` each
+    (oracle for the column ``perp_family``).
+
+    Without a plane: the canonical primitive of (-z2, z1, 0, ...), or the
+    first axis where z1 = z2 = 0. With one: that of (z.a)b - (z.b)a, or
+    primitive(a) where z.a = z.b = 0.
+    """
+    family = []
+    for z in map(tuple, points):
+        if plane is None:
+            d = len(z)
+            if z[0] == 0 and z[1] == 0:
+                dirv = (1,) + (0,) * (d - 1)
+            else:
+                dirv = primitive((-z[1], z[0]) + (0,) * (d - 2))
+        else:
+            s = sum(c * a for c, a in zip(z, plane.a))
+            t = sum(c * b for c, b in zip(z, plane.b))
+            w = tuple(s * b - t * a for a, b in zip(plane.a, plane.b))
+            dirv = primitive(w if any(w) else plane.a)
+        family.append((z, Ray(z, dirv)))
+    return family
 
 
 def reference_sweep(g, plan):

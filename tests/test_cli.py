@@ -361,7 +361,8 @@ def test_recon_never_solves_a_ray(tmp_path, monkeypatch):
     for mod in (lxray.rays, lxray.lattice):
         monkeypatch.setattr(mod, "primitive", forbidden)
     monkeypatch.setattr(lxray.rays, "perp_ray", forbidden)
-    monkeypatch.setattr(lxray.rays, "perp_ray_in_plane", forbidden)
+    for mod in (lxray.cli, lxray.recon):
+        monkeypatch.setattr(mod, "perp_family", forbidden)
     for s in sinos:
         assert run(["recon", "--sino", str(s), "--out", str(s) + ".r"]) == 0
 

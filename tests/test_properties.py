@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import pytest
 
@@ -19,24 +20,24 @@ from conftest import (brute_direction_minima, brute_forward, brute_line_count,
                       reference_farey_count, reference_forward_continuous,
                       reference_layer_recon, reference_lens,
                       reference_obj_to_grid, reference_obj_to_sino,
-                      reference_sweep, reference_traverse_cells,
+                      reference_perp_family, reference_sweep, reference_traverse_cells,
                       traverse_cells)
 from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    cell_chord, chord_weight, constant_weight,
                    correction_identity_check, count_connecting_lines,
                    data_residual, enumerate_ball, farey_count,
-                   forward_continuous, forward_continuous_family,
+                   forward, forward_continuous, forward_continuous_family,
                    forward_family, forward_weighted,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
 from lxray import io as lio
+from lxray import transform
 from lxray.continuum import _corrected_sinogram
 from lxray.counting import (_direction_minimum, _lens, _point_columns,
                             primitive_count)
 from lxray.lattice import count_within
-from lxray.rays import (is_perp_ray, perp_ray, perp_ray_in_plane, walk_box,
-                        walk_cells)
+from lxray.rays import is_perp_ray, walk_box, walk_cells
 from lxray.transform import FamilyMeta
 
 
@@ -275,7 +276,77 @@ def forward_cases(draw):
                                     _vec(d, -2 * m - 2, 2 * m + 2).filter(any)),
                           max_size=12))
     fam += [(base, Ray(base, primitive(dirv))) for base, dirv in extra]
+    # a zero index step in the box [-m, m]^d: (.., 1, -(2m + 1)) through a
+    # ball point, from an unreduced base
+    zero_step = (0,) * (d - 2) + (1, -2 * m - 1)
+    for z, k in draw(st.lists(st.tuples(st.sampled_from(ball),
+                                        st.integers(-2, 2)), max_size=3)):
+        base = tuple(c - k * p for c, p in zip(z, zero_step))
+        fam.append((base, Ray(base, zero_step)))
+    # the same lines again, based elsewhere on them
+    for (z, ray), k in draw(st.lists(st.tuples(st.sampled_from(fam),
+                                               st.integers(-3, 3)), max_size=6)):
+        base = tuple(b + k * p for b, p in zip(ray.base, ray.dir))
+        fam.append((base, Ray(base, ray.dir)))
     return d, r, ball, fam, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forward_cases())
+def test_forward_family_entries_in_first_appearance_order(case):
+    # one entry per line, in the order its first ray appears, equal in
+    # float.hex to the per-ray forward of that ray and to a box-scan sum;
+    # values include signed zeros, which a lone -0.0 turns into 0.0
+    d, r, ball, fam, seed = case
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((-0.0, 0.0, rng.uniform(-1e3, 1e3)))
+                            for z in ball if rng.random() < 0.8})
+    firsts = {}
+    for _, ray in fam:
+        firsts.setdefault(ray_key(ray), ray)
+    g = forward_family(f, fam)
+    assert list(g.entries) == list(firsts)
+    for got, ray in zip(g.entries.values(), firsts.values()):
+        want = float(sum(f.get(z) for z in brute_ray_points(ray, r, candidates=ball)))
+        assert got.hex() == forward(f, ray).hex() == want.hex()
+    # the span columns are taken in blocks of rays; any block size agrees
+    with mock.patch.object(transform, "COLUMN_BLOCK", 3):
+        small = forward_family(f, fam)
+    assert [(k, v.hex()) for k, v in small.entries.items()] == \
+        [(k, v.hex()) for k, v in g.entries.items()]
+
+
+@st.composite
+def perp_family_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    plane = None
+    if draw(st.booleans()):
+        vec = _vec(d, -3, 3)
+        a, b = draw(st.tuples(vec, vec).filter(lambda ab: any(
+            ab[0][i] * ab[1][j] != ab[0][j] * ab[1][i]
+            for i in range(d) for j in range(i + 1, d))))
+        plane = Plane(a, b)
+    points = draw(st.lists(_vec(d, -6, 6), max_size=40))
+    if draw(st.booleans()):  # points with no in-plane part
+        points += [(0, 0) + z[2:] for z in points] if plane is None else [
+            tuple(c * z[0] for c in _normal(plane)) for z in points]
+    return points, plane
+
+
+def _normal(plane):
+    """An integer vector normal to the plane (0 where d < 3 has none)."""
+    a, b = plane.a, plane.b
+    if len(a) < 3:
+        return (0,) * len(a)
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]) + (0,) * (len(a) - 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perp_family_cases())
+def test_perp_family_columns_match_the_per_point_family(case):
+    points, plane = case
+    assert perp_family(points, plane) == reference_perp_family(points, plane)
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,6 +632,6 @@ def kind_ray_cases(draw):
 @given(kind_ray_cases())
 def test_kind_predicate_is_ray_equality(case):
     z, ray, plane = case
-    kind_ray = perp_ray(z) if plane is None else perp_ray_in_plane(z, plane)
+    kind_ray = reference_perp_family([z], plane)[0][1]
     assert is_perp_ray(z, ray, plane) == (ray == kind_ray)
     assert is_perp_ray(z, kind_ray, plane)

@@ -6,8 +6,7 @@ import pytest
 from conftest import on_line, shell_points
 from lxray import (Plane, PreconditionError, Ray, coordinate_plane,
                    effectively_irrational, enumerate_ball, make_plan, norm2,
-                   perp_family, perp_ray, perp_ray_in_plane, points_on_ray,
-                   ray_key)
+                   perp_family, perp_ray, points_on_ray, ray_key)
 
 
 def test_perp_ray_examples():
@@ -52,24 +51,29 @@ def test_plane_validation():
     assert pl.det == 3
 
 
+def plane_ray(z, plane):
+    """z's ray in the perpendicular family of the plane."""
+    return perp_family([z], plane)[0][1]
+
+
 def test_perp_ray_in_plane_matches_standard_family():
     for d in (2, 3):
         pl = coordinate_plane(d)
         for z in enumerate_ball(d, 3):
-            assert perp_ray_in_plane(z, pl) == perp_ray(z)
+            assert plane_ray(z, pl) == perp_ray(z)
 
 
 def test_perp_ray_in_plane_examples():
     pl = Plane((1, 0, 0), (0, 1, 0))
-    assert perp_ray_in_plane((1, 2, 5), pl) == Ray((1, 2, 5), (2, -1, 0))
+    assert plane_ray((1, 2, 5), pl) == Ray((1, 2, 5), (2, -1, 0))
     pl2 = Plane((1, 1, 0), (0, 1, 1))
-    assert perp_ray_in_plane((0, 0, 0), pl2) == Ray((0, 0, 0), (1, 1, 0))
+    assert plane_ray((0, 0, 0), pl2) == Ray((0, 0, 0), (1, 1, 0))
 
 
 def test_perp_ray_in_plane_orthogonality():
     pl = Plane((1, 1, 0), (0, 1, 1))
     for z in enumerate_ball(3, 3):
-        ray = perp_ray_in_plane(z, pl)
+        ray = plane_ray(z, pl)
         # direction is orthogonal to z's in-plane component: check dir . z == 0
         # in the nondegenerate branch (dir lies in the plane, so the
         # perpendicular component contributes nothing)

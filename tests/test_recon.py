@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,16 @@ def test_shells_missing_entry():
     del g.entries[key]
     with pytest.raises(MissingDataError):
         recon_shells(g, plan)
+    # two missing: the error names the first target in sweep order
+    f = random_int_grid(2, 3, seed=22)
+    for weight in (None, constant_weight(2.0)):
+        plan = make_plan(2, 3, weight=weight)
+        g = tstar_data(f, plan, weight)
+        for i in (9, 4):
+            del g.entries[plan.keys[i]]
+        with pytest.raises(MissingDataError,
+                           match=re.escape(f"ray of {plan.order[4]}")):
+            recon_shells(g, plan)
 
 
 def test_non_overdetermined_audit():
