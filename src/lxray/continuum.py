@@ -1,16 +1,12 @@
 """Continuous transform of piecewise-constant lattice-cell fields.
 
-A grid function doubles as a description of the field that is constant on
-the unit cells centered at lattice points; its continuous line transform is
-the chord-weighted sum of cell values along the ray. The chord geometry
-and the grid walk live in ``rays``; this module provides
-the continuous transform, the exact correction identity tying it to the
-chord-weighted discrete one, the disjoint-ball model, and the
-layer-by-layer plus iterative reconstructions built on the discrete shell
-sweep. Those read the plan's chord table, so each plan ray is walked once.
-
-All of this is double-precision; the identities hold to 1e-9 relative,
-with chords O(sqrt(d)) and sums over O(r) cells leaving ample headroom.
+A grid function doubles as the field constant on the unit cells centered
+at lattice points; its line transform is the chord-weighted sum of cell
+values along the ray (chords and the grid walk are in ``rays``). Here: that
+transform, the correction identity tying it to the chord-weighted discrete
+one, the disjoint-ball model, and layer and iterative reconstructions on
+the shell sweep, which read the plan's chord table. All in doubles; the
+identities hold to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, le, mul, sub
+from operator import add, itemgetter, le, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -96,8 +92,8 @@ def correction_identity_check(f: GridFunction, z: IntVec,
     # with 4q > d|p|^2 misses by a margin far above roundoff: chord 0.0.
     pp = norm2(ray.dir)
     uu = up = [0] * len(f.values)
-    for col, bi, pi in zip(zip(*f.values), ray.base, ray.dir):
-        u = list(map(sub, col, repeat(bi)))
+    for col, bi, pi in zip(map(itemgetter, range(f.d)), ray.base, ray.dir):
+        u = list(map(sub, map(col, f.values), repeat(bi)))
         uu = map(add, uu, map(mul, u, u))
         up = map(add, up, map(mul, u, repeat(pi)))
     up = list(up)

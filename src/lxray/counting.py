@@ -1,14 +1,11 @@
 """Brute-force verification of counting and separation estimates.
 
-Exhaustive, exact integer checks: the number of lines through at least two
-ball lattice points, between its proved bounds; the Farey asymptotic
-ratio; and the separation estimate for projections of the lattice along a
-rational direction. The line count sums lens sizes over directions, each
-lens one C pass over the ball's row columns. The separation scan takes one
-direction per orbit of the signed coordinate permutations, which map the
-ball onto itself and keep the quantity, against the points' coordinate
-columns. Both budgets are checked before any ball or direction list is
-built.
+Exact integer checks: the number of lines through two or more ball lattice
+points, between its proved bounds, summed as lens sizes over directions
+(one C pass over the ball's row columns each); the Farey asymptotic ratio;
+and the separation of the lattice's projections along a rational
+direction, scanned over one direction per orbit of the signed coordinate
+permutations. Both budgets are checked before any list is built.
 """
 
 from __future__ import annotations

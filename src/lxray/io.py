@@ -1,30 +1,9 @@
-"""JSON file formats for grids and sinograms, plus CSV exports.
-
-Grid files:
-    {"d": int, "r": "radius as p or p/q", "values": [{"z": [...], "v": float}]}
-Sinogram files:
-    {"d": int,
-     "family": {"kind": "tstar"|"tstar_plane"|"free",
-                "a": [...]?, "b": [...]?, "alpha": "..."?, "beta": "..."?,
-                "r": "..."?},
-     "rays": [{"z": [...], "dir": [...], "base": [...], "v": float}]}
-
-Files are compact JSON on one line with sorted keys; rows are sorted by z
-and floats use Python's shortest round-trip repr, so identical inputs
-produce byte-identical files. Values must be finite: a NaN or infinity is
-a format error on reading and is refused on writing, so every file is
-standard JSON. The optional family "r" records the data-side support
-radius so reconstructions can re-check the annulus precondition without
-re-supplying it. A negative radius, in a grid or a family, and annulus
-bounds other than 0 <= alpha <= beta are format errors. Writes are atomic
-(temp file plus rename).
-
-Reading checks each row once, as columns: vectors of d integers (no
-bools), finite values, distinct grid points inside the declared ball, and
-sinogram rays in reduced canonical form (``dir`` a nonzero canonical
-primitive vector, ``0 <= base.dir < |dir|^2``) with one value per line.
-Only when a check fails are the rows walked one by one, in file order, to
-raise the first bad row's error.
+"""JSON file formats for grids and sinograms (see README.md), plus CSV
+exports. Files are compact JSON with sorted keys and rows, finite values
+and shortest round-trip floats, written atomically, so identical inputs
+give byte-identical files. Reading checks each row once, as columns; only
+a failing file is walked row by row, in file order, to raise the first
+bad row's error.
 """
 
 from __future__ import annotations
@@ -265,7 +244,7 @@ def _sino_columns(rows: list, d: int):
         return None
     zs, dirs, bases = (list(map(tuple, v)) for v in vecs)
     # canonical primitive: entries of gcd 1, the first nonzero one positive
-    if (set(map(math.gcd, *zip(*dirs))) != {1}
+    if (set(map(math.gcd, *[map(itemgetter(k), dirs) for k in range(d)])) != {1}
             or not all(map(gt, dirs, repeat((0,) * d)))):
         return None
     rays, keys = list(map(Ray, bases, dirs)), list(map(RayKey, dirs, bases))

@@ -197,17 +197,22 @@ class ShellDecomposition:
 
 
 def build_shells(points: Iterable[IntVec], plane=None) -> ShellDecomposition:
-    """Group points by exact squared norm, outermost first; ties share a
-    shell. With a ``plane`` (``scaled_inplane_norm2`` and ``det``), the
-    norm is that of the projection, grouped by the integer scaled norm, so
-    a 2D slice is ordered by its own radial norm."""
+    """Group points of one dimension by exact squared norm, outermost first;
+    ties share a shell. With a ``plane``, the norm is that of the projection,
+    grouped by the integer det * norm (columns), so a 2D slice is ordered
+    by its own radial norm."""
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise PreconditionError("points must be pairwise distinct")
+    if plane is None:
+        norms = dots(pts, pts)
+    else:
+        s, t = (dots(pts, [v] * len(pts)) for v in (plane.a, plane.b))
+        norms = map(add, map(mul, map(mul, s, s), repeat(plane.bb)), map(
+            mul, t, map(sub, map(mul, t, repeat(plane.aa)),
+                        map(mul, s, repeat(2 * plane.ab)))))
     groups: dict[int, list[IntVec]] = {}
-    for z in pts:
-        n = (plane.scaled_inplane_norm2(z) if plane is not None
-             else sum(c * c for c in z))
+    for z, n in zip(pts, norms):
         groups.setdefault(n, []).append(z)
     det = plane.det if plane is not None else 1
     ordered = sorted(groups.items(), reverse=True)

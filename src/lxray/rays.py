@@ -1,18 +1,13 @@
 """Rational rays on the integer lattice.
 
-A ray is an unoriented line through lattice points: a lattice base point
-plus a canonical primitive direction. A reduced key makes all rays of one
-line hash and compare equal; sinograms are stored per key.
-
-The per-point family of the exact inversions gives each lattice point z
-the line through z perpendicular, within a coordinate or general integer
-plane, to z's in-plane part, so z is the unique in-plane-norm minimizer on
-its ray: that drives the shell recursion. Keys, ball spans and the family
-are computed as columns over many rays.
-
-Last comes the continuum bridge's ray-cell geometry, in doubles: a ray's
-chord through a unit cell (slab clipping), the cell walk of rays in a ball
-by shared per-direction cut patterns, and the exact point-on-line test.
+A ray is a lattice base point plus a canonical primitive direction; its
+reduced key is the same for every ray of its line, and sinograms are stored
+per key. The per-point perpendicular family (in a coordinate or integer
+plane) makes z the unique in-plane-norm minimizer on its ray, which drives
+the shell sweep. Keys, ball spans and the family are columns over many
+rays. The continuum bridge's ray-cell geometry is in doubles: chords by
+slab clipping, cell walks by shared per-direction cut patterns, and the
+exact point-on-line test.
 """
 
 from __future__ import annotations

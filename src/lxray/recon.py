@@ -1,24 +1,21 @@
-"""Exact inversions of the discrete transform, one ray per point recovered.
-
-* The one-point formula: a line whose primitive direction is longer than
-  the support diameter meets the ball in at most one lattice point, so
-  its datum IS the value there.
-* The shell recursion for the per-point perpendicular family: each point
-  is the strict in-plane-norm minimizer on its ray, so sweeping shells
-  outermost first leaves one unknown per ray. It works slice by slice
-  (affine 2D slices parallel to the plane), with weighted data and annulus
-  targets, and is exact for integer data.
+"""Exact inversions of the discrete transform, one ray per point recovered:
+the one-point formula (a line whose primitive direction is longer than the
+support diameter meets the ball in one lattice point at most) and the shell
+sweep of the per-point perpendicular family (each point is the strict
+in-plane-norm minimizer on its ray, so sweeping shells outermost first,
+slice by slice, leaves one unknown per ray; exact for integer data).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, repeat
-from operator import itemgetter, ne, or_, sub
+from operator import add, itemgetter, mul, ne, or_, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
@@ -28,8 +25,8 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
-                   walk_box, walk_cells)
-from .transform import GridFunction, Sinogram, Weight
+                   ray_keys, walk_box, walk_cells)
+from .transform import PLANS, ForwardTable, GridFunction, Sinogram, Weight
 
 
 class ChordTable(NamedTuple):
@@ -61,7 +58,8 @@ class ReconPlan:
     plan points on that ray, in ray order. It refuses a negative radius, a
     target outside the ball or of another dimension, a ray not based at its
     target normal to it, and a plan point on a target's ray not in an
-    earlier shell. ``chord_table`` is built once, out of equality and repr.
+    earlier shell. ``chord_table`` and ``forward_table`` are built when
+    first read, out of equality and repr; each plan is in ``PLANS``.
     """
 
     d: int
@@ -124,6 +122,26 @@ class ReconPlan:
                 f"the ray of {self.order[bad]} is not based at it or not normal to it")
         # base.dir = 0, so each base is reduced: the key is (dir, target)
         self.keys = tuple(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
+        PLANS[id(self)] = self
+
+    @cached_property
+    def forward_table(self) -> ForwardTable:
+        """The rays as they are now, compiled for ``forward_family``."""
+        r2 = ball_radius(self.d, self.support_radius) ** 2
+        place, offset, _ = box_index(self.d, r2.numerator, r2.denominator)
+        rays = tuple(self.rays.values())
+        firsts, steps, counts = ray_boxes(rays, r2.numerator, r2.denominator,
+                                          place, offset)
+        steps = [s or 1 for s in steps]  # a 0 step has one point at most
+        number = defaultdict(count().__next__)  # box id -> point number
+        gather = array("i", map(number.__getitem__, chain.from_iterable(map(
+            range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
+        keys, mine = ray_keys(rays), dict(zip(self.keys, self.keys))
+        keys = tuple(map(mine.get, keys, keys))
+        mine = dict(zip(self.order, self.order))
+        return ForwardTable(self.d, r2, rays, keys, [
+            mine.get(z, z) for z in box_points(list(number), place, offset)],
+            gather, array("i", accumulate(counts)))
 
     @cached_property
     def chord_table(self) -> ChordTable:

@@ -9,11 +9,13 @@ trips rely on it).
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import add, gt, itemgetter, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
 from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
@@ -26,6 +28,9 @@ Weight = Callable[[IntVec, IntVec], float]
 
 # rays whose span columns are held at once: bounds the forward's memory
 COLUMN_BLOCK = 2048
+
+# live plans by id: forward_family reads their tables
+PLANS = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -146,18 +151,50 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
     return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
 
 
+class ForwardTable(NamedTuple):
+    """Rays compiled for the unweighted forward in the d-ball |z|^2 <= r2:
+    ray i sums points[gather[j]], j in range(ends[i-1], ends[i])."""
+
+    d: int
+    r2: Fraction
+    rays: tuple[Ray, ...]
+    keys: tuple[RayKey, ...]
+    points: list[IntVec]
+    gather: array
+    ends: array
+
+    def sums(self, values: dict[IntVec, float]) -> Iterator[float]:
+        """The column path's sums: in ray order from +0.0, as its int 0."""
+        vals = list(map(values.get, self.points, repeat(0.0)))
+        flat = list(map(vals.__getitem__, self.gather))
+        return map(sum, map(flat.__getitem__, map(
+            slice, chain((0,), self.ends), self.ends)), repeat(0.0))
+
+
+def _plan_table(f: GridFunction, rays: tuple[Ray, ...]) -> ForwardTable | None:
+    r2 = f.support_radius ** 2
+    for plan in [ref() for ref in PLANS.valuerefs()]:  # a C copy: atomic
+        if plan is not None and plan.d == f.d and len(plan.rays) == len(rays) and (
+                "forward_table" in vars(plan) or tuple(plan.rays.values()) == rays):
+            t = plan.forward_table
+            if (t.d, t.r2, t.rays) == (f.d, r2, rays):
+                return t
+    return None
+
+
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
-    """Project f along every ray of a family; the spans are taken as columns."""
+    """Project f along every ray of a family: by span columns or, unweighted,
+    by the ``forward_table`` of a live plan compiled for these rays."""
     num, den = _r2_terms(f)
     if weight is not None:
-        def values(rays: list[Ray]) -> list[float]:
+        def values(rays: Sequence[Ray]) -> list[float]:
             ks, counts = ray_spans(rays, num, den)
             return [_weighted_sum(f, ray, range(k, k + n), weight)
                     for ray, k, n in zip(rays, ks, counts)]
     else:
-        def values(rays: list[Ray]) -> list[float]:
+        def values(rays: Sequence[Ray]) -> list[float]:
             place, offset, _ = box_index(f.d, num, den)
             index = dict(zip(box_ids(f.values, place, offset), f.values.values()))
             sums: list[float] = []
@@ -174,25 +211,31 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                                              repeat(0.0))))
                 sums += block
             return sums
-    return project_family(f, family, meta, values)
+    return project_family(f, family, meta, values, weight is None)
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None,
-                   values: Callable[[list[Ray]], list[float]]) -> Sinogram:
+                   values: Callable[[Sequence[Ray]], list[float]],
+                   planned: bool = False) -> Sinogram:
     """A sinogram with one entry per line of the family, in order of first
-    appearance; values maps the lines' first rays to their entries."""
+    appearance; values maps the lines' first rays to their entries (if
+    ``planned``, a live plan's table may serve)."""
     fam = tuple((tuple(z), ray) for z, ray in family)
-    rays = list(map(itemgetter(1), fam))
+    rays = tuple(map(itemgetter(1), fam))
     if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
         raise PreconditionError("ray and grid dimensions differ")
-    keys = ray_keys(rays)
-    if len(set(keys)) < len(keys):  # repeated lines: keep each one's first ray
-        firsts: dict[RayKey, Ray] = {}
-        for key, ray in zip(keys, rays):
-            firsts.setdefault(key, ray)
-        keys, rays = list(firsts), list(firsts.values())
-    entries = dict(zip(keys, values(rays)))
+    table = _plan_table(f, rays) if planned else None
+    if table is not None:
+        entries = dict(zip(table.keys, table.sums(f.values)))
+    else:
+        keys = ray_keys(rays)
+        if len(set(keys)) < len(keys):  # repeated lines: keep each one's first ray
+            firsts: dict[RayKey, Ray] = {}
+            for key, ray in zip(keys, rays):
+                firsts.setdefault(key, ray)
+            keys, rays = list(firsts), list(firsts.values())
+        entries = dict(zip(keys, values(rays)))
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
     return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)

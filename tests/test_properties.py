@@ -1,5 +1,6 @@
 """Property tests over randomly generated inputs (needs hypothesis)."""
 
+import gc
 import itertools
 import json
 import math
@@ -135,7 +136,7 @@ def test_lens_columns_match_row_loop(case):
 def _independent(ab):
     a, b = ab  # some 2x2 minor of (a, b) is nonzero
     return any(a[i] * b[j] != a[j] * b[i]
-               for i in range(3) for j in range(i + 1, 3))
+               for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 @st.composite
@@ -167,6 +168,48 @@ def test_shell_sweep_round_trip_is_bit_exact(case):
            else recon_shells(g, plan))
     assert set(rec.values) == set(plan.points)
     assert all(rec.values[z] == f.get(z) for z in plan.points)
+
+
+@st.composite
+def plan_forward_cases(draw):
+    d, r, plane, alpha, beta, seed = draw(round_trip_cases())
+    if plane is None and draw(st.booleans()):  # a random plane in any d
+        vec = st.tuples(*[st.integers(-2, 2)] * d)
+        plane = Plane(*draw(st.tuples(vec, vec).filter(_independent)))
+    ball = enumerate_ball(d, r)
+    points = None
+    if draw(st.booleans()):  # a subset: its rays cross ball points off it
+        points = draw(st.lists(st.sampled_from(ball), unique=True, max_size=40))
+    kind = draw(st.sampled_from(("int", "perturbed", "zeros")))
+    return d, r, plane, alpha, beta, points, kind, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_forward_cases())
+def test_plan_forward_matches_the_column_path(case):
+    # through a live plan's table and, once the plan is gone, through the
+    # one-shot columns on an equal family: same entries, order and float.hex
+    d, r, plane, alpha, beta, points, kind, seed = case
+    rng = random.Random(seed)
+    values = {z: float(rng.randint(-9, 9)) for z in enumerate_ball(d, r)}
+    if kind == "perturbed":
+        values = {z: v + rng.uniform(-1e-3, 1e-3) for z, v in values.items()}
+    elif kind == "zeros":
+        values = {z: rng.choice((0.0, -0.0, rng.uniform(-5, 5)))
+                  for z in values}
+    f = GridFunction(d, r, values)
+    plan = make_plan(d, r, points=points, plane=plane, alpha=alpha, beta=beta)
+    got = forward_family(f, plan.rays.items())
+    assert "forward_table" in vars(plan)
+    family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
+              for z, ray in plan.rays.items()]
+    del plan
+    gc.collect()
+    assert not transform.PLANS
+    want = forward_family(f, family)
+    assert [(k, v.hex()) for k, v in got.entries.items()] == \
+        [(k, v.hex()) for k, v in want.entries.items()]
+    assert got.family == want.family and got.meta == want.meta
 
 
 def _varying_weight(z, p):

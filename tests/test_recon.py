@@ -1,5 +1,9 @@
+import gc
 import random
 import re
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +14,8 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    forward_family, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, Ray, recon_annulus,
                    recon_one_point, recon_shells, recon_shells_weighted,
-                   Sinogram)
+                   Sinogram, forward, ray_key)
+from lxray import transform
 
 
 def tstar_data(f, plan, weight=None):
@@ -204,6 +209,7 @@ def test_shells_round_trip_high_dimension_small_radius():
         f = random_int_grid(d, 1, seed=d)
         plan = make_plan(d, 1)
         assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
+        assert "forward_table" in vars(plan)  # the forward read the plan's table
 
 
 def test_plan_refuses_targets_outside_the_ball():
@@ -330,3 +336,102 @@ def test_make_plan_refuses_a_target_of_another_dimension(d, target):
     # checked before the shells are built, whose norms would raise ValueError
     with pytest.raises(PreconditionError):
         make_plan(d, 2, points=[target])
+
+
+def per_ray(f, rays):
+    """The per-ray forward, one entry per line in order of first appearance."""
+    out = {}
+    for ray in rays:
+        out.setdefault(ray_key(ray), forward(f, ray))
+    return [(k, v.hex()) for k, v in out.items()]
+
+
+def hexed(g):
+    return [(k, v.hex()) for k, v in g.entries.items()]
+
+
+def test_plans_register_until_deleted():
+    gc.collect()
+    plan = make_plan(2, 3)
+    assert transform.PLANS[id(plan)] is plan
+    forward_family(random_int_grid(2, 3, seed=1), plan.rays.items())
+    assert "forward_table" in vars(plan)
+    del plan
+    gc.collect()
+    assert not transform.PLANS
+
+
+def test_plan_table_misses_other_grids_and_families():
+    plan = make_plan(2, 3)
+    rays = tuple(plan.rays.values())
+    f = random_int_grid(2, 3, seed=2)
+    assert transform._plan_table(f, rays) is plan.forward_table
+    # another radius: the rays' spans in the larger ball differ
+    wide = random_int_grid(2, Fraction(7, 2), seed=3)
+    assert transform._plan_table(wide, rays) is None
+    assert hexed(forward_family(wide, plan.rays.items())) == per_ray(wide, rays)
+    # another dimension: refused before any table is read
+    f3 = random_int_grid(3, 3, seed=4)
+    assert transform._plan_table(f3, rays) is None
+    with pytest.raises(PreconditionError, match="dimensions differ"):
+        forward_family(f3, plan.rays.items())
+    # one ray of another line
+    z = plan.order[0]
+    moved = [(y, Ray(y, (1, 0)) if y == z else ray)
+             for y, ray in plan.rays.items()]
+    assert transform._plan_table(f, tuple(r for _, r in moved)) is None
+    assert hexed(forward_family(f, moved)) == per_ray(f, [r for _, r in moved])
+
+
+def test_a_plan_changed_after_compiling_never_gives_stale_sums():
+    plan = make_plan(2, 3)
+    f = random_int_grid(2, 3, seed=5)
+    family = list(plan.rays.items())
+    forward_family(f, family)
+    table = plan.forward_table
+    z = next(y for y, ray in family if ray.dir != (1, 0))
+    plan.rays[z] = Ray(z, (1, 0))
+    assert hexed(forward_family(f, plan.rays.items())) == \
+        per_ray(f, plan.rays.values())
+    # the family the table was compiled from still reads it
+    assert transform._plan_table(f, tuple(r for _, r in family)) is table
+    assert hexed(forward_family(f, family)) == per_ray(f, [r for _, r in family])
+    plan.rays[z] = family[[y for y, _ in family].index(z)][1]
+    plan.support_radius = Fraction(5, 2)
+    small = GridFunction(2, Fraction(5, 2), {y: v for y, v in f.values.items()
+                                             if 4 * sum(c * c for c in y) <= 25})
+    assert transform._plan_table(small, tuple(plan.rays.values())) is None
+    assert hexed(forward_family(small, plan.rays.items())) == \
+        per_ray(small, plan.rays.values())
+    assert plan.forward_table is table
+
+
+def test_threads_building_and_projecting_plans_agree():
+    # each thread builds plans while others scan the registry
+    f = random_int_grid(2, 2, seed=6)
+    want = per_ray(f, make_plan(2, 2).rays.values())
+    bad = []
+
+    def work():
+        try:
+            alive = [make_plan(2, 2) for _ in range(30)]  # a long registry
+            for _ in range(40):
+                plan = make_plan(2, 2)
+                alive.append(plan)
+                if hexed(forward_family(f, plan.rays.items())) != want:
+                    bad.append(plan)
+        except Exception as exc:  # a thread's error would be lost otherwise
+            bad.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
