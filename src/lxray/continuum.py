@@ -1,12 +1,7 @@
-"""Continuous transform of piecewise-constant lattice-cell fields.
-
-A grid function doubles as the field constant on the unit cells centered
-at lattice points; its line transform is the chord-weighted sum of cell
-values along the ray (chords and the grid walk are in ``rays``). Here: that
-transform, the correction identity tying it to the chord-weighted discrete
-one, the disjoint-ball model, and layer and iterative reconstructions on
-the shell sweep, which read the plan's chord table. All in doubles; the
-identities hold to 1e-9 relative.
+"""Continuous transform of the field constant on the unit cells at lattice
+points (the chord-weighted sum of cell values along a ray), the correction
+identity, the disjoint-ball model, and layer and iterative reconstructions
+over the plan's chord table; in doubles, identities to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -183,8 +178,8 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     Shell order as in the discrete sweep; each update divides the datum,
     corrected by the chords through already-recovered (strictly outer)
     cells of the same slice, by the chord through the target's own cell.
-    Cross terms from the target's shell and inner shells are dropped, which
-    is what makes this a first approximation rather than an identity.
+    Cross terms from the target's shell and inner shells are dropped, so
+    this is a first approximation, not an identity.
     """
     if plan.weight is not None:
         raise PreconditionError("layer reconstruction defines its own weight")
@@ -212,13 +207,9 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
 
 def _corrected_sinogram(g: Sinogram, plan: ReconPlan,
                         f: GridFunction) -> Sinogram:
-    """Off-line chord contributions of f removed, then chord-normalized.
-
-    After subtracting the cells off the ray's line, the remainder is the
-    chord-weighted sum over the line's own lattice points; since a line
-    meets every cell centered on it with the same (direction-only) central
-    chord, dividing by that chord turns each datum into a plain discrete
-    transform value, ready for the exact shell sweep.
+    """Off-line chord contributions of f removed, then divided by the
+    central chord (the same for every cell centered on the line), which
+    leaves plain discrete transform values for the exact shell sweep.
     """
     table = plan.chord_table
     ids, chords, on_line = table.ids, table.chords, table.on_line
@@ -268,16 +259,11 @@ def data_residual(g: Sinogram, plan: ReconPlan, f: GridFunction) -> float:
 
 def iterate_recon(g: Sinogram, plan: ReconPlan, f_init: GridFunction | None = None,
                   iters: int = 1) -> tuple[list[GridFunction], list[float]]:
-    """Refine cell-field reconstructions by correct-then-invert rounds.
-
-    Each round subtracts the current iterate's off-line chord contributions
-    from the data, divides each datum by its line's central chord, and
-    inverts the result exactly with the discrete shell sweep. Returns all
-    iterates, starting with the initial guess (default: the layer sweep),
-    alongside their data residuals. Convergence is reported, not asserted;
-    the true cell field is a fixed point up to roundoff. A given f_init
-    must meet ``data_residual``'s contract: the plan's dimension and at
-    most its support radius.
+    """Refine cell-field reconstructions by correct-then-invert rounds
+    (``_corrected_sinogram``, then the shell sweep). Returns every iterate
+    from the initial guess (default: the layer sweep) and their data
+    residuals; convergence is reported, not asserted. A given f_init must
+    meet ``data_residual``'s contract.
     """
     if iters < 1:
         raise PreconditionError("need at least one iteration")

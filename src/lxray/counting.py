@@ -1,11 +1,8 @@
-"""Brute-force verification of counting and separation estimates.
-
-Exact integer checks: the number of lines through two or more ball lattice
-points, between its proved bounds, summed as lens sizes over directions
-(one C pass over the ball's row columns each); the Farey asymptotic ratio;
-and the separation of the lattice's projections along a rational
-direction, scanned over one direction per orbit of the signed coordinate
-permutations. Both budgets are checked before any list is built.
+"""Brute-force verification of counting and separation estimates, in
+exact integers: lines through two or more ball points (lens sizes over
+directions), the Farey ratio, and the separation of lattice projections
+(one direction per orbit of the signed coordinate permutations). Budgets
+are checked before any list is built.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def count_connecting_lines(r, d: int = 2, *,
     (lens sizes, see ``_lens``). The sum runs over the canonical primitive
     directions of norm <= 2r. P is invariant under permuting and negating
     coordinates, so each orbit's lens is computed once. ``budget`` caps the
-    lens steps, directions x rows, and is checked before anything is built.
+    lens steps, directions x rows.
     """
     rf = ball_radius(d, r)
     # the rows are the lattice points of the (d-1)-ball of radius r
@@ -193,8 +190,7 @@ def separation_margin(R, d: int = 2, *,
     collinear pairs, so a minimum >= 1 over the rest is the exact separation
     estimate for lattice projections. One direction per orbit (see the
     module docstring) is scanned against one point of each pair +-z.
-    ``budget`` caps the pairs, directions x nonzero points, and is checked
-    before anything is built.
+    ``budget`` caps the pairs, directions x nonzero points.
     """
     rf = ball_radius(d, R)
     # nonzero ball points, exact up to the budget

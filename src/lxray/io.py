@@ -1,9 +1,7 @@
 """JSON file formats for grids and sinograms (see README.md), plus CSV
-exports. Files are compact JSON with sorted keys and rows, finite values
-and shortest round-trip floats, written atomically, so identical inputs
-give byte-identical files. Reading checks each row once, as columns; only
-a failing file is walked row by row, in file order, to raise the first
-bad row's error.
+exports: compact, sorted and written atomically, so identical inputs give
+byte-identical files. Rows are checked as columns; only a failing file is
+walked row by row, to name its first bad row.
 """
 
 from __future__ import annotations

@@ -1,10 +1,7 @@
-"""Exact integer-lattice primitives.
-
-Lattice points are tuples of ints; radii and squared norms are Fractions
-(a float radius is taken at its exact value), and no comparison here is
-decided in floating point. A direction is its canonical primitive vector:
-divided by the gcd of its entries, sign-flipped so the first nonzero entry
-is positive. Two integer vectors span one direction iff they share it.
+"""Exact integer-lattice primitives: points are int tuples, radii and
+squared norms Fractions (a float radius at its exact value), and no
+comparison is decided in floating point. A direction is its canonical
+primitive vector: divided by its gcd, first nonzero entry positive.
 """
 
 from __future__ import annotations

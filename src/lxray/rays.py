@@ -1,13 +1,6 @@
-"""Rational rays on the integer lattice.
-
-A ray is a lattice base point plus a canonical primitive direction; its
-reduced key is the same for every ray of its line, and sinograms are stored
-per key. The per-point perpendicular family (in a coordinate or integer
-plane) makes z the unique in-plane-norm minimizer on its ray, which drives
-the shell sweep. Keys, ball spans and the family are columns over many
-rays. The continuum bridge's ray-cell geometry is in doubles: chords by
-slab clipping, cell walks by shared per-direction cut patterns, and the
-exact point-on-line test.
+"""Rational rays on the integer lattice: line keys, ball spans, integer
+planes and the perpendicular family (columns over many rays), and the
+continuum bridge's ray-cell geometry in doubles (see README.md).
 """
 
 from __future__ import annotations
@@ -141,7 +134,8 @@ def perp_family(points: Iterable[IntVec],
     g = list(map(math.gcd, *w))
     q = list(map(mul, map(max, g, repeat(1)), map(
         pow, repeat(-1), map(lt, zip(*w), repeat((0,) * d)))))
-    dirs = zip(*[map(floordiv, col, q) for col in w])
+    dirs = list(zip(*[map(floordiv, col, q) for col in w]))
+    dirs = map(dict(zip(dirs, dirs)).get, dirs)  # one tuple per direction
     family = list(zip(zs, map(tuple.__new__, repeat(Ray), zip(zs, dirs))))
     axis = primitive(geom.a)
     for i in compress(range(len(zs)), map(not_, g)):

@@ -1,9 +1,6 @@
-"""Exact inversions of the discrete transform, one ray per point recovered:
-the one-point formula (a line whose primitive direction is longer than the
-support diameter meets the ball in one lattice point at most) and the shell
-sweep of the per-point perpendicular family (each point is the strict
-in-plane-norm minimizer on its ray, so sweeping shells outermost first,
-slice by slice, leaves one unknown per ray; exact for integer data).
+"""Exact inversions of the discrete transform, one ray per point: the
+one-point formula and the shell sweep of the perpendicular family (see
+README.md).
 """
 
 from __future__ import annotations
@@ -14,8 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, mul, ne, or_, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, gt, itemgetter, mul, ne, or_, sub, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
@@ -26,17 +23,15 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
                    ray_keys, walk_box, walk_cells)
-from .transform import PLANS, ForwardTable, GridFunction, Sinogram, Weight
+from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
+                        weight_column)
 
 
 class ChordTable(NamedTuple):
-    """Every plan ray's cell walk in the ball of radius r + sqrt(d).
-
-    Step i's ray crosses cells ``ids[ends[i-1]:ends[i]]`` in ``walk_cells``
-    order, with chords and on-its-line flags in the same slots of
-    ``chords`` and ``on_line``; ``central[i]`` is the chord through the
-    target's own cell. Ids index ``cells``: cell i is ``order[i]`` for each
-    step i, then the cells of no target in order of first crossing.
+    """Every plan ray's cell walk in the ball of radius r + sqrt(d): step
+    i's ray crosses cells ``ids[ends[i-1]:ends[i]]`` (chords and on-line
+    flags in the same slots); ``central[i]`` is the chord through its
+    target's cell. Cell i is ``order[i]``, then cells of no target.
     """
 
     cells: tuple[IntVec, ...]
@@ -49,17 +44,14 @@ class ChordTable(NamedTuple):
 
 @dataclass
 class ReconPlan:
-    """Everything a shell sweep needs: targets, rays, slices, shells, sweep.
-
-    ``plane`` None is the standard family; ``alpha``/``beta`` record an
-    annulus of targets. Construction compiles the sweep (slices by key,
-    shells outermost first): step i recovers ``order[i]`` from line
-    ``keys[i]``; ``on_ray[ends[i-1]:ends[i]]`` lists the steps of the other
-    plan points on that ray, in ray order. It refuses a negative radius, a
-    target outside the ball or of another dimension, a ray not based at its
+    """Everything a shell sweep needs, compiled once (slices by key, shells
+    outermost first): step i recovers ``order[i]`` from line ``keys[i]``;
+    ``steps[i]`` holds the steps of the other plan points on that ray, in
+    ray order (``()`` if none). It refuses a negative radius, a target
+    outside the ball or of another dimension, a ray not based at its
     target normal to it, and a plan point on a target's ray not in an
-    earlier shell. ``chord_table`` and ``forward_table`` are built when
-    first read, out of equality and repr; each plan is in ``PLANS``.
+    earlier shell. Tables and weight columns are built when first read,
+    out of equality and repr; each plan is in ``PLANS``.
     """
 
     d: int
@@ -73,8 +65,7 @@ class ReconPlan:
     beta: Fraction | None = None
     order: tuple[IntVec, ...] = field(init=False, repr=False)
     keys: tuple[RayKey, ...] = field(init=False, repr=False)
-    on_ray: array = field(init=False, repr=False)
-    ends: array = field(init=False, repr=False)
+    steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         r2 = ball_radius(self.d, self.support_radius) ** 2
@@ -92,7 +83,7 @@ class ReconPlan:
                    len(rays))
         bad = next(compress(count(), map(or_, map(ne, bases[:bad], self.order),
                                          dots(self.order[:bad], dirs[:bad]))), bad)
-        firsts, steps, counts = ray_boxes(rays[:bad], num, den, place, offset)
+        firsts, strides, counts = ray_boxes(rays[:bad], num, den, place, offset)
         # such a ray holds its target, unless the target is outside the ball
         stop = counts.index(0) if 0 in counts else bad
         boxes = box_ids(self.order, place, offset)
@@ -100,20 +91,21 @@ class ReconPlan:
         # each step's first step of its shell: from there on, not yet swept
         heads = chain.from_iterable(map(repeat, accumulate(
             map(len, shells), initial=0), map(len, shells)))
-        self.on_ray, self.ends = array("i"), array("i")
-        for me, lo, step, n, home, head in zip(range(stop), firsts, steps,
-                                               counts, boxes, heads):
-            if n > 1:  # the ray's other ball points, before and after home
-                span = chain(range(lo, home, step),
-                             range(home + step, lo + n * step, step))
-                hits = list(map(step_of.__getitem__,
-                                filter(step_of.__contains__, span)))
-                if hits and max(hits) >= head:
-                    late = self.order[next(i for i in hits if i >= head)]
-                    raise PlanError(f"{late} on the ray of {self.order[me]} "
-                                    f"is not in an earlier shell")
-                self.on_ray.extend(hits)
-            self.ends.append(len(self.on_ray))
+        steps = [()] * stop
+        for me, lo, step, n, home, head in compress(zip(
+                range(stop), firsts, strides, counts, boxes, heads),
+                map(gt, counts, repeat(1))):
+            # the ray's other ball points; hits shares step_of's ints
+            span = chain(range(lo, home, step),
+                         range(home + step, lo + n * step, step))
+            hits = tuple(map(step_of.__getitem__,
+                             filter(step_of.__contains__, span)))
+            if hits and max(hits) >= head:
+                late = self.order[next(i for i in hits if i >= head)]
+                raise PlanError(f"{late} on the ray of {self.order[me]} "
+                                f"is not in an earlier shell")
+            steps[me] = hits
+        self.steps = tuple(steps)
         if stop < bad:
             raise PreconditionError(
                 f"target {self.order[stop]} outside the support ball")
@@ -124,12 +116,37 @@ class ReconPlan:
         self.keys = tuple(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
         PLANS[id(self)] = self
 
+    def _for_weight(self, name: str, build: Callable[[Weight], object],
+                    w: Weight):
+        """build(w), kept until another weight is asked for."""
+        got = vars(self).get(name)
+        if got is None or got[0] is not w:
+            got = vars(self)[name] = w, build(w)
+        return got[1]
+
+    def forward_weights(self, w: Weight) -> array:
+        """w at each ``forward_table`` incidence, in gather order."""
+        return self._for_weight("_forward_weights", self.forward_table.weights, w)
+
+    def sweep_weights(self, w: Weight) -> tuple[array, array]:
+        """w at each ``steps`` incidence (flat) and each target, on the
+        compiled ray's direction."""
+        def build(w: Weight) -> tuple[array, array]:
+            dirs = list(map(itemgetter(0), self.keys))
+            wz = weight_column(w, self.order, dirs)
+            at = map(self.order.__getitem__, chain.from_iterable(self.steps))
+            on = chain.from_iterable(map(repeat, dirs, map(len, self.steps)))
+            return array("d", map(w, at, on)), wz
+        return self._for_weight("_sweep_weights", build, w)
+
     @cached_property
     def forward_table(self) -> ForwardTable:
         """The rays as they are now, compiled for ``forward_family``."""
         r2 = ball_radius(self.d, self.support_radius) ** 2
         place, offset, _ = box_index(self.d, r2.numerator, r2.denominator)
         rays = tuple(self.rays.values())
+        if not set(map(len, chain.from_iterable(rays))) <= {self.d}:
+            raise PreconditionError("ray and grid dimensions differ")
         firsts, steps, counts = ray_boxes(rays, r2.numerator, r2.denominator,
                                           place, offset)
         steps = [s or 1 for s in steps]  # a 0 step has one point at most
@@ -186,12 +203,10 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               plane: Plane | None = None, weight: Weight | None = None,
               alpha=None, beta=None,
               rays: Mapping[IntVec, Ray] | None = None) -> ReconPlan:
-    """A plan over a point set (default: the full ball), compiled once.
-
-    The radius must be nonnegative and d >= 2 (``ball_radius``);
-    alpha/beta bound the targets' in-plane norms (``plan_targets``).
-    ``rays`` maps each target to its ray (default: the perpendicular
-    family of ``plane``); a target without one is a PreconditionError.
+    """A plan over a point set (default: the full ball) for d >= 2 and a
+    radius >= 0; alpha/beta bound the targets' in-plane norms. ``rays``
+    maps each target to its ray (default: the perpendicular family of
+    ``plane``); a target without one is a PreconditionError.
     """
     r = ball_radius(d, support_radius)
     if plane is not None and plane.d != d:
@@ -231,38 +246,30 @@ def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
 
 
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
-    """Invert per-point-perpendicular-family data by the shell sweep.
-
-    Forward substitution: a target's value is its ray's datum minus the
-    values recovered on the ray, in ray order (points outside the plan
-    read 0). With a plan weight W the data are weighted sums and each
-    update divides by W(z, dir). The data are read as one column; the
-    first step without an entry in g is an error, never imputed.
+    """Invert per-point-perpendicular-family data by the shell sweep:
+    a target's value is its datum minus the nonzero values recovered on
+    its ray, in ray order (each times W(y, dir) and the total divided by
+    W(z, dir) if the plan has a weight W). A missing datum is an error.
     """
-    data = list(map(g.entries.get, plan.keys))
-    if None in data:
-        i = data.index(None)
+    vals = list(map(g.entries.get, plan.keys))
+    if None in vals:
+        i = vals.index(None)
         datum(g, plan.keys[i], plan.order[i])
-    w = plan.weight
-    vals: list[float] = []
-    start = 0
-    for z, total, end in zip(plan.order, data, plan.ends):
-        if start == end and w is None:  # no other plan point on the ray
-            vals.append(total)
-            continue
-        steps, start = plan.on_ray[start:end], end
-        if w is None:
+    steps, w = plan.steps, plan.weight
+    if w is None:
+        get = vals.__getitem__
+        for i, s in compress(enumerate(steps), steps):
             # zeros are skipped: -0.0 - -0.0 would be +0.0
-            total = reduce(sub, filter(None, map(vals.__getitem__, steps)), total)
-        else:
-            p = plan.rays[z].dir
-            total = reduce(sub, (w(plan.order[i], p) * vals[i]
-                                 for i in steps if vals[i]), total)
-            wz = w(z, p)
-            if wz == 0:
-                raise ZeroWeightError(f"weight vanishes at {z}")
-            total /= wz
-        vals.append(total)
+            vals[i] = reduce(sub, filter(None, map(get, s)), vals[i])
+    else:
+        ws, wz = plan.sweep_weights(w)
+        data, vals, ws = vals, list(map(truediv, vals, wz)), iter(ws)
+        get = vals.__getitem__
+        for i, s in compress(enumerate(steps), steps):
+            vs = list(map(get, s))
+            # islice takes this step's len(s) weights, used or not
+            vals[i] = reduce(sub, map(mul, compress(islice(ws, len(s)), vs),
+                                      filter(None, vs)), data[i]) / wz[i]
     return GridFunction.over_checked_points(plan.d, plan.support_radius,
                                             plan.order, vals)
 
@@ -284,11 +291,9 @@ def recon_annulus(g: Sinogram, plan: ReconPlan) -> GridFunction:
 def recon_one_point(g: Sinogram, points: Iterable[IntVec],
                     theta_of: Mapping[IntVec, IntVec] | Callable[[IntVec], IntVec],
                     r, weight: Weight | None = None) -> GridFunction:
-    """Read f off one ray per point, for effectively irrational directions.
-
-    Each target must lie in the ball and its direction satisfy |prim|^2 >
-    4 r^2, so the target is its ray's only ball point and the datum
-    (divided by the weight, if given) is the value.
+    """Read f off one ray per point: each target in the ball, each
+    direction with |prim|^2 > 4 r^2, so the datum (divided by the weight,
+    if given) is the target's value.
     """
     rf = as_fraction(r)
     r2 = rf * rf

@@ -1,9 +1,6 @@
-"""Forward transforms on lattice functions.
-
-The discrete transform along a ray sums f over the ray's lattice points;
-the weighted one multiplies each term by W(y, direction). Values are
-doubles, exact for integer-valued f with |f| <= 2^40 (the exact round
-trips rely on it).
+"""Forward transforms on lattice functions: along a ray, the sum of f (of
+W(y, dir) f(y) if weighted) over its lattice points, in doubles, exact for
+integer f with |f| <= 2^40.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import add, gt, itemgetter, mul
+from operator import add, gt, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
@@ -127,15 +124,25 @@ def _check_dim(f: GridFunction, ray: Ray) -> None:
         raise PreconditionError("ray and grid dimensions differ")
 
 
+def weight_column(weight: Weight, points: Sequence[IntVec],
+                  dirs: Iterable[IntVec]) -> array:
+    """weight(points[i], dirs[i]) as doubles, refused at the first zero."""
+    ws = array("d", map(weight, points, dirs))
+    if 0 in ws:
+        raise ZeroWeightError(f"weight vanishes at {points[ws.index(0)]}")
+    return ws
+
+
 def _weighted_sum(f: GridFunction, ray: Ray, ks: range, weight: Weight) -> float:
-    """Sum of W(z, dir) f(z) over base + k*dir, k in ks, in ray order."""
-    total = 0.0
+    """Sum of W(z, dir) f(z) over base + k*dir, k in ks, in ray order, by
+    ``sum`` from 0.0 as on the plan path."""
+    terms = []
     for z in ray_points(ray, ks):
         w = weight(z, ray.dir)
         if w == 0:
             raise ZeroWeightError(f"weight vanishes at {z}")
-        total += w * f.values.get(z, 0.0)
-    return total
+        terms.append(w * f.values.get(z, 0.0))
+    return sum(terms, 0.0)
 
 
 def forward(f: GridFunction, ray: Ray) -> float:
@@ -152,8 +159,8 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
 
 
 class ForwardTable(NamedTuple):
-    """Rays compiled for the unweighted forward in the d-ball |z|^2 <= r2:
-    ray i sums points[gather[j]], j in range(ends[i-1], ends[i])."""
+    """Rays compiled for the forward in the d-ball |z|^2 <= r2: ray i sums
+    points[gather[j]], j in range(ends[i-1], ends[i])."""
 
     d: int
     r2: Fraction
@@ -163,30 +170,44 @@ class ForwardTable(NamedTuple):
     gather: array
     ends: array
 
-    def sums(self, values: dict[IntVec, float]) -> Iterator[float]:
-        """The column path's sums: in ray order from +0.0, as its int 0."""
+    def weights(self, weight: Weight) -> array:
+        """weight(point, ray.dir) per incidence, in gather order."""
+        dirs = map(repeat, map(itemgetter(1), self.rays),
+                   map(sub, self.ends, chain((0,), self.ends)))
+        return weight_column(weight, list(map(self.points.__getitem__, self.gather)),
+                             chain.from_iterable(dirs))
+
+    def sums(self, values: dict[IntVec, float],
+             weights: array | None = None) -> Iterator[float]:
+        """The per-call sums: in ray order from +0.0, of weights[j] * value
+        if weighted."""
         vals = list(map(values.get, self.points, repeat(0.0)))
-        flat = list(map(vals.__getitem__, self.gather))
+        flat = map(vals.__getitem__, self.gather)
+        flat = list(flat if weights is None else map(mul, weights, flat))
         return map(sum, map(flat.__getitem__, map(
             slice, chain((0,), self.ends), self.ends)), repeat(0.0))
 
 
-def _plan_table(f: GridFunction, rays: tuple[Ray, ...]) -> ForwardTable | None:
+def _plan_table(f: GridFunction, rays: tuple[Ray, ...],
+                weight: Weight | None = None):
+    """A live plan whose table serves f on these rays (and weight)."""
     r2 = f.support_radius ** 2
     for plan in [ref() for ref in PLANS.valuerefs()]:  # a C copy: atomic
         if plan is not None and plan.d == f.d and len(plan.rays) == len(rays) and (
+                weight is None or weight is plan.weight) and (
                 "forward_table" in vars(plan) or tuple(plan.rays.values()) == rays):
             t = plan.forward_table
             if (t.d, t.r2, t.rays) == (f.d, r2, rays):
-                return t
+                return plan
     return None
 
 
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
-    """Project f along every ray of a family: by span columns or, unweighted,
-    by the ``forward_table`` of a live plan compiled for these rays."""
+    """Project f along every ray of a family: by span columns or by the
+    ``forward_table`` of a live plan compiled for these rays (weighted: for
+    this very weight)."""
     num, den = _r2_terms(f)
     if weight is not None:
         def values(rays: Sequence[Ray]) -> list[float]:
@@ -211,24 +232,27 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                                              repeat(0.0))))
                 sums += block
             return sums
-    return project_family(f, family, meta, values, weight is None)
+    return project_family(f, family, meta, values, True, weight)
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None,
                    values: Callable[[Sequence[Ray]], list[float]],
-                   planned: bool = False) -> Sinogram:
+                   planned: bool = False, weight: Weight | None = None) -> Sinogram:
     """A sinogram with one entry per line of the family, in order of first
     appearance; values maps the lines' first rays to their entries (if
     ``planned``, a live plan's table may serve)."""
-    fam = tuple((tuple(z), ray) for z, ray in family)
-    rays = tuple(map(itemgetter(1), fam))
-    if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
-        raise PreconditionError("ray and grid dimensions differ")
-    table = _plan_table(f, rays) if planned else None
-    if table is not None:
-        entries = dict(zip(table.keys, table.sums(f.values)))
+    family = list(family)
+    rays = tuple(map(itemgetter(1), family))
+    fam = tuple(zip(map(tuple, map(itemgetter(0), family)), rays))
+    plan = _plan_table(f, rays, weight) if planned else None
+    if plan is not None:  # its table checked its rays' dimensions
+        t = plan.forward_table
+        entries = dict(zip(t.keys, t.sums(f.values, None if weight is None
+                                          else plan.forward_weights(weight))))
     else:
+        if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
+            raise PreconditionError("ray and grid dimensions differ")
         keys = ray_keys(rays)
         if len(set(keys)) < len(keys):  # repeated lines: keep each one's first ray
             firsts: dict[RayKey, Ray] = {}

@@ -344,7 +344,7 @@ def test_plan_from_sinogram_is_the_default_plan(tmp_path, d, r, family, plane,
     got = _plan_from_sinogram(lio.obj_to_sino(lio.read_json(str(s))))
     alpha, beta = annulus or (None, None)
     want = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
-    for name in ("order", "keys", "on_ray", "ends", "rays"):
+    for name in ("order", "keys", "steps", "rays"):
         assert getattr(got, name) == getattr(want, name)
 
 

@@ -3,14 +3,19 @@
 ``perfbench/tracing.py`` wraps each function named in its ``SPANS`` and
 ``LEAVES`` tables with ``getattr`` on the defining module, so a renamed or
 removed function would only fail a traced benchmark run. The tables are
-read as they are, from the file.
+read as they are, from the file. The in-memory round trips must also keep
+reading their plans' compiled tables, so a change that sends them back to
+the per-call forward fails here instead of only slowing the benchmark.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from lxray import transform
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_name_is_a_function_of_its_module():
@@ -28,3 +33,20 @@ def test_every_traced_name_is_a_function_of_its_module():
     assert set(tracing["PROBES"]) <= set(names)
     for module in tracing["MODULES"]:
         importlib.import_module(f"lxray.{module}")
+
+
+def test_shell_round_trips_project_through_their_plans(monkeypatch):
+    # weighted, annulus and general-plane cases, each on its own family
+    shell = runpy.run_path(str(PERFBENCH / "workloads.py"))["ShellRoundtrip"]
+    work = shell(5, shell.TINY)
+    work.prepare()
+
+    def per_call(*args):
+        raise AssertionError("the forward left the plan's table")
+
+    monkeypatch.setattr(transform, "_weighted_sum", per_call)
+    monkeypatch.setattr(transform, "ray_boxes", per_call)
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
+    for op in ops:
+        op.check(op.run())

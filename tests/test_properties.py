@@ -32,6 +32,7 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
+from lxray import ZeroWeightError, cli
 from lxray import io as lio
 from lxray import transform
 from lxray.continuum import _corrected_sinogram
@@ -245,6 +246,102 @@ def test_recon_shells_matches_reference_sweep_bit_for_bit(case, weight):
     want = reference_sweep(g, plan)
     assert [(z, v.hex()) for z, v in got.items()] == \
         [(z, v.hex()) for z, v in want.items()]
+
+
+def _phantoms(d, r, seed):
+    """An integer, a perturbed and a signed-zero phantom on the ball."""
+    rng = random.Random(seed)
+    ints = {z: float(rng.randint(-9, 9)) for z in enumerate_ball(d, r)}
+    return [GridFunction(d, r, values) for values in (
+        ints, {z: v + rng.uniform(-1e-3, 1e-3) for z, v in ints.items()},
+        {z: rng.choice((0.0, -0.0, rng.uniform(-5, 5))) for z in ints})]
+
+
+def _hexed(g):
+    return [(k, v.hex()) for k, v in g.entries.items()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(round_trip_cases(), st.sampled_from(("const", "varying", "chord")))
+def test_weighted_plan_forward_matches_the_per_call_path(case, name):
+    # the plan's weight column against _weighted_sum on an equal family
+    # once the plan is gone: same entries, order and float.hex
+    d, r, plane, alpha, beta, seed = case
+    weight, fs = WEIGHTS[name], _phantoms(d, r, seed)
+    plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
+    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+        got = [forward_family(f, plan.rays.items(), weight=weight) for f in fs]
+    # an equal constant weight that is another object misses the table
+    other = constant_weight(1.7)
+    assert transform._plan_table(fs[0], tuple(plan.rays.values()), other) is None
+    if name == "const":
+        assert _hexed(forward_family(fs[0], plan.rays.items(), weight=other)) \
+            == _hexed(got[0])
+    family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
+              for z, ray in plan.rays.items()]
+    del plan
+    gc.collect()
+    assert not transform.PLANS
+    for f, g in zip(fs, got):
+        want = forward_family(f, family, weight=weight)
+        assert _hexed(g) == _hexed(want)
+        assert g.family == want.family and g.meta == want.meta
+
+
+def _error(call):
+    try:
+        call()
+    except ZeroWeightError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(round_trip_cases(), st.sampled_from(("const", "varying", "chord")))
+def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
+    d, r, plane, alpha, beta, seed = case
+    rng = random.Random(seed)
+    f = _phantoms(d, r, seed)[0]
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    # W vanishes at two targets (or none): the first in ray and point
+    # order, or in sweep order, is named
+    dead = set(rng.sample(plan.order, min(2, len(plan.order))))
+    base = WEIGHTS[name]
+
+    def weight(z, p):
+        return 0.0 if z in dead else base(z, p)
+
+    plan.weight = weight
+    family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
+              for z, ray in plan.rays.items()]
+    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+        message = _error(lambda: forward_family(f, plan.rays.items(),
+                                                weight=weight))
+    assert (message is None) == (not dead)
+    g = forward_family(f, family, weight=base)
+    swept = _error(lambda: recon_shells(g, plan))
+    assert swept == _error(lambda: reference_sweep(g, plan))
+    assert (swept is None) == (not dead)
+    del plan
+    gc.collect()
+    assert _error(lambda: forward_family(f, family, weight=weight)) == message
+
+
+@settings(max_examples=30, deadline=None)
+@given(round_trip_cases())
+def test_a_plan_calls_its_weight_once_per_incidence(case):
+    d, r, plane, alpha, beta, seed = case
+    calls = []
+
+    def weight(z, p):
+        calls.append(z)
+        return 1.5
+
+    plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
+    for f in _phantoms(d, r, seed):
+        recon_shells(forward_family(f, plan.rays.items(), weight=weight), plan)
+    assert len(calls) == len(plan.forward_table.gather) + len(plan.order) + \
+        sum(map(len, plan.steps))
 
 
 @st.composite
@@ -678,3 +775,88 @@ def test_kind_predicate_is_ray_equality(case):
     kind_ray = reference_perp_family([z], plane)[0][1]
     assert is_perp_ray(z, ray, plane) == (ray == kind_ray)
     assert is_perp_ray(z, kind_ray, plane)
+
+
+
+RECON_FAMILIES = (("tstar",), ("tstar-plane", "1,1,0", "0,1,1"),
+                  ("annulus", "1", "3"))
+ODD = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                st.just(10 ** 400), st.floats(), st.text(max_size=3),
+                st.lists(st.integers(-3, 3), max_size=4), st.just({}),
+                st.sampled_from(("1/2", "-1", "0/0", "1e400", "x/y", "tstar",
+                                 "tstar_plane", "free")))
+HUGE = (math.nan, math.inf, -math.inf, 1e308, -1e308, 10 ** 400)
+
+
+@st.composite
+def spoiled_sinograms(draw, texts):
+    """One of the valid sinogram texts, spoiled one to three times, and
+    recon flags."""
+    obj = json.loads(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("drop", "duplicate", "retype", "length",
+                                    "value", "meta", "top")))
+        if not isinstance(obj, dict):
+            break
+        rows, fam = obj.get("rays"), obj.get("family")
+        if how in ("meta", "top"):
+            if how == "top" or not isinstance(fam, dict):
+                fam, keys = obj, ("d", "family", "rays")
+            else:
+                keys = ("kind", "a", "b", "alpha", "beta", "r", "other")
+            key = draw(st.sampled_from(keys))
+            if draw(st.booleans()):
+                fam.pop(key, None)
+            else:
+                fam[key] = draw(ODD)
+        elif isinstance(rows, list) and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            row = rows[i]
+            if how == "drop":
+                del rows[i]
+            elif how == "duplicate":
+                rows.insert(draw(st.integers(0, len(rows))),
+                            json.loads(json.dumps(row)))
+            elif not isinstance(row, dict):
+                continue
+            elif how == "retype":
+                row[draw(st.sampled_from(("z", "dir", "base", "v")))] = draw(ODD)
+            elif how == "value":
+                row["v"] = draw(st.sampled_from(HUGE))
+            else:  # a vector one entry short or long
+                key = draw(st.sampled_from(("z", "dir", "base")))
+                if isinstance(row.get(key), list):
+                    row[key] = row[key][:-1] if draw(st.booleans()) \
+                        else row[key] + [draw(st.integers(-2, 2))]
+    text = json.dumps(obj)
+    if draw(st.booleans()):  # truncated
+        text = text[:draw(st.integers(0, len(text)))]
+    return text, draw(st.sampled_from(((), ("--weight", "const", "2"),
+                                       ("--r", "3"))))
+
+
+@pytest.fixture(scope="module")
+def recon_files(tmp_path_factory):
+    """A directory and the texts of valid ``lxray forward`` sinograms."""
+    tmp, texts = tmp_path_factory.mktemp("recon_fuzz"), []
+    for family in RECON_FAMILIES:
+        d = "3" if family[0] == "tstar-plane" else "2"
+        g, s = tmp / "grid.json", tmp / "sino.json"
+        assert cli.main(["phantom", "--kind", "random-int", "--d", d, "--r",
+                         "3", "--seed", "1", "--out", str(g)]) == 0
+        assert cli.main(["forward", "--grid", str(g), "--family", *family,
+                         "--out", str(s)]) == 0
+        texts.append(s.read_text())
+    return tmp, tuple(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recon_of_a_spoiled_file_exits_with_a_code(recon_files, data):
+    # 0 (the spoil was harmless), 2, 3 or 4; never a traceback
+    tmp, texts = recon_files
+    text, flags = data.draw(spoiled_sinograms(texts))
+    sino, out = tmp / "spoiled.json", tmp / "rec.json"
+    sino.write_text(text)
+    assert cli.main(["recon", "--sino", str(sino), *flags,
+                     "--out", str(out)]) in (0, 2, 3, 4)

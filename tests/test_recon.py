@@ -14,7 +14,7 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    forward_family, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, Ray, recon_annulus,
                    recon_one_point, recon_shells, recon_shells_weighted,
-                   Sinogram, forward, ray_key)
+                   Sinogram, ZeroWeightError, forward, ray_key)
 from lxray import transform
 
 
@@ -365,7 +365,7 @@ def test_plan_table_misses_other_grids_and_families():
     plan = make_plan(2, 3)
     rays = tuple(plan.rays.values())
     f = random_int_grid(2, 3, seed=2)
-    assert transform._plan_table(f, rays) is plan.forward_table
+    assert transform._plan_table(f, rays) is plan
     # another radius: the rays' spans in the larger ball differ
     wide = random_int_grid(2, Fraction(7, 2), seed=3)
     assert transform._plan_table(wide, rays) is None
@@ -383,6 +383,22 @@ def test_plan_table_misses_other_grids_and_families():
     assert hexed(forward_family(f, moved)) == per_ray(f, [r for _, r in moved])
 
 
+def test_a_new_plan_weight_is_compiled_afresh():
+    # stale columns would scale the data or the quotients by the old weight
+    f = random_int_grid(2, 4, seed=8)
+    plan = make_plan(2, 4, weight=constant_weight(2.0))
+    for w in (plan.weight, constant_weight(4.0), lambda z, p: 1.0 + z[0] % 2,
+              None):
+        plan.weight = w
+        g = forward_family(f, plan.rays.items(), weight=w)
+        assert values_equal(recon_shells(g, plan), f)
+    assert "_sweep_weights" in vars(plan) and "_forward_weights" in vars(plan)
+    plan.weight = lambda z, p: float(z != plan.order[-1])
+    with pytest.raises(ZeroWeightError,
+                       match=re.escape(f"weight vanishes at {plan.order[-1]}")):
+        recon_shells(g, plan)
+
+
 def test_a_plan_changed_after_compiling_never_gives_stale_sums():
     plan = make_plan(2, 3)
     f = random_int_grid(2, 3, seed=5)
@@ -394,7 +410,7 @@ def test_a_plan_changed_after_compiling_never_gives_stale_sums():
     assert hexed(forward_family(f, plan.rays.items())) == \
         per_ray(f, plan.rays.values())
     # the family the table was compiled from still reads it
-    assert transform._plan_table(f, tuple(r for _, r in family)) is table
+    assert transform._plan_table(f, tuple(r for _, r in family)) is plan
     assert hexed(forward_family(f, family)) == per_ray(f, [r for _, r in family])
     plan.rays[z] = family[[y for y, _ in family].index(z)][1]
     plan.support_radius = Fraction(5, 2)
