@@ -17,7 +17,7 @@ from operator import eq, gt, itemgetter
 from .errors import FileFormatError, PreconditionError
 from .lattice import as_fraction, ball_radius, dots, is_canonical_direction
 from .rays import Ray, RayKey, ray_key, ray_keys
-from .transform import FamilyMeta, GridFunction, Sinogram
+from .transform import FamilyMeta, GridFunction, Sinogram, finite_doubles
 
 FAMILY_KINDS = ("tstar", "tstar_plane", "free")
 
@@ -70,13 +70,7 @@ def _int_vecs(vecs: list, d: int) -> bool:
 
 def _values(vs: list) -> list[float] | None:
     """The values as finite doubles if ``_value`` accepts each, else None."""
-    if not set(map(type, vs)) <= {int, float}:
-        return None
-    try:
-        vals = list(map(float, vs))
-    except OverflowError:
-        return None
-    return vals if all(map(math.isfinite, vals)) else None
+    return finite_doubles(vs) if set(map(type, vs)) <= {int, float} else None
 
 
 def write_json_atomic(path: str, obj) -> None:

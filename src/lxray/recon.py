@@ -70,12 +70,16 @@ class ReconPlan:
     def __post_init__(self):
         r2 = ball_radius(self.d, self.support_radius) ** 2
         num, den = r2.numerator, r2.denominator
-        place, offset, _ = box_index(self.d, num, den)
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
         self.order = tuple(chain.from_iterable(shells))
         for z in self.order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
+        # no plan point lies beyond the farthest target: walk rays that far
+        top = max(dots(self.order, self.order), default=0)
+        if den * top <= num:
+            num, den = math.ceil(top), 1
+        place, offset, _ = box_index(self.d, num, den)
         rays = list(map(self.rays.__getitem__, self.order))
         bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
         # the first step whose ray is not based at its target normal to it

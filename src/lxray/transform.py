@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
 from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
-                      norm2)
+                      dots, norm2)
 from .rays import (Ray, RayKey, is_canonical_direction, ray_boxes, ray_key,
                    ray_keys, ray_points, ray_span, ray_spans)
 
@@ -30,10 +30,21 @@ COLUMN_BLOCK = 2048
 PLANS = weakref.WeakValueDictionary()
 
 
+def finite_doubles(values: Iterable) -> list[float] | None:
+    """The values as doubles if each converts and is finite, else None."""
+    try:
+        vals = list(map(float, values))
+    except OverflowError:
+        return None
+    return vals if all(map(math.isfinite, vals)) else None
+
+
 @dataclass
 class GridFunction:
     """Sparse real function on Z^d in a declared ball: unstored points read
-    0; r >= 0, each stored |z|^2 <= r^2 exactly and each value finite."""
+    0; r >= 0, each stored |z|^2 <= r^2 exactly and each value finite.
+    Checked as columns (tuples of ints kept as given); only a failing grid
+    is walked point by point, to name its first bad point."""
 
     d: int
     support_radius: Fraction
@@ -42,7 +53,27 @@ class GridFunction:
     def __post_init__(self):
         self.support_radius = ball_radius(self.d, self.support_radius)
         r2 = self.support_radius * self.support_radius
-        den, num = r2.denominator, r2.numerator
+        num, den = r2.numerator, r2.denominator
+        try:
+            clean = self._columns(num, den)
+        except Exception:  # junk for int() or float(): the walk raises it
+            clean = None
+        self.values = self._rows(num, den) if clean is None else clean
+
+    def _columns(self, num: int, den: int) -> dict[IntVec, float] | None:
+        """The checked values if every point passes, else None."""
+        zs = list(self.values)
+        if not (set(map(type, zs)) <= {tuple}
+                and set(map(type, chain.from_iterable(zs))) <= {int}):
+            zs = list(map(tuple, map(map, repeat(int), zs)))
+        vals = finite_doubles(self.values.values())
+        if (vals is None or not set(map(len, zs)) <= {self.d}
+                or den * max(dots(zs, zs), default=0) > num):
+            return None
+        return dict(zip(zs, vals))
+
+    def _rows(self, num: int, den: int) -> dict[IntVec, float]:
+        """The checks point by point; the first bad point raises."""
         clean: dict[IntVec, float] = {}
         for z, v in self.values.items():
             z = tuple(map(int, z))
@@ -57,7 +88,7 @@ class GridFunction:
             if not math.isfinite(v):
                 raise PreconditionError(f"value at {z} is not finite")
             clean[z] = v
-        self.values = clean
+        return clean
 
     @classmethod
     def over_checked_points(cls, d: int, support_radius,
@@ -66,12 +97,8 @@ class GridFunction:
         """values[i] at points[i], distinct d-tuples known to be in the ball
         (a compiled plan checked them once); the values are still made
         doubles and checked, as finite data can overflow (1e308 - -1e308)."""
-        try:
-            vals = list(map(float, values))
-            finite = all(map(math.isfinite, vals))
-        except OverflowError:
-            finite = False
-        if not finite:  # the checking constructor names the bad point
+        vals = finite_doubles(values)
+        if vals is None:  # the checking constructor names the bad point
             cls(d, support_radius, dict(zip(points, values)))
         f = object.__new__(cls)
         f.d, f.support_radius = d, as_fraction(support_radius)
@@ -242,9 +269,12 @@ def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
     """A sinogram with one entry per line of the family, in order of first
     appearance; values maps the lines' first rays to their entries (if
     ``planned``, a live plan's table may serve)."""
-    family = list(family)
+    family = tuple(family)
     rays = tuple(map(itemgetter(1), family))
-    fam = tuple(zip(map(tuple, map(itemgetter(0), family)), rays))
+    zs = list(map(itemgetter(0), family))
+    if not (set(map(type, chain(family, zs))) <= {tuple}
+            and set(map(len, family)) <= {2}):  # else new (z, ray) pairs
+        family = tuple(zip(map(tuple, zs), rays))
     plan = _plan_table(f, rays, weight) if planned else None
     if plan is not None:  # its table checked its rays' dimensions
         t = plan.forward_table
@@ -262,7 +292,7 @@ def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
         entries = dict(zip(keys, values(rays)))
     if meta is None:
         meta = FamilyMeta("free", support_radius=f.support_radius)
-    return Sinogram(d=f.d, entries=entries, meta=meta, family=fam)
+    return Sinogram(d=f.d, entries=entries, meta=meta, family=family)
 
 
 def project_and_bin(f: GridFunction, theta: IntVec) -> dict[RayKey, float]:

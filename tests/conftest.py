@@ -11,10 +11,11 @@ the gcd column of ``perp_family`` replaced. The counting references keep the gcd
 ``primitive()`` filter for canonical primitives and the row-by-row lens
 size that the prime sieve, the gcd column and the lens columns replaced.
 The file-reader references keep the row-by-row checks that the column
-checks replaced. The last group holds helpers that only the tests
-call: the through-origin line recount, the Farey point sets, witnesses of
-the unbounded ray family, short-direction and table-weight models, the
-one-ray cell walk and function equality.
+checks replaced, and the grid reference the point-by-point walk that
+``GridFunction``'s column checks replaced. The last group holds helpers
+that only the tests call: the through-origin line recount, the Farey
+point sets, witnesses of the unbounded ray family, short-direction and
+table-weight models, the one-ray cell walk and function equality.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from lxray import (FileFormatError, GridFunction, MissingDataError,
                    PreconditionError, Ray, RayKey, Sinogram, ZeroWeightError,
                    enumerate_ball, primitive)
 from lxray import io as lio
-from lxray.lattice import box_points
+from lxray.lattice import ball_radius, box_points, norm2
 from lxray.rays import _on_line, cell_chord, walk_box, walk_cells
 from lxray.recon import datum
 
@@ -448,6 +449,27 @@ def reference_obj_to_sino(obj):
         entries[key] = v
         family.append((z, ray))
     return Sinogram(d=d, entries=entries, meta=meta, family=tuple(family))
+
+
+def reference_grid_values(d, r, values):
+    """``GridFunction(d, r, values).values`` by the point-by-point walk (oracle)."""
+    r2 = ball_radius(d, r) ** 2
+    den, num = r2.denominator, r2.numerator
+    clean = {}
+    for z, v in values.items():
+        z = tuple(map(int, z))
+        if len(z) != d:
+            raise PreconditionError(f"point {z} has wrong dimension")
+        if den * norm2(z) > num:
+            raise PreconditionError(f"point {z} outside declared support ball")
+        try:
+            v = float(v)
+        except OverflowError as exc:
+            raise PreconditionError(f"value at {z} is out of range") from exc
+        if not math.isfinite(v):
+            raise PreconditionError(f"value at {z} is not finite")
+        clean[z] = v
+    return clean
 
 
 def values_equal(f, g):

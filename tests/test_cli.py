@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -331,6 +332,26 @@ def test_free_perpendicular_file_reconstructs_bit_exactly(tmp_path):
     assert run(["recon", "--sino", str(free), "--out", str(rf)]) == 0
     assert rf.read_bytes() == r.read_bytes()
     assert read_grid(rf).values == read_grid(g).values
+
+
+def test_recon_time_is_bounded_by_the_file_not_the_radius(tmp_path):
+    # a 29-row r=3 file declared (or flagged) at r = 1e8: the plan walks
+    # each ray only as far as the file's farthest point
+    _, s = _forward_file(tmp_path, 2, 3, ["tstar"])
+    near, far = tmp_path / "near.json", tmp_path / "far.json"
+    obj = json.loads(s.read_text())
+    assert len(obj["rays"]) == 29
+    obj["family"]["r"] = "100000000"
+    far.write_text(json.dumps(obj))
+    assert run(["recon", "--sino", str(s), "--out", str(near)]) == 0
+    want = lio.read_json(str(near))["values"]
+    for sino, flags in ((far, []), (s, ["--r", "100000000"])):
+        out = tmp_path / "out.json"
+        t0 = time.perf_counter()
+        assert run(["recon", "--sino", str(sino), *flags, "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        got = lio.read_json(str(out))
+        assert got["r"] == "100000000" and got["values"] == want
 
 
 @pytest.mark.parametrize("d, r, family, plane, annulus", [

@@ -5,11 +5,14 @@
 removed function would only fail a traced benchmark run. The tables are
 read as they are, from the file. The in-memory round trips must also keep
 reading their plans' compiled tables, so a change that sends them back to
-the per-call forward fails here instead of only slowing the benchmark.
+the per-call forward fails here instead of only slowing the benchmark, and
+their phantoms must pass ``GridFunction``'s column checks with their keys
+kept, never walked point by point.
 """
 
 import importlib
 import runpy
+from operator import is_
 from pathlib import Path
 
 from lxray import transform
@@ -50,3 +53,18 @@ def test_shell_round_trips_project_through_their_plans(monkeypatch):
     assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
     for op in ops:
         op.check(op.run())
+
+
+def test_benchmark_phantoms_are_checked_as_columns(monkeypatch):
+    bench = runpy.run_path(str(PERFBENCH / "workloads.py"))
+
+    def walk(*args):
+        raise AssertionError("a valid grid was walked point by point")
+
+    monkeypatch.setattr(transform.GridFunction, "_rows", walk)
+    work = bench["ShellRoundtrip"](5, (bench["Case"]("d2_r60", 2, 60),))
+    points = {z: z for z in work.targets["d2_r60"]}  # the workload's tuples
+    for f in work.phantoms["d2_r60"]:
+        assert len(f.values) == len(points)
+        assert all(map(is_, f.values, map(points.__getitem__, f.values)))
+        assert set(map(type, f.values.values())) == {float}

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
 from unittest import mock
@@ -19,7 +21,7 @@ from conftest import (brute_direction_minima, brute_forward, brute_line_count,
                       reference_canonical_primitives,
                       reference_corrected_sinogram, reference_data_residual,
                       reference_farey_count, reference_forward_continuous,
-                      reference_layer_recon, reference_lens,
+                      reference_grid_values, reference_layer_recon, reference_lens,
                       reference_obj_to_grid, reference_obj_to_sino,
                       reference_perp_family, reference_sweep, reference_traverse_cells,
                       traverse_cells)
@@ -860,3 +862,100 @@ def test_recon_of_a_spoiled_file_exits_with_a_code(recon_files, data):
     sino.write_text(text)
     assert cli.main(["recon", "--sino", str(sino), *flags,
                      "--out", str(out)]) in (0, 2, 3, 4)
+
+
+# a NamedTuple key per length: equal to the plain tuple, of another type
+NAMED_KEYS = {n: namedtuple(f"Key{n}", [f"x{i}" for i in range(n)])
+              for n in range(1, 6)}
+KEY_SPOILS = ("wrong length", "outside the ball", "bool coordinate",
+              "float coordinate", "int-valued float", "NamedTuple", "list",
+              "str coordinate", "None coordinate", "nan coordinate",
+              "inf coordinate")
+VALUE_SPOILS = (float("nan"), float("inf"), -float("inf"), 10 ** 400,
+                -10 ** 400, "1.5", "inf", "x", None, True, False, 3, -0.0,
+                2 ** 53 + 1, Fraction(1, 3))
+
+
+class PairMapping(Mapping):
+    """A mapping over (key, value) pairs, so keys may be unhashable lists."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(v for k, v in self.pairs if k == key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def _spoil_key(z, how, rng):
+    j = rng.randrange(len(z))
+    z = list(z)
+    if how == "wrong length":
+        return tuple(z[:-1] if rng.random() < 0.5 else z + [0])
+    if how == "outside the ball":
+        z[j] += rng.choice((-1, 1)) * (abs(z[j]) + 1)
+    elif how == "bool coordinate":
+        z[j] = rng.choice((True, False))
+    elif how == "float coordinate":  # int() may collide it with a neighbour
+        z[j] += rng.choice((-0.5, 0.5))
+    elif how == "int-valued float":
+        z[j] = float(z[j])
+    elif how == "NamedTuple":
+        return NAMED_KEYS[len(z)](*z)
+    elif how == "list":
+        return z
+    elif how == "str coordinate":
+        z[j] = rng.choice((str(z[j]), "x"))
+    elif how == "None coordinate":
+        z[j] = None
+    elif how == "nan coordinate":
+        z[j] = float("nan")
+    elif how == "inf coordinate":
+        z[j] = float("inf")
+    return tuple(z)
+
+
+@st.composite
+def grid_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(0, 4, max_denominator=6))
+    # the shares of spoiled keys and of spoiled values, each 0 half the time
+    rates = draw(st.tuples(*[st.sampled_from((0, 0, 0.05, 0.3))] * 2))
+    return d, r, draw(st.integers(1, 40)), rates, draw(st.integers(0, 2 ** 16))
+
+
+def _grid_outcome(make):
+    try:
+        got = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(z), tuple(map(type, z)), z, v.hex()) for z, v in got.items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_cases())
+@example((3, Fraction(2), 0, (0, 0), 0))  # no points
+def test_grid_checks_match_the_point_walk(case):
+    # the same stored points (types, order, float.hex) or the same exception
+    # type and message as the point-by-point walk
+    d, r, n, (key_rate, value_rate), seed = case
+    rng = random.Random(seed)
+    ball = enumerate_ball(d, r)
+    pairs = []
+    for _ in range(n):
+        z = rng.choice(ball)
+        if key_rate and rng.random() < key_rate:
+            z = _spoil_key(z, rng.choice(KEY_SPOILS), rng)
+        v = rng.choice((float(rng.randint(-9, 9)), rng.uniform(-1e3, 1e3)))
+        if value_rate and rng.random() < value_rate:
+            v = rng.choice(VALUE_SPOILS)
+        pairs.append((z, v))
+    lists = any(type(z) is list for z, _ in pairs)
+    values = PairMapping(pairs) if lists else dict(pairs)
+    got = _grid_outcome(lambda: GridFunction(d, r, values).values)
+    assert got == _grid_outcome(lambda: reference_grid_values(d, r, values))

@@ -217,6 +217,17 @@ def test_plan_refuses_targets_outside_the_ball():
         make_plan(2, 2, points=[(0, 0), (2, 1)])
 
 
+def test_a_sparse_plan_compiles_as_far_as_its_farthest_point():
+    # the compile walks each ray to the farthest target, not to r = 10^12
+    pts = [z for z in enumerate_ball(3, 4) if z[2] % 2 == 0]
+    near, far = make_plan(3, 4, points=pts), make_plan(3, 10 ** 12, points=pts)
+    assert any(near.steps)
+    for name in ("order", "keys", "steps"):
+        assert getattr(far, name) == getattr(near, name)
+    with pytest.raises(PreconditionError, match="outside the support ball"):
+        make_plan(3, Fraction(39, 10), points=pts)
+
+
 def test_plan_refuses_a_negative_radius():
     # the ball test squares the radius, so it cannot see a negative one
     for make in (lambda: make_plan(2, -2, points=[(0, 0), (1, 1)]),

@@ -1,12 +1,13 @@
 import math
 import random
+from operator import is_
 
 import pytest
 
 from conftest import brute_forward, random_int_grid, table_weight, values_equal
 from lxray import (GridFunction, PreconditionError, Ray, ZeroWeightError,
                    constant_weight, effectively_irrational, enumerate_ball,
-                   forward, forward_family, forward_weighted, norm2,
+                   forward, forward_family, forward_weighted, make_plan, norm2,
                    perp_family, perp_ray, project_and_bin, ray_key)
 
 
@@ -92,6 +93,23 @@ def test_forward_family_edge_cases():
     assert empty.entries == {}
     f = ones(2, 2)
     assert forward(f, perp_ray((2, 0))) == 1.0
+
+
+def test_forward_family_keeps_plain_pairs():
+    # (z, ray) pairs with tuple z are the sinogram's family as given; other
+    # shapes are rebuilt into equal pairs, on and off a plan's table
+    f = random_int_grid(2, 3, seed=2)
+    family = perp_family(enumerate_ball(2, 3))
+    for plan in (None, make_plan(2, 3)):
+        if plan is not None:
+            family = list(plan.rays.items())
+        g = forward_family(f, family)
+        assert all(map(is_, g.family, family))
+        for other in ([(list(z), ray) for z, ray in family],
+                      [(z, ray, 0) for z, ray in family]):
+            h = forward_family(f, other)
+            assert h.family == g.family and h.entries == g.entries
+            assert {type(z) for z, _ in h.family} == {tuple}
 
 
 def test_linearity_exact_for_integers():
