@@ -29,6 +29,9 @@ from .recon import (make_plan, plan_targets, recon_annulus, recon_one_point,
                     recon_shells)
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
 
+# coordinates of the declared ball phantom and forward may list, d per point
+BALL_BUDGET = 1 << 17
+
 
 def _parse_vec(text: str, d: int, what: str) -> tuple[int, ...]:
     try:
@@ -89,7 +92,7 @@ def make_phantom(kind: str, d: int, r, seed: int = 0) -> GridFunction:
     rf = as_fraction(r)
     if kind == "point":
         return GridFunction(d, rf, {(0,) * d: 1.0})
-    points = enumerate_ball(d, rf)
+    points = enumerate_ball(d, rf, BALL_BUDGET)
     if kind == "disc":
         inner = rf * Fraction(5, 8)  # documented default: ones inside 5r/8
         inner2 = inner * inner
@@ -147,8 +150,8 @@ def cmd_forward(args) -> int:
     if args.continuous and args.weight is not None:
         raise PreconditionError("--continuous and --weight are mutually exclusive")
     weight = _parse_weight(args.weight)
-    points = plan_targets(enumerate_ball(grid.d, grid.support_radius),
-                          plane or coordinate_plane(grid.d),
+    ball = enumerate_ball(grid.d, grid.support_radius, BALL_BUDGET)
+    points = plan_targets(ball, plane or coordinate_plane(grid.d),
                           grid.support_radius, alpha, beta)
     family = perp_family(points, plane)
     meta = FamilyMeta(kind=kind,

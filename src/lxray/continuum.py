@@ -10,16 +10,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
-from operator import add, itemgetter, le, mul, sub
-from typing import Iterable, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import add, itemgetter, le, mul, sub, truediv
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .lattice import (IntVec, ball_radius, box_ids, box_points, dot, norm2,
                       vsub)
 from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
                    walk_box, walk_cells)
-from .recon import ReconPlan, datum, recon_shells
+from .recon import ReconPlan, datum, recon_shells, sweep_data
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
 
@@ -205,56 +205,50 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
                                             plan.order, vals)
 
 
-def _corrected_sinogram(g: Sinogram, plan: ReconPlan,
-                        f: GridFunction) -> Sinogram:
-    """Off-line chord contributions of f removed, then divided by the
-    central chord (the same for every cell centered on the line), which
-    leaves plain discrete transform values for the exact shell sweep.
-    """
-    table = plan.chord_table
-    ids, chords, on_line = table.ids, table.chords, table.on_line
-    fv = list(map(f.values.get, table.cells))  # None where f is unset
-    entries = {}
-    start = 0
-    for z, key, end, central in zip(plan.order, plan.keys, table.ends,
-                                    table.central):
-        span, start = slice(start, end), end
-        total = datum(g, key, z)
-        corr = 0.0
-        for c, chord, on in zip(ids[span], chords[span], on_line[span]):
-            if not on:
-                v = fv[c]
-                if v:
-                    corr += v * chord
-        entries[key] = (total - corr) / central
-    return Sinogram(d=g.d, entries=entries, meta=g.meta, family=g.family)
-
-
-def data_residual(g: Sinogram, plan: ReconPlan, f: GridFunction) -> float:
-    """Max |datum - continuous model of f| over the plan's rays.
-
-    Reads the plan's chord table, so f must have the plan's dimension and a
-    support radius no larger than the plan's. Then every cell holding a
-    value lies wholly inside both the plan's walk and f's own, so its
-    chord is the same double and the result equals ``forward_continuous``.
+def _chord_sums(plan: ReconPlan, f: GridFunction
+                ) -> tuple[Iterator[float], Iterator[float]]:
+    """Per sweep step, the chord-weighted sum of f over all cells its ray
+    crosses (A f) and over its off-line cells: one product column over the
+    plan's chord table, summed lazily from +0.0 in walk order. An unset or
+    zero cell adds +-0.0, which changes no such sum. f must have the plan's
+    dimension and at most its radius, so its cells have the plan's chords.
     """
     if f.d != plan.d or f.support_radius > plan.support_radius:
         raise PreconditionError(
             "the residual needs f of the plan's dimension and at most its radius")
     table = plan.chord_table
-    ids, chords = table.ids, table.chords
-    fv = list(map(f.values.get, table.cells))  # None where f is unset
-    res = 0.0
-    start = 0
-    for z, key, end in zip(plan.order, plan.keys, table.ends):
-        span, start = slice(start, end), end
-        total = 0.0
-        for c, chord in zip(ids[span], chords[span]):
-            v = fv[c]
-            if v:
-                total += v * chord
-        res = max(res, abs(datum(g, key, z) - total))
-    return res
+    fv = list(map(f.values.get, table.cells, repeat(0.0)))
+    terms = list(map(mul, map(fv.__getitem__, table.ids), table.chords))
+
+    def sums(column, lens):
+        return map(reduce, repeat(add), map(islice, repeat(column), lens),
+                   repeat(0.0))
+
+    return (sums(iter(terms), table.lens),
+            sums(compress(terms, table.off_line), table.off_lens))
+
+
+def _max_gap(data: list[float], model: Iterable[float]) -> float:
+    """max |datum - model| from 0.0 in step order: a NaN gap never wins."""
+    return max(chain((0.0,), map(abs, map(sub, data, model))))
+
+
+def _corrected_sinogram(g: Sinogram, plan: ReconPlan, data: list[float],
+                        off: Iterable[float]) -> Sinogram:
+    """The data less an iterate's off-line chord sums, over the central
+    chord (the same for every cell centered on the line): plain discrete
+    transform values for the exact shell sweep.
+    """
+    entries = dict(zip(plan.keys, map(truediv, map(sub, data, off),
+                                      plan.chord_table.central)))
+    return Sinogram(d=g.d, entries=entries, meta=g.meta, family=g.family)
+
+
+def data_residual(g: Sinogram, plan: ReconPlan, f: GridFunction) -> float:
+    """Max |datum - continuous model of f| over the plan's rays; f must
+    meet ``_chord_sums``'s contract."""
+    full, _ = _chord_sums(plan, f)  # f is checked before any datum is read
+    return _max_gap(sweep_data(g, plan), full)
 
 
 def iterate_recon(g: Sinogram, plan: ReconPlan, f_init: GridFunction | None = None,
@@ -263,20 +257,20 @@ def iterate_recon(g: Sinogram, plan: ReconPlan, f_init: GridFunction | None = No
     (``_corrected_sinogram``, then the shell sweep). Returns every iterate
     from the initial guess (default: the layer sweep) and their data
     residuals; convergence is reported, not asserted. A given f_init must
-    meet ``data_residual``'s contract.
+    meet ``data_residual``'s contract. One table pass per iterate gives
+    its residual and the next round's correction.
     """
     if iters < 1:
         raise PreconditionError("need at least one iteration")
     if plan.weight is not None:
         raise PreconditionError("iterative reconstruction defines its own weight")
-    if f_init is None:
-        f_init = layer_recon(g, plan)
-    iterates = [f_init]
-    residuals = [data_residual(g, plan, f_init)]
-    current = f_init
+    current = layer_recon(g, plan) if f_init is None else f_init
+    full, off = _chord_sums(plan, current)
+    data = sweep_data(g, plan)
+    iterates, residuals = [current], [_max_gap(data, full)]
     for _ in range(iters):
-        corrected = _corrected_sinogram(g, plan, current)
-        current = recon_shells(corrected, plan)
+        current = recon_shells(_corrected_sinogram(g, plan, data, off), plan)
+        full, off = _chord_sums(plan, current)
         iterates.append(current)
-        residuals.append(data_residual(g, plan, current))
+        residuals.append(_max_gap(data, full))
     return iterates, residuals

@@ -94,11 +94,20 @@ def box_points(ids: Iterable[int], place: IntVec, offset: int
                  for step in place])
 
 
-def enumerate_ball(d: int, r) -> list[IntVec]:
+def enumerate_ball(d: int, r, budget: int | None = None) -> list[IntVec]:
     """All z in Z^d with |z|^2 <= r^2, in lexicographic order, the boundary
-    decided exactly against the rational r^2."""
+    decided exactly against the rational r^2. Points holding more than
+    ``budget`` coordinates are a BudgetError, raised before any is listed."""
     r2 = ball_radius(d, r) ** 2
     num, den = r2.numerator, r2.denominator
+    least = 1 if num < den else 2 * d + 1  # the origin, and each +-e_i
+    # a d too large for count_within's recursion is refused uncounted
+    if budget is not None and (d * least > budget or least > 1 and count_within(
+            d, r2, budget // d) > budget // d):
+        raise BudgetError(f"the {d}-ball's coordinates exceed the budget "
+                          f"of {budget}")
+    if least == 1:
+        return [(0,) * d]
 
     out: list[IntVec] = []
     coords = [0] * d

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, gt, itemgetter, mul, ne, or_, sub, truediv
+from operator import add, gt, itemgetter, mul, ne, not_, or_, sub, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
@@ -29,15 +29,18 @@ from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
 
 class ChordTable(NamedTuple):
     """Every plan ray's cell walk in the ball of radius r + sqrt(d): step
-    i's ray crosses cells ``ids[ends[i-1]:ends[i]]`` (chords and on-line
-    flags in the same slots); ``central[i]`` is the chord through its
-    target's cell. Cell i is ``order[i]``, then cells of no target.
+    i's ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]``
+    (chords and off-line flags in the same slots), ``off_lens[i]`` of them
+    off its line; ``central[i]`` is the chord through its target's cell.
+    Cell i is ``order[i]``, then cells of no target.
     """
 
     cells: tuple[IntVec, ...]
     ids: array
     chords: array
-    on_line: array
+    off_line: array
+    lens: array
+    off_lens: array
     ends: array
     central: array
 
@@ -174,18 +177,20 @@ class ReconPlan:
         rays = [self.rays[z] for z in self.order]
         walks: list[tuple] = [((), (), ())] * len(rays)
         for i, walk_ids, chords, on_line in walk_cells(rays, radius):
-            walks[i] = walk_ids, array("d", chords), array("b", on_line)
-        ids, chords, on_line = array("i"), array("d"), array("b")
-        ends, central = array("i"), array("d")
+            walks[i] = walk_ids, chords, on_line
+        ids, chords, off_line = array("i"), array("d"), array("b")
+        lens, off_lens, central = array("i"), array("i"), array("d")
         for z, ray, (walk_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
             for b in walk_ids:
                 ids.append(cell_id.setdefault(b, len(cell_id)))
             chords.extend(ray_chords)
-            on_line.extend(ray_on)
-            ends.append(len(ids))
+            off_line.extend(map(not_, ray_on))
+            lens.append(len(ray_on))
+            off_lens.append(ray_on.count(False))
             central.append(cell_chord(ray, z))
         cells.extend(box_points(list(cell_id)[len(cells):], place, offset))
-        return ChordTable(tuple(cells), ids, chords, on_line, ends, central)
+        return ChordTable(tuple(cells), ids, chords, off_line, lens, off_lens,
+                          array("i", accumulate(lens)), central)
 
 
 def plan_targets(points: list[IntVec], geom: Plane, r: Fraction,
@@ -249,16 +254,23 @@ def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
         raise MissingDataError(f"no sinogram entry for ray of {z}") from None
 
 
+def sweep_data(g: Sinogram, plan: ReconPlan) -> list[float]:
+    """Each sweep step's datum, in step order; the first missing one is an
+    error."""
+    vals = list(map(g.entries.get, plan.keys))
+    if None in vals:
+        i = vals.index(None)
+        datum(g, plan.keys[i], plan.order[i])
+    return vals
+
+
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
     """Invert per-point-perpendicular-family data by the shell sweep:
     a target's value is its datum minus the nonzero values recovered on
     its ray, in ray order (each times W(y, dir) and the total divided by
     W(z, dir) if the plan has a weight W). A missing datum is an error.
     """
-    vals = list(map(g.entries.get, plan.keys))
-    if None in vals:
-        i = vals.index(None)
-        datum(g, plan.keys[i], plan.order[i])
+    vals = sweep_data(g, plan)
     steps, w = plan.steps, plan.weight
     if w is None:
         get = vals.__getitem__

@@ -354,6 +354,28 @@ def test_recon_time_is_bounded_by_the_file_not_the_radius(tmp_path):
         assert got["r"] == "100000000" and got["values"] == want
 
 
+def test_a_declared_ball_past_the_budget_is_refused_at_once(tmp_path, capsys):
+    # a 29-row r=3 grid declared at r = 1e400: forward used to enumerate the
+    # declared ball without end; now it exits 3 and writes nothing
+    g, _ = _forward_file(tmp_path, 2, 3, ["tstar"])
+    obj = json.loads(g.read_text())
+    assert len(obj["values"]) == 29
+    obj["r"] = "1e400"
+    big, out = tmp_path / "big.json", tmp_path / "out.json"
+    big.write_text(json.dumps(obj))
+    for flags in ([], ["--continuous"], ["--weight", "const", "2"]):
+        t0 = time.perf_counter()
+        assert run(["forward", "--grid", str(big), "--family", "tstar", *flags,
+                    "--out", str(out)]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
+    assert run(["phantom", "--kind", "disc", "--r", "1e400",
+                "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "exceed the budget" in capsys.readouterr().err
+    assert run(["export", "--grid", str(big), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("d, r, family, plane, annulus", [
     (2, 5, ["tstar"], None, None),
     (3, 3, ["tstar-plane", "1,1,0", "0,1,1"], Plane((1, 1, 0), (0, 1, 1)), None),

@@ -236,6 +236,42 @@ def test_data_residual_refuses_other_dimension_or_larger_radius():
         iterate_recon(g, plan, f_init=GridFunction(2, 5))
 
 
+def test_missing_data_and_a_bad_start_keep_their_errors():
+    plan = make_plan(2, 4)
+    f = random_int_grid(2, 4, seed=52)
+    g = forward_continuous_family(f, plan.rays.items())
+    # two entries gone: the first missing target in sweep order is named
+    for i in (len(plan.order) - 1, 3):
+        del g.entries[plan.keys[i]]
+    for call in (lambda: iterate_recon(g, plan, iters=2),
+                 lambda: iterate_recon(g, plan, f_init=f, iters=2),
+                 lambda: data_residual(g, plan, f)):
+        with pytest.raises(MissingDataError) as err:
+            call()
+        assert str(err.value) == f"no sinogram entry for ray of {plan.order[3]}"
+    # a bad start is refused before any datum is read
+    g.entries.clear()
+    for bad in (GridFunction(3, 4), GridFunction(2, Fraction(9, 2))):
+        for call in (lambda: iterate_recon(g, plan, f_init=bad),
+                     lambda: data_residual(g, plan, bad)):
+            with pytest.raises(PreconditionError) as err:
+                call()
+            assert str(err.value) == ("the residual needs f of the plan's "
+                                      "dimension and at most its radius")
+
+
+def test_data_residual_passes_over_nan_data_as_the_walk_does():
+    plan = make_plan(2, 3)
+    f = random_int_grid(2, 3, seed=53)
+    g = forward_continuous_family(f, plan.rays.items())
+    first, later = plan.keys[0], plan.keys[-1]
+    for a, b in ((math.nan, 1e9), (math.inf, math.nan), (-0.0, math.nan)):
+        g.entries[first], g.entries[later] = a, b
+        want = reference_data_residual(g, plan, f)
+        assert math.isfinite(want) == (a != math.inf)
+        assert data_residual(g, plan, f).hex() == want.hex()
+
+
 def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
     # a regression to per-round walking fails here without a timing gate
     walked = Counter()

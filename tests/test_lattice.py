@@ -8,6 +8,7 @@ from conftest import brute_ball, farey_set, prim_norm_le, shell_points
 from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
                    ball_count, build_shells, coordinate_plane, enumerate_ball,
                    farey_count, primitive, totient_sieve, totient_sum)
+from lxray.cli import BALL_BUDGET
 from lxray.lattice import box_ids, box_index, box_points, mobius_sieve
 
 
@@ -187,6 +188,21 @@ def test_farey_count_budget():
     # the work sum stops at the budget instead of running to n
     with pytest.raises(BudgetError):
         farey_count(10 ** 10)
+
+
+def test_enumerate_ball_refuses_a_ball_past_its_budget():
+    # d coordinates per point: admitted up to the budget, refused past it
+    # before any point is listed
+    assert len(enumerate_ball(2, 144, BALL_BUDGET)) == 65101  # 130,202 of 2**17
+    for d, r in ((2, 145), (3, 22), (4, 10), (2, 10 ** 400), (256, 1)):
+        with pytest.raises(BudgetError, match="budget of 131072"):
+            enumerate_ball(d, r, BALL_BUDGET)
+    assert len(enumerate_ball(255, 1, BALL_BUDGET)) == 511
+    assert len(enumerate_ball(4, 10)) == 49689  # no budget given
+    # below radius 1 the ball is the origin, in any dimension
+    assert enumerate_ball(5000, Fraction(1, 2)) == [(0,) * 5000]
+    with pytest.raises(BudgetError):
+        enumerate_ball(5000, Fraction(1, 2), 4999)
 
 
 def test_mobius_sieve_against_factorisation():

@@ -7,7 +7,8 @@ read as they are, from the file. The in-memory round trips must also keep
 reading their plans' compiled tables, so a change that sends them back to
 the per-call forward fails here instead of only slowing the benchmark, and
 their phantoms must pass ``GridFunction``'s column checks with their keys
-kept, never walked point by point.
+kept, never walked point by point, and the continuum rounds must make one
+chord-table pass per iterate.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import runpy
 from operator import is_
 from pathlib import Path
 
-from lxray import transform
+from lxray import continuum, transform
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -53,6 +54,35 @@ def test_shell_round_trips_project_through_their_plans(monkeypatch):
     assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
     for op in ops:
         op.check(op.run())
+
+
+def test_continuum_rounds_pass_over_the_chord_table_once_per_iterate(
+        monkeypatch):
+    refine = runpy.run_path(str(PERFBENCH / "workloads.py"))["ContinuumRefine"]
+    work = refine(5, refine.TINY)
+    work.prepare()
+    passes, calls = [], []
+    sums, iterate = continuum._chord_sums, continuum.iterate_recon
+
+    def counted_sums(plan, f):
+        passes.append(f)
+        return sums(plan, f)
+
+    def counted_iterate(g, plan, f_init=None, iters=1):
+        start = len(passes)
+        out = iterate(g, plan, f_init=f_init, iters=iters)
+        calls.append((iters, len(passes) - start))
+        return out
+
+    monkeypatch.setattr(continuum, "_chord_sums", counted_sums)
+    monkeypatch.setattr(continuum, "iterate_recon", counted_iterate)
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in refine.TINY)
+    for op in ops:
+        start = len(passes)
+        op.check(op.run())
+        assert len(passes) - start == 6  # iters=1 and iters=3: 2 + 4
+    assert calls and all(n == iters + 1 for iters, n in calls)
 
 
 def test_benchmark_phantoms_are_checked_as_columns(monkeypatch):

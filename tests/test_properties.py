@@ -8,7 +8,7 @@ import random
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from unittest import mock
 
 import pytest
@@ -30,17 +30,18 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    correction_identity_check, count_connecting_lines,
                    data_residual, enumerate_ball, farey_count,
                    forward, forward_continuous, forward_continuous_family,
-                   forward_family, forward_weighted,
+                   forward_family, forward_weighted, iterate_recon,
                    layer_recon, make_plan, norm2, perp_family, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
 from lxray import ZeroWeightError, cli
 from lxray import io as lio
 from lxray import transform
-from lxray.continuum import _corrected_sinogram
+from lxray.continuum import _chord_sums, _corrected_sinogram
 from lxray.counting import (_direction_minimum, _lens, _point_columns,
                             primitive_count)
 from lxray.lattice import count_within
+from lxray.recon import sweep_data
 from lxray.rays import is_perp_ray, walk_box, walk_cells
 from lxray.transform import FamilyMeta
 
@@ -555,13 +556,16 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
         ray = plan.rays[z]
         want = [(cell, chord.hex(), on_line(cell, ray))
                 for cell, chord in reference_traverse_cells(ray, radius)]
-        got = [(table.cells[c], chord.hex(), bool(on)) for c, chord, on in zip(
+        got = [(table.cells[c], chord.hex(), not off) for c, chord, off in zip(
             table.ids[start:end], table.chords[start:end],
-            table.on_line[start:end])]
+            table.off_line[start:end])]
         assert got == want
         assert table.central[i].hex() == cell_chord(ray, z).hex()
         start = end
-    assert start == len(table.ids) == len(table.chords) == len(table.on_line)
+    assert start == len(table.ids) == len(table.chords) == len(table.off_line)
+    assert list(table.lens) == list(map(sub, table.ends, [0, *table.ends[:-1]]))
+    assert list(table.off_lens) == [
+        sum(table.off_line[a:b]) for a, b in zip([0, *table.ends], table.ends)]
     # the rounds reading the table against the walking reference, on
     # non-integer data with signed zeros, bit for bit
     rng = random.Random(seed)
@@ -572,7 +576,8 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
     g.entries = {k: rng.choice((v, 0.0, -0.0)) for k, v in g.entries.items()}
     layer = layer_recon(g, plan)
     assert _hex(layer.values) == _hex(reference_layer_recon(g, plan).values)
-    assert _hex(_corrected_sinogram(g, plan, layer).entries) == \
+    off = _chord_sums(plan, layer)[1]
+    assert _hex(_corrected_sinogram(g, plan, sweep_data(g, plan), off).entries) == \
         _hex(reference_corrected_sinogram(g, plan, layer).entries)
     small = GridFunction(d, r * rng.choice((Fraction(1, 2), 1)),
                          {z: v for z, v in f.values.items()
@@ -580,6 +585,43 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
     for h in (f, layer, small):
         assert data_residual(g, plan, h).hex() == \
             reference_data_residual(g, plan, h).hex()
+
+
+def reference_iterate(g, plan, f_init, iters):
+    """``iterate_recon`` as the walking references compose it: every
+    residual and correction read from the iterate it belongs to."""
+    current = reference_layer_recon(g, plan) if f_init is None else f_init
+    iterates = [current]
+    residuals = [reference_data_residual(g, plan, current)]
+    for _ in range(iters):
+        current = recon_shells(reference_corrected_sinogram(g, plan, current), plan)
+        iterates.append(current)
+        residuals.append(reference_data_residual(g, plan, current))
+    return iterates, residuals
+
+
+@settings(max_examples=40, deadline=None)
+@given(chord_table_cases(), st.integers(1, 3))
+@example((2, Fraction(9, 2), None, None, None, 3), 3)
+def test_iterate_recon_is_the_reference_loop(case, iters):
+    # whole runs on data and grids with signed zeros, bit for bit: a free
+    # start, the data's own grid, and a grid of smaller support
+    d, r, plane, alpha, beta, seed = case
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, rng.uniform(-9, 9)))
+                            for z in enumerate_ball(d, r)})
+    g = forward_continuous_family(f, plan.rays.items())
+    g.entries = {k: rng.choice((v, v, 0.0, -0.0)) for k, v in g.entries.items()}
+    small = GridFunction(d, r / 2, {z: v for z, v in f.values.items()
+                                    if 4 * norm2(z) <= r * r})
+    for start in (None, f, small):
+        iterates, residuals = iterate_recon(g, plan, f_init=start, iters=iters)
+        want_iterates, want_residuals = reference_iterate(g, plan, start, iters)
+        assert [_hex(h.values) for h in iterates] == \
+            [_hex(h.values) for h in want_iterates]
+        assert list(map(float.hex, residuals)) == \
+            list(map(float.hex, want_residuals))
 
 
 @st.composite
@@ -861,6 +903,84 @@ def test_recon_of_a_spoiled_file_exits_with_a_code(recon_files, data):
     sino, out = tmp / "spoiled.json", tmp / "rec.json"
     sino.write_text(text)
     assert cli.main(["recon", "--sino", str(sino), *flags,
+                     "--out", str(out)]) in (0, 2, 3, 4)
+
+
+# dimensions and radii past the budgets, bad types and odd fractions; no
+# admitted radius much above the files', which would only run long
+GRID_D = (0, 1, 3, 4, -2, 2.5, "2", True, None, 40, 600)
+GRID_R = ("1e400", "1e3", 10 ** 400, 1e308, "289", "-1", "5/2", "1/3", "0",
+          "0/0", "x", 3, 3.5, -0.0, math.nan, None, [])
+
+
+@st.composite
+def spoiled_grids(draw, texts):
+    """One of the valid grid texts, spoiled one to three times, and the
+    command to run on it."""
+    obj = json.loads(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("drop", "duplicate", "retype", "length",
+                                    "value", "d", "r", "top")))
+        if not isinstance(obj, dict):
+            break
+        rows = obj.get("values")
+        if how in ("d", "r"):
+            obj[how] = draw(st.sampled_from(GRID_D if how == "d" else GRID_R))
+        elif how == "top":
+            key = draw(st.sampled_from(("d", "r", "values")))
+            if draw(st.booleans()):
+                obj.pop(key, None)
+            elif key == "values":
+                obj[key] = draw(ODD)
+        elif isinstance(rows, list) and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            row = rows[i]
+            if how == "drop":
+                del rows[i]
+            elif how == "duplicate":
+                rows.insert(draw(st.integers(0, len(rows))),
+                            json.loads(json.dumps(row)))
+            elif not isinstance(row, dict):
+                continue
+            elif how == "retype":
+                row[draw(st.sampled_from(("z", "v")))] = draw(ODD)
+            elif how == "value":
+                row["v"] = draw(st.sampled_from(HUGE))
+            elif isinstance(row.get("z"), list):  # a point one entry short or long
+                row["z"] = row["z"][:-1] if draw(st.booleans()) \
+                    else row["z"] + [draw(st.integers(-2, 2))]
+    text = json.dumps(obj)
+    if draw(st.booleans()):  # truncated
+        text = text[:draw(st.integers(0, len(text)))]
+    return text, draw(st.sampled_from((
+        ("forward", "--family", "tstar"),
+        ("forward", "--family", "tstar", "--continuous"),
+        ("forward", "--family", "tstar", "--weight", "const", "2"),
+        ("export",))))
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """A directory and the texts of valid ``lxray phantom`` grids."""
+    tmp, texts = tmp_path_factory.mktemp("grid_fuzz"), []
+    for kind, d, r in (("random-int", "2", "3"), ("random-int", "3", "2"),
+                       ("disc", "2", "5/2")):
+        g = tmp / "grid.json"
+        assert cli.main(["phantom", "--kind", kind, "--d", d, "--r", r,
+                         "--seed", "1", "--out", str(g)]) == 0
+        texts.append(g.read_text())
+    return tmp, tuple(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forward_and_export_of_a_spoiled_grid_exit_with_a_code(grid_files, data):
+    # 0 (the spoil was harmless), 2, 3 or 4; never a traceback or a hang
+    tmp, texts = grid_files
+    text, command = data.draw(spoiled_grids(texts))
+    grid, out = tmp / "spoiled.json", tmp / "out"
+    grid.write_text(text)
+    assert cli.main([command[0], "--grid", str(grid), *command[1:],
                      "--out", str(out)]) in (0, 2, 3, 4)
 
 
