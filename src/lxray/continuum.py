@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import add, itemgetter, le, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
@@ -19,7 +19,7 @@ from .lattice import (IntVec, ball_radius, box_ids, box_points, dot, norm2,
                       vsub)
 from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
                    walk_box, walk_cells)
-from .recon import ReconPlan, datum, recon_shells, sweep_data
+from .recon import ReconPlan, datum, recon_shells, step_sums, sweep_data
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
 
@@ -65,8 +65,11 @@ def forward_continuous(f: GridFunction, ray: Ray) -> float:
 def forward_continuous_family(f: GridFunction,
                               family: Iterable[tuple[IntVec, Ray]],
                               meta: FamilyMeta | None = None) -> Sinogram:
-    """``forward_continuous`` of every line of the family, walked together."""
-    return project_family(f, family, meta, lambda rays: _continuous_sums(f, rays))
+    """``forward_continuous`` of every line of the family: by the
+    ``chord_table`` of a live plan of f's radius walked on these very rays,
+    else walked together."""
+    return project_family(f, family, meta, lambda rays: _continuous_sums(f, rays),
+                          "chord_table")
 
 
 def correction_identity_check(f: GridFunction, z: IntVec,
@@ -217,15 +220,9 @@ def _chord_sums(plan: ReconPlan, f: GridFunction
         raise PreconditionError(
             "the residual needs f of the plan's dimension and at most its radius")
     table = plan.chord_table
-    fv = list(map(f.values.get, table.cells, repeat(0.0)))
-    terms = list(map(mul, map(fv.__getitem__, table.ids), table.chords))
-
-    def sums(column, lens):
-        return map(reduce, repeat(add), map(islice, repeat(column), lens),
-                   repeat(0.0))
-
-    return (sums(iter(terms), table.lens),
-            sums(compress(terms, table.off_line), table.off_lens))
+    terms = table.column(f.values)
+    return (step_sums(iter(terms), table.lens),
+            step_sums(compress(terms, table.off_line), table.off_lens))
 
 
 def _max_gap(data: list[float], model: Iterable[float]) -> float:

@@ -76,21 +76,23 @@ def _values(vs: list) -> list[float] | None:
 def write_json_atomic(path: str, obj) -> None:
     """Write compact standard JSON: a non-finite float is refused, nothing written.
 
-    No indent, so ``json`` uses its C encoder.
+    No indent and no cycle check (lxray makes no cyclic object), so
+    ``json`` uses its C encoder at full speed.
     """
     try:
         text = json.dumps(obj, separators=(",", ":"), sort_keys=True,
-                          allow_nan=False)
+                          allow_nan=False, check_circular=False)
     except ValueError as exc:
         raise PreconditionError(f"refusing to write {path}: {exc}") from exc
     _write_text_atomic(path, text + "\n")
 
 
 def read_json(path: str):
+    # bad UTF-8, too many digits or too deep nesting: a format error too
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 

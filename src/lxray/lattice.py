@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, floordiv, itemgetter, mod, mul, sub
+from itertools import accumulate, chain, repeat
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
@@ -100,30 +100,27 @@ def enumerate_ball(d: int, r, budget: int | None = None) -> list[IntVec]:
     ``budget`` coordinates are a BudgetError, raised before any is listed."""
     r2 = ball_radius(d, r) ** 2
     num, den = r2.numerator, r2.denominator
-    least = 1 if num < den else 2 * d + 1  # the origin, and each +-e_i
-    # a d too large for count_within's recursion is refused uncounted
-    if budget is not None and (d * least > budget or least > 1 and count_within(
-            d, r2, budget // d) > budget // d):
+    if budget is not None and count_within(d, r2, budget // d) > budget // d:
         raise BudgetError(f"the {d}-ball's coordinates exceed the budget "
                           f"of {budget}")
-    if least == 1:
-        return [(0,) * d]
-
-    out: list[IntVec] = []
-    coords = [0] * d
-
-    def sweep(i: int, remaining: int) -> None:
-        # remaining = den*r^2 - den*(partial squared norm), an integer
-        if i == d:
-            out.append(tuple(coords))
-            return
-        m = math.isqrt(remaining // den)
-        for off in range(-m, m + 1):
-            coords[i] = off
-            sweep(i + 1, remaining - den * off * off)
-
-    sweep(0, num)
-    return out
+    # per coordinate, each prefix's run -m..m, m = isqrt(rem // den), rem =
+    # den*(r^2 - |prefix|^2): no recursion over d
+    rems, layers = [num], []
+    for k in range(d):
+        ms = list(map(math.isqrt, map(floordiv, rems, repeat(den))))
+        layers.append(list(map(range, map(neg, ms), map((1).__add__, ms))))
+        if k < d - 1:
+            rems = [rem - den * x * x for rem, run in zip(rems, layers[-1])
+                    for x in run]
+    # coordinate k: each run's entries, repeated by the points below them
+    cols, sizes = [chain.from_iterable(layers[-1])], list(map(len, layers[-1]))
+    for runs in reversed(layers[:-1]):
+        cols.append(chain.from_iterable(map(repeat, chain.from_iterable(runs),
+                                            sizes)))
+        below = list(accumulate(sizes, initial=0))
+        ends = list(map(below.__getitem__, accumulate(map(len, runs), initial=0)))
+        sizes = list(map(sub, ends[1:], ends))
+    return list(zip(*reversed(cols)))
 
 
 def ball_radius(d: int, r) -> Fraction:
@@ -137,26 +134,25 @@ def ball_radius(d: int, r) -> Fraction:
 
 
 def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
-    """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, counted row by row.
-
-    Each prefix of the first d-1 coordinates holds a row of 2 isqrt(...) + 1
-    last coordinates (``enumerate_ball``'s exact test), as does its mirror.
-    With a ``cap`` the count stops past the cap; a result <= cap is exact.
+    """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, a coordinate at a
+    time: prefixes are merged by the integer den*(r2 - |prefix|^2) they
+    leave, each followed by 2 isqrt(... // den) + 1 next coordinates
+    (``enumerate_ball``'s exact test). With a ``cap`` the count stops once
+    the prefixes alone pass it; a result <= cap is exact.
     """
     den = r2.denominator
-
-    def rows(k: int, rem: int) -> int:
-        m = math.isqrt(rem // den)
-        if k == 1:
-            return 2 * m + 1
-        total = rows(k - 1, rem)
-        for x in range(1, m + 1):
-            if cap is not None and total > cap:
-                break
-            total += 2 * rows(k - 1, rem - den * x * x)
-        return total
-
-    return rows(d, r2.numerator)
+    left = {r2.numerator: 1}  # remainder -> prefixes leaving it
+    for k in range(d, 0, -1):
+        ms = list(map(math.isqrt, map(floordiv, left, repeat(den))))
+        total = sum(n * (2 * m + 1) for n, m in zip(left.values(), ms))
+        if k == 1 or cap is not None and total > cap:
+            return total
+        nxt: dict[int, int] = {}
+        for (rem, n), m in zip(left.items(), ms):
+            for x in range(m + 1):
+                key = rem - den * x * x
+                nxt[key] = nxt.get(key, 0) + (n + n if x else n)
+        left = nxt
 
 
 def ball_count(d: int, r) -> int:

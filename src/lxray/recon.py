@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, gt, itemgetter, mul, ne, not_, or_, sub, truediv
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (MissingDataError, PlanError, PreconditionError,
                      ZeroWeightError)
@@ -28,21 +28,42 @@ from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
 
 
 class ChordTable(NamedTuple):
-    """Every plan ray's cell walk in the ball of radius r + sqrt(d): step
-    i's ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]``
+    """Every plan ray's cell walk in the ball of radius r + sqrt(d), r^2 =
+    r2: step i's ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]``
     (chords and off-line flags in the same slots), ``off_lens[i]`` of them
     off its line; ``central[i]`` is the chord through its target's cell.
-    Cell i is ``order[i]``, then cells of no target.
+    Cell i is ``order[i]``, then cells of no target. Ray j of ``rays`` (as
+    walked, in ``plan.rays`` order) is step ``at[j]``, of key ``keys[j]``.
     """
 
+    r2: Fraction
+    rays: tuple[Ray, ...]
+    keys: tuple[RayKey, ...]
+    at: array
     cells: tuple[IntVec, ...]
-    ids: array
+    ids: list[int]
     chords: array
     off_line: array
     lens: array
     off_lens: array
     ends: array
     central: array
+
+    def column(self, values: Mapping[IntVec, float]) -> list[float]:
+        """values[cell] (default 0.0) times chord per crossing, in walk order."""
+        fv = list(map(values.get, self.cells, repeat(0.0)))
+        return list(map(mul, map(fv.__getitem__, self.ids), self.chords))
+
+    def sums(self, values: Mapping[IntVec, float]) -> Iterator[float]:
+        """Each ray's sum of its column, in ``rays`` order."""
+        full = list(step_sums(iter(self.column(values)), self.lens))
+        return map(full.__getitem__, self.at)
+
+
+def step_sums(terms: Iterator[float], lens: Iterable[int]) -> Iterator[float]:
+    """Sums of the next lens[i] terms from +0.0 (``sum`` of floats is
+    compensated from Python 3.12)."""
+    return map(reduce, repeat(add), map(islice, repeat(terms), lens), repeat(0.0))
 
 
 @dataclass
@@ -163,7 +184,7 @@ class ReconPlan:
         keys, mine = ray_keys(rays), dict(zip(self.keys, self.keys))
         keys = tuple(map(mine.get, keys, keys))
         mine = dict(zip(self.order, self.order))
-        return ForwardTable(self.d, r2, rays, keys, [
+        return ForwardTable(r2, rays, keys, [
             mine.get(z, z) for z in box_points(list(number), place, offset)],
             gather, array("i", accumulate(counts)))
 
@@ -178,7 +199,8 @@ class ReconPlan:
         walks: list[tuple] = [((), (), ())] * len(rays)
         for i, walk_ids, chords, on_line in walk_cells(rays, radius):
             walks[i] = walk_ids, chords, on_line
-        ids, chords, off_line = array("i"), array("d"), array("b")
+        # a list of cell_id's own ints: no int is boxed per read
+        ids, chords, off_line = [], array("d"), array("b")
         lens, off_lens, central = array("i"), array("i"), array("d")
         for z, ray, (walk_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
             for b in walk_ids:
@@ -189,8 +211,14 @@ class ReconPlan:
             off_lens.append(ray_on.count(False))
             central.append(cell_chord(ray, z))
         cells.extend(box_points(list(cell_id)[len(cells):], place, offset))
-        return ChordTable(tuple(cells), ids, chords, off_line, lens, off_lens,
-                          array("i", accumulate(lens)), central)
+        step_of = dict(zip(self.order, count()))
+        at = array("i", map(step_of.__getitem__, filter(step_of.__contains__,
+                                                        self.rays)))
+        return ChordTable(
+            self.support_radius ** 2, tuple(map(rays.__getitem__, at)),
+            tuple(map(self.keys.__getitem__, at)), at, tuple(cells), ids,
+            chords, off_line, lens, off_lens, array("i", accumulate(lens)),
+            central)
 
 
 def plan_targets(points: list[IntVec], geom: Plane, r: Fraction,

@@ -186,10 +186,9 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
 
 
 class ForwardTable(NamedTuple):
-    """Rays compiled for the forward in the d-ball |z|^2 <= r2: ray i sums
+    """Rays compiled for the forward in the ball |z|^2 <= r2: ray i sums
     points[gather[j]], j in range(ends[i-1], ends[i])."""
 
-    d: int
     r2: Fraction
     rays: tuple[Ray, ...]
     keys: tuple[RayKey, ...]
@@ -216,15 +215,16 @@ class ForwardTable(NamedTuple):
 
 
 def _plan_table(f: GridFunction, rays: tuple[Ray, ...],
-                weight: Weight | None = None):
-    """A live plan whose table serves f on these rays (and weight)."""
+                weight: Weight | None = None, name: str = "forward_table"):
+    """A live plan whose table ``name`` (``forward_table`` or
+    ``chord_table``) serves f on these rays (and weight)."""
     r2 = f.support_radius ** 2
     for plan in [ref() for ref in PLANS.valuerefs()]:  # a C copy: atomic
         if plan is not None and plan.d == f.d and len(plan.rays) == len(rays) and (
                 weight is None or weight is plan.weight) and (
-                "forward_table" in vars(plan) or tuple(plan.rays.values()) == rays):
-            t = plan.forward_table
-            if (t.d, t.r2, t.rays) == (f.d, r2, rays):
+                name in vars(plan) or tuple(plan.rays.values()) == rays):
+            t = getattr(plan, name)
+            if (t.r2, t.rays) == (r2, rays):
                 return plan
     return None
 
@@ -259,27 +259,28 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                                              repeat(0.0))))
                 sums += block
             return sums
-    return project_family(f, family, meta, values, True, weight)
+    return project_family(f, family, meta, values, "forward_table", weight)
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None,
                    values: Callable[[Sequence[Ray]], list[float]],
-                   planned: bool = False, weight: Weight | None = None) -> Sinogram:
+                   table: str | None = None,
+                   weight: Weight | None = None) -> Sinogram:
     """A sinogram with one entry per line of the family, in order of first
-    appearance; values maps the lines' first rays to their entries (if
-    ``planned``, a live plan's table may serve)."""
+    appearance; values maps the lines' first rays to their entries (a live
+    plan's compiled ``table``, if named, may serve instead)."""
     family = tuple(family)
     rays = tuple(map(itemgetter(1), family))
     zs = list(map(itemgetter(0), family))
     if not (set(map(type, chain(family, zs))) <= {tuple}
             and set(map(len, family)) <= {2}):  # else new (z, ray) pairs
         family = tuple(zip(map(tuple, zs), rays))
-    plan = _plan_table(f, rays, weight) if planned else None
+    plan = _plan_table(f, rays, weight, table) if table else None
     if plan is not None:  # its table checked its rays' dimensions
-        t = plan.forward_table
-        entries = dict(zip(t.keys, t.sums(f.values, None if weight is None
-                                          else plan.forward_weights(weight))))
+        t = getattr(plan, table)
+        entries = dict(zip(t.keys, t.sums(f.values) if weight is None else
+                           t.sums(f.values, plan.forward_weights(weight))))
     else:
         if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
             raise PreconditionError("ray and grid dimensions differ")

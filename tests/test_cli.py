@@ -90,6 +90,24 @@ def test_sinogram_file_round_trip(tmp_path):
     assert sorted(back.family) == sorted(sino.family)
 
 
+def test_json_files_keep_the_checked_encoding(tmp_path):
+    # the bytes of json.dumps with its cycle check on; a NaN still refused
+    grid = make_phantom("random-int", 2, 6, seed=11)
+    sino = forward_family(grid, make_plan(2, 6).rays.items(),
+                          FamilyMeta("tstar", support_radius=grid.support_radius))
+    for obj in (lio.grid_to_obj(grid), lio.sino_to_obj(sino)):
+        path = tmp_path / "out.json"
+        lio.write_json_atomic(str(path), obj)
+        assert path.read_bytes() == (json.dumps(
+            obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
+            + "\n").encode()
+        obj["values" if "values" in obj else "rays"][-1]["v"] = math.nan
+        bad = tmp_path / "bad.json"
+        with pytest.raises(lxray.PreconditionError, match="refusing to write"):
+            lio.write_json_atomic(str(bad), obj)
+        assert not bad.exists() and list(tmp_path.iterdir()) == [path]
+
+
 def test_pipeline_matches_in_process(tmp_path):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     run(["phantom", "--kind", "random-int", "--d", "2", "--r", "4",
@@ -440,6 +458,22 @@ def test_budget_exit_code():
 def test_count_budget_refuses_large_inputs(argv, capsys):
     assert run(argv) == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "tmin", "--d", "1000", "--r", "1"], 3),
+    (["count", "bounds", "--d", "1000", "--r", "1"], 3),
+    (["count", "separation", "--d", "1000", "--R", "1"], 0),
+])
+def test_count_in_a_thousand_dimensions(argv, code, capsys):
+    # the ball is counted and listed a coordinate at a time, not by a
+    # recursion one call deep per coordinate
+    assert run(argv) == code
+    out = capsys.readouterr()
+    if code == 3:
+        assert "lens steps exceed the budget" in out.err
+    else:
+        assert json.loads(out.out.strip().splitlines()[-1])["margin"] == 1
 
 
 def test_bad_flags_exit_code():

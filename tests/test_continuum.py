@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -273,7 +274,8 @@ def test_data_residual_passes_over_nan_data_as_the_walk_does():
 
 
 def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
-    # a regression to per-round walking fails here without a timing gate
+    # a regression to per-round or per-forward walking fails here without
+    # a timing gate: the forward compiles the table the rounds read
     walked = Counter()
     real = rays.walk_cells
 
@@ -288,9 +290,9 @@ def test_rounds_walk_each_plan_ray_at_most_once(monkeypatch):
     plan = make_plan(2, 5)
     f = random_int_grid(2, 5, seed=49)
     g = forward_continuous_family(f, plan.rays.items())
-    walked.clear()
     iterate_recon(g, plan, iters=3)
     iterate_recon(g, plan, f_init=f, iters=3)
+    forward_continuous_family(f, plan.rays.items())
     assert walked and max(walked.values()) == 1
     assert set(walked) <= set(plan.rays.values())
 
@@ -306,6 +308,8 @@ def test_family_forward_builds_one_cut_pattern_per_direction(monkeypatch):
     monkeypatch.setattr(rays, "_cut_pattern", counting)
     plan = make_plan(3, 3)
     family = list(plan.rays.items())
+    del plan  # no live plan's table serves the family: it is walked
+    gc.collect()
     dirs = Counter(ray.dir for _, ray in family)
     assert max(dirs.values()) > 1  # the family's rays do share directions
     f = random_int_grid(3, 3, seed=50)

@@ -7,8 +7,8 @@ read as they are, from the file. The in-memory round trips must also keep
 reading their plans' compiled tables, so a change that sends them back to
 the per-call forward fails here instead of only slowing the benchmark, and
 their phantoms must pass ``GridFunction``'s column checks with their keys
-kept, never walked point by point, and the continuum rounds must make one
-chord-table pass per iterate.
+kept, never walked point by point, and the continuum forward and rounds
+must read their plans' chord tables, one pass per forward and per iterate.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import runpy
 from operator import is_
 from pathlib import Path
 
-from lxray import continuum, transform
+from lxray import continuum, rays, recon, transform
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -58,15 +58,17 @@ def test_shell_round_trips_project_through_their_plans(monkeypatch):
 
 def test_continuum_rounds_pass_over_the_chord_table_once_per_iterate(
         monkeypatch):
+    # a pass is one product column over a plan's chord table: the family
+    # forward makes one, each iterate_recon call one per iterate
     refine = runpy.run_path(str(PERFBENCH / "workloads.py"))["ContinuumRefine"]
     work = refine(5, refine.TINY)
     work.prepare()
     passes, calls = [], []
-    sums, iterate = continuum._chord_sums, continuum.iterate_recon
+    column, iterate = recon.ChordTable.column, continuum.iterate_recon
 
-    def counted_sums(plan, f):
-        passes.append(f)
-        return sums(plan, f)
+    def counted_column(table, values):
+        passes.append(values)
+        return column(table, values)
 
     def counted_iterate(g, plan, f_init=None, iters=1):
         start = len(passes)
@@ -74,15 +76,37 @@ def test_continuum_rounds_pass_over_the_chord_table_once_per_iterate(
         calls.append((iters, len(passes) - start))
         return out
 
-    monkeypatch.setattr(continuum, "_chord_sums", counted_sums)
+    monkeypatch.setattr(recon.ChordTable, "column", counted_column)
     monkeypatch.setattr(continuum, "iterate_recon", counted_iterate)
     ops = work.ops(0)
     assert sorted(op.label for op in ops) == sorted(c.label for c in refine.TINY)
     for op in ops:
         start = len(passes)
         op.check(op.run())
-        assert len(passes) - start == 6  # iters=1 and iters=3: 2 + 4
+        assert len(passes) - start == 7  # the forward, then iters=1 and 3: 2 + 4
     assert calls and all(n == iters + 1 for iters, n in calls)
+
+
+def test_continuum_forwards_read_the_compiled_chord_tables(monkeypatch):
+    refine = runpy.run_path(str(PERFBENCH / "workloads.py"))["ContinuumRefine"]
+    work = refine(5, refine.TINY)
+    work.prepare()
+    for plan, _ in work.plans.values():
+        plan.chord_table
+    real = rays.walk_cells
+
+    def lone(ray_list, radius):
+        # the correction identity walks its sample points' rays one by one
+        if len(ray_list) != 1:
+            raise AssertionError("a family was walked, not read off its table")
+        return real(ray_list, radius)
+
+    for mod in (rays, recon, continuum):
+        monkeypatch.setattr(mod, "walk_cells", lone)
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in refine.TINY)
+    for op in ops:
+        op.check(op.run())
 
 
 def test_benchmark_phantoms_are_checked_as_columns(monkeypatch):

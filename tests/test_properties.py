@@ -31,9 +31,9 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    data_residual, enumerate_ball, farey_count,
                    forward, forward_continuous, forward_continuous_family,
                    forward_family, forward_weighted, iterate_recon,
-                   layer_recon, make_plan, norm2, perp_family, points_on_ray,
-                   primitive, ray_key, recon_annulus, recon_shells,
-                   separation_margin)
+                   layer_recon, make_plan, norm2, one_point_directions,
+                   one_point_family, perp_family, points_on_ray, primitive,
+                   ray_key, recon_annulus, recon_shells, separation_margin)
 from lxray import ZeroWeightError, cli
 from lxray import io as lio
 from lxray import transform
@@ -524,8 +524,8 @@ def test_forward_family_matches_oracles(case):
 
 @st.composite
 def chord_table_cases(draw):
-    d = draw(st.sampled_from((2, 3)))
-    r = draw(st.fractions(0, 5, max_denominator=6))
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(0, 5 if d < 4 else 3, max_denominator=6))
     plane = None
     if draw(st.booleans()):  # a general plane; in d=2 it spans the space
         vec = st.tuples(*[st.integers(-2, 2)] * d)
@@ -622,6 +622,53 @@ def test_iterate_recon_is_the_reference_loop(case, iters):
             [_hex(h.values) for h in want_iterates]
         assert list(map(float.hex, residuals)) == \
             list(map(float.hex, want_residuals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chord_table_cases())
+@example((2, Fraction(9, 2), None, None, None, 3))
+@example((4, Fraction(5, 2), None, Fraction(1), Fraction(3), 4))
+def test_continuous_family_forward_reads_a_live_plans_chord_table(case):
+    # the table's sums against the walking reference per ray, bit for bit
+    # and in family order; a family it was not walked on is walked
+    d, r, plane, alpha, beta, seed = case
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, float(rng.randint(-9, 9)),
+                                           rng.uniform(-9, 9)))
+                            for z in enumerate_ball(d, r)})
+    family = list(plan.rays.items())
+
+    def walked(h, fam):
+        firsts = {}
+        for _, ray in fam:
+            firsts.setdefault(reduced_key(ray), ray)
+        return [(key, reference_forward_continuous(h, ray).hex())
+                for key, ray in firsts.items()]
+
+    served = _hex(forward_continuous_family(f, family).entries)
+    assert served == walked(f, family)
+    if not family:
+        return
+    assert "chord_table" in vars(plan)
+    wide = GridFunction(d, r + 1, {z: f.values.get(z, 1.5)
+                                   for z in enumerate_ball(d, r + 1)})
+    small = GridFunction(d, r / 2, {z: v for z, v in f.values.items()
+                                    if 4 * norm2(z) <= r * r})
+    for h in (wide, small):
+        assert _hex(forward_continuous_family(h, family).entries) == walked(h, family)
+    turned = family[::-1] + family[:2]  # reordered, with repeats
+    assert _hex(forward_continuous_family(f, turned).entries) == walked(f, turned)
+    # a ray changed after the compile: the new family is walked, the old
+    # one still read off the table it was walked for
+    z, ray = family[rng.randrange(len(family))]
+    plan.rays[z] = Ray(z, (1,) * d if ray.dir != (1,) * d else (1,) + (0,) * (d - 1))
+    moved = list(plan.rays.items())
+    assert _hex(forward_continuous_family(f, moved).entries) == walked(f, moved)
+    assert _hex(forward_continuous_family(f, family).entries) == served
+    del plan
+    gc.collect()
+    assert _hex(forward_continuous_family(f, family).entries) == served
 
 
 @st.composite
@@ -982,6 +1029,96 @@ def test_forward_and_export_of_a_spoiled_grid_exit_with_a_code(grid_files, data)
     grid.write_text(text)
     assert cli.main([command[0], "--grid", str(grid), *command[1:],
                      "--out", str(out)]) in (0, 2, 3, 4)
+
+
+DIRECTION_SPOILS = ("top", "drop", "duplicate", "not an object", "missing key",
+                    "retype", "bool", "huge", "length", "zero dir",
+                    "non-canonical dir", "absent line", "outside the ball")
+
+
+@st.composite
+def spoiled_directions(draw, text):
+    """The valid direction file, spoiled one to three times as rows and
+    maybe once as bytes, and recon flags."""
+    rows = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(DIRECTION_SPOILS))
+        if how == "top":
+            rows = draw(st.one_of(ODD, st.just({"z": [0, 0], "dir": [7, 1]})))
+        if not isinstance(rows, list) or not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        key = draw(st.sampled_from(("z", "dir")))
+        vec = row.get(key) if isinstance(row, dict) else None
+        if how == "drop":
+            del rows[i]
+        elif how == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), json.loads(json.dumps(row)))
+        elif how == "not an object":
+            rows[i] = draw(ODD)
+        elif not isinstance(vec, list) or not vec:
+            continue
+        elif how == "missing key":
+            del row[key]
+        elif how == "retype":
+            row[key] = draw(ODD)
+        elif how in ("bool", "huge"):
+            vec[draw(st.integers(0, len(vec) - 1))] = draw(
+                st.booleans() if how == "bool"
+                else st.sampled_from((10 ** 400, -10 ** 400, 2 ** 64)))
+        elif how == "length":
+            row[key] = vec[:-1] if draw(st.booleans()) \
+                else vec + [draw(st.integers(-2, 2))]
+        elif how == "zero dir":
+            row["dir"] = [0] * len(vec)
+        elif how == "non-canonical dir":
+            row["dir"] = [draw(st.sampled_from((-1, 2))) * c for c in vec]
+        elif how == "absent line":  # a line the sinogram holds no entry for
+            row["dir"] = [draw(st.integers(14, 60)), 1]
+        else:
+            row["z"] = [draw(st.sampled_from((4, -9, 10 ** 20))), 0]
+    text = json.dumps(rows).encode()
+    how = draw(st.sampled_from((None, None, "truncated", "deep", "digits",
+                                "not UTF-8")))
+    if how == "truncated":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif how == "deep":
+        text = b"[" * 100000 + b"]" * 100000
+    elif how == "digits":  # past the int() digit limit
+        text = b"[" + b"9" * 5000 + b"]"
+    elif how == "not UTF-8":
+        text = b"\xff" + text
+    return text, draw(st.sampled_from(((), ("--weight", "const", "2"),
+                                       ("--weight", "cell-chord"),
+                                       ("--r", "3"), ("--r", "1/2"))))
+
+
+@pytest.fixture(scope="module")
+def one_point_files(tmp_path_factory):
+    """A directory holding a one-point sinogram (d=2, r=3), and the text of
+    its direction file."""
+    tmp = tmp_path_factory.mktemp("one_point_fuzz")
+    points = enumerate_ball(2, 3)
+    dirs = one_point_directions(points, 3)
+    sino = forward_family(random_int_grid(2, 3, seed=17),
+                          one_point_family(points, dirs),
+                          FamilyMeta("free", support_radius=Fraction(3)))
+    lio.write_json_atomic(str(tmp / "sino.json"), lio.sino_to_obj(sino))
+    return tmp, json.dumps([{"z": list(z), "dir": list(t)} for z, t in dirs.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_point_recon_of_a_spoiled_direction_file_exits_with_a_code(
+        one_point_files, data):
+    # 0 (the spoil was harmless), 2, 3 or 4; never a traceback
+    tmp, text = one_point_files
+    spoiled, flags = data.draw(spoiled_directions(text))
+    dirs, out = tmp / "dirs.json", tmp / "rec.json"
+    dirs.write_bytes(spoiled)
+    assert cli.main(["recon", "--sino", str(tmp / "sino.json"), "--one-point",
+                     str(dirs), *flags, "--out", str(out)]) in (0, 2, 3, 4)
 
 
 # a NamedTuple key per length: equal to the plain tuple, of another type
