@@ -1,8 +1,8 @@
 """Brute-force verification of counting and separation estimates, in
-exact integers: lines through two or more ball points (lens sizes over
-directions), the Farey ratio, and the separation of lattice projections
-(one direction per orbit of the signed coordinate permutations). Budgets
-are checked before any list is built.
+exact integers: lines through two or more ball points (lens sizes, one
+direction per orbit of the signed coordinate permutations), the Farey
+ratio, and the separation of lattice projections (one direction per
+orbit). Budgets are checked before any list is built.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, mul, neg, sub
 
 from .errors import BudgetError, PreconditionError
 from .lattice import (IntVec, as_fraction, ball_count, ball_radius, count_within,
@@ -46,17 +46,54 @@ class CountReport:
         }
 
 
-def _lens(rows: dict[IntVec, int], v: IntVec) -> int:
-    """P(v) = #{z in B : z + v in B}, all rows in one C pass over the row
-    columns. Row p, half-width m, meets row p + v[:-1], half-width m2 (-1,
-    empty, if absent), shifted by t in min(m, m2 - t) + min(m, m2 + t) + 1
-    points if that is positive."""
-    head, t = v[:-1], v[-1]
-    shifted = zip(*[map(add, col, repeat(h)) for col, h in zip(zip(*rows), head)])
+def _lens_sizes(rows: dict[IntVec, int], head: IntVec, ts) -> list[int]:
+    """P((head, t)) = #{z in B : z + (head, t) in B} for each t of ts, from
+    one C pass over the row columns. Row p, half-width m, meets row
+    p + head, half-width m2, if present: with a, b the min and max of m, m2
+    it gives 2a + 1 points for |t| <= b - a, one fewer per further unit of
+    |t| and none from |t| >= a + b + 1. So P(t) is P(0) less, per step
+    below |t|, the rows declining there: the prefix sums of the Counters of
+    the breakpoints b - a and a + b + 1."""
+    ts = list(map(abs, ts))
+    shifted = zip(*[col if h == 0 else map(add, col, repeat(h))
+                    for col, h in zip(zip(*rows), head)])
     m2 = list(map(rows.get, shifted, repeat(-1)))
-    hi = map(min, rows.values(), map(sub, m2, repeat(t)))
-    lo = map(min, rows.values(), map(add, m2, repeat(t)))
-    return len(rows) + sum(map(max, map(add, hi, lo), repeat(-1)))
+    hit = list(map((-1).__lt__, m2))
+    ms, m2 = list(compress(rows.values(), hit)), list(compress(m2, hit))
+    a, b = list(map(min, ms, m2)), list(map(max, ms, m2))
+    start = Counter(map(sub, b, a))
+    stop = Counter(map(add, map(add, a, b), repeat(1)))
+    steps = range(max(ts, default=0))
+    declining = accumulate(map(sub, map(start.get, steps, repeat(0)),
+                               map(stop.get, steps, repeat(0))))
+    sizes = list(accumulate(map(neg, declining), initial=len(a) + 2 * sum(a)))
+    return list(map(sizes.__getitem__, ts))
+
+
+def _orbit_representatives(rho, d: int) -> dict[IntVec, int]:
+    """The orbits of the canonical primitive vectors of norm <= rho under
+    signed coordinate permutations: each orbit's member with nonnegative
+    rising entries -> its number of canonical members. A member is a
+    positive rising tail of gcd 1 padded with zeros; k nonzero entries, c_v
+    of each value v, give d!/((d - k)! prod c_v!) 2^k / 2 members."""
+    r2 = ball_radius(d, rho) ** 2
+    num, den = r2.numerator, r2.denominator
+    reps: dict[IntVec, int] = {}
+    tails = [((), 0, 0)]  # tail, squared norm, gcd of its entries
+    for k in range(1, d + 1):
+        tails = [(tail + (x,), n2 + x * x, math.gcd(g, x))
+                 for tail, n2, g in tails
+                 for x in range(tail[-1] if tail else 1,
+                                math.isqrt((num - den * n2) // den) + 1)]
+        if not tails:
+            break
+        zeros, members = (0,) * (d - k), math.perm(d, k) << (k - 1)
+        for tail, _, g in tails:
+            if g == 1:
+                ties = 1 if len(set(tail)) == k else math.prod(
+                    map(math.factorial, Counter(tail).values()))
+                reps[zeros + tail] = members // ties
+    return reps
 
 
 def count_connecting_lines(r, d: int = 2, *,
@@ -66,10 +103,14 @@ def count_connecting_lines(r, d: int = 2, *,
     The ball is convex, so the ball points of a line with primitive
     direction theta form one run of consecutive multiples of theta, and the
     lines in direction theta holding >= 2 of them number P(theta) - P(2 theta)
-    (lens sizes, see ``_lens``). The sum runs over the canonical primitive
-    directions of norm <= 2r. P is invariant under permuting and negating
-    coordinates, so each orbit's lens is computed once. ``budget`` caps the
-    lens steps, directions x rows.
+    (lens sizes). The sum runs over the canonical primitive directions of
+    norm <= 2r. P is invariant under permuting and negating coordinates, so
+    it runs over one representative per orbit (``_orbit_representatives``,
+    listed from their positive tails), weighted by the orbit's canonical
+    members. The lens sizes of all vectors sharing a head, the first d-1
+    entries, come from one pass over the rows (``_lens_sizes``), so the cost
+    grows like r^(2d-2) heads x rows. ``budget`` caps directions x rows, a
+    loose upper bound on that work, checked before anything is built.
     """
     rf = ball_radius(d, r)
     # the rows are the lattice points of the (d-1)-ball of radius r
@@ -77,16 +118,17 @@ def count_connecting_lines(r, d: int = 2, *,
                   "lens steps")
     # a row is the first d-1 coordinates; lexicographic order leaves its max last
     rows = {z[:-1]: z[-1] for z in enumerate_ball(d, rf)}
-    dirs = canonical_primitives(2 * rf, d)
-    orbits = Counter(tuple(sorted(map(abs, theta))) for theta in dirs)
-    r2 = rf * rf
-    total = 0
-    for theta, mult in orbits.items():
-        lines = _lens(rows, theta)
+    r2 = math.floor(rf * rf)  # |theta|^2 <= r^2 in integers
+    weights: dict[IntVec, dict[int, int]] = {}  # head -> t -> weight of P
+    for theta, mult in _orbit_representatives(2 * rf, d).items():
+        head, t = theta[:-1], theta[-1]
+        ts = weights.setdefault(head, {})
+        ts[t] = ts.get(t, 0) + mult
         if norm2(theta) <= r2:  # else |2 theta| > 2r and P(2 theta) = 0
-            lines -= _lens(rows, tuple(2 * c for c in theta))
-        total += mult * lines
-    return total
+            ts = weights.setdefault(tuple(2 * c for c in head), {})
+            ts[2 * t] = ts.get(2 * t, 0) - mult
+    return sum(sum(map(mul, ts.values(), _lens_sizes(rows, head, ts)))
+               for head, ts in weights.items())
 
 
 def verify_count_bounds(r, d: int = 2, *,

@@ -476,6 +476,16 @@ def test_count_in_a_thousand_dimensions(argv, code, capsys):
         assert json.loads(out.out.strip().splitlines()[-1])["margin"] == 1
 
 
+def test_count_time_is_bounded_by_the_ball_not_the_dimension(capsys):
+    # r = 1/2 in 4000 dimensions: the ball is the origin, and the unit
+    # vectors, one orbit, are the only directions of norm <= 2r
+    t0 = time.perf_counter()
+    assert run(["count", "tmin", "--r", "1/2", "--d", "4000"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])[
+        "count"] == 0
+
+
 def test_bad_flags_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["phantom", "--kind", "nonsense", "--r", "1", "--out", "x.json"])

@@ -33,9 +33,34 @@ def test_count_connecting_lines_against_oracle():
 
 
 @pytest.mark.parametrize("d, r, count", [
-    (2, 8, 8900), (2, 12, 44352), (2, 16, 144628), (3, 3, 5389), (3, 4, 24097)])
+    (2, 8, 8900), (2, 12, 44352), (2, 16, 144628), (3, 3, 5389), (3, 4, 24097),
+    # beyond the pair-scan oracle's reach, pinned on the per-direction lens
+    (2, 65, 40_158_064), (3, 20, 406_044_925), (4, 7, 60_614_000),
+    (3, Fraction(13, 2), 514_741), (4, Fraction(9, 2), 1_800_632),
+    (6, 2, 112_296)])
 def test_count_connecting_lines_pinned(d, r, count):
     assert count_connecting_lines(r, d) == count
+
+
+@pytest.mark.parametrize("d, r, count", [
+    (2, 16, 144628), (3, 4, 24097), (6, 2, 112_296)])
+def test_count_connecting_lines_lists_no_direction(monkeypatch, d, r, count):
+    # one ball listing (the rows) and orbit representatives from their
+    # tails: no per-direction listing of the canonical primitives
+    balls = []
+    real = counting.enumerate_ball
+
+    def counted(*args, **kwargs):
+        balls.append(args)
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the count listed the canonical primitives")
+
+    monkeypatch.setattr(counting, "enumerate_ball", counted)
+    monkeypatch.setattr(counting, "canonical_primitives", forbidden)
+    assert count_connecting_lines(r, d) == count
+    assert balls == [(d, r)]
 
 
 def test_count_connecting_lines_monotone():

@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul, sub
@@ -38,7 +38,8 @@ from lxray import ZeroWeightError, cli
 from lxray import io as lio
 from lxray import transform
 from lxray.continuum import _chord_sums, _corrected_sinogram
-from lxray.counting import (_direction_minimum, _lens, _point_columns,
+from lxray.counting import (_direction_minimum, _lens_sizes,
+                            _orbit_representatives, _point_columns,
                             primitive_count)
 from lxray.lattice import count_within
 from lxray.recon import sweep_data
@@ -127,14 +128,31 @@ def lens_cases(draw):
     d = draw(st.sampled_from((2, 3, 4)))
     prefix = st.tuples(*[st.integers(-4, 4)] * (d - 1))
     rows = draw(st.dictionaries(prefix, st.integers(0, 6), max_size=40))
-    return rows, draw(st.tuples(*[st.integers(-8, 8)] * d))
+    head = draw(st.tuples(*[st.integers(-8, 8)] * (d - 1)))
+    return rows, head, draw(st.lists(st.integers(-16, 16), max_size=12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(lens_cases())
+@example(({}, (0,), [0, -3, 3]))
+@example(({(0,): 2, (1,): 0}, (1,), [-1, 0, 0, 1, 2, -2]))
 def test_lens_columns_match_row_loop(case):
-    rows, v = case
-    assert _lens(rows, v) == reference_lens(rows, v)
+    rows, head, ts = case
+    assert _lens_sizes(rows, head, ts) == [
+        reference_lens(rows, (*head, t)) for t in ts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.fractions(0, 8, max_denominator=6))
+@example(2, Fraction(8))
+@example(5, Fraction(8))
+@example(5, Fraction(0))
+@example(5, Fraction(5, 2))
+def test_orbit_representatives_match_primitive_filter(d, rho):
+    reps = _orbit_representatives(rho, d)
+    assert reps == Counter(tuple(sorted(map(abs, theta)))
+                           for theta in reference_canonical_primitives(rho, d))
+    assert sum(reps.values()) == primitive_count(rho, d)
 
 
 def _independent(ab):
