@@ -241,7 +241,9 @@ def _sino_columns(rows: list, d: int):
     if (set(map(math.gcd, *[map(itemgetter(k), dirs) for k in range(d)])) != {1}
             or not all(map(gt, dirs, repeat((0,) * d)))):
         return None
-    rays, keys = list(map(Ray, bases, dirs)), list(map(RayKey, dirs, bases))
+    # tuple.__new__ skips the named tuples' Python-level constructors
+    rays = list(map(tuple.__new__, repeat(Ray), zip(bases, dirs)))
+    keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, bases)))
     if ray_keys(rays) != keys:  # reduced: 0 <= base.dir < |dir|^2
         return None
     entries = dict(zip(keys, vals))
@@ -291,13 +293,17 @@ def residuals_to_csv(path: str, residuals: list[float]) -> None:
 
 
 def _write_text_atomic(path: str, text: str) -> None:
+    """Write text through a temporary file beside path; a path that cannot
+    be written is a PreconditionError, with nothing left behind."""
     dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc

@@ -6,17 +6,19 @@ continuum bridge's ray-cell geometry in doubles (see README.md).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import (add, floordiv, ge, itemgetter, lt, mul, ne, neg, not_,
                       sub, truediv)
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, box_ids, box_index, dot, dots,
-                      is_canonical_direction, norm2, primitive, unit_vector,
-                      vsub)
+from .lattice import (IntVec, as_fraction, box_ids, box_index, box_points, dot,
+                      dots, is_canonical_direction, norm2, primitive,
+                      unit_vector, vsub)
 
 
 class Ray(NamedTuple):
@@ -196,6 +198,21 @@ def ray_boxes(rays: Sequence[Ray], num: int, den: int, place: IntVec,
     firsts = list(map(add, box_ids(list(map(itemgetter(0), rays)), place, offset),
                       map(mul, ks, steps)))
     return firsts, steps, counts
+
+
+def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
+              ) -> tuple[list[IntVec], array, array]:
+    """(points, gather, ends): ray i's lattice points with den |z|^2 <= num
+    are points[gather[j]], j in range(ends[i-1], ends[i]), in ray order;
+    each distinct point is listed once. Rays of dimension d (``ray_boxes``)."""
+    place, offset, _ = box_index(d, num, den)
+    firsts, steps, counts = ray_boxes(rays, num, den, place, offset)
+    steps = [s or 1 for s in steps]  # a 0 step has one point at most
+    number = defaultdict(count().__next__)  # box id -> point number
+    gather = array("i", map(number.__getitem__, chain.from_iterable(map(
+        range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
+    return (list(box_points(list(number), place, offset)), gather,
+            array("i", accumulate(counts)))
 
 
 def points_on_ray(ray: Ray, r) -> list[IntVec]:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -22,7 +21,7 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       enumerate_ball, norm2)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
-                   ray_keys, walk_box, walk_cells)
+                   ray_keys, ray_table, walk_box, walk_cells)
 from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
                         weight_column)
 
@@ -169,24 +168,19 @@ class ReconPlan:
 
     @cached_property
     def forward_table(self) -> ForwardTable:
-        """The rays as they are now, compiled for ``forward_family``."""
+        """The rays as they are now, compiled for ``forward_family``, with
+        the plan's own target tuples and line keys."""
         r2 = ball_radius(self.d, self.support_radius) ** 2
-        place, offset, _ = box_index(self.d, r2.numerator, r2.denominator)
         rays = tuple(self.rays.values())
         if not set(map(len, chain.from_iterable(rays))) <= {self.d}:
             raise PreconditionError("ray and grid dimensions differ")
-        firsts, steps, counts = ray_boxes(rays, r2.numerator, r2.denominator,
-                                          place, offset)
-        steps = [s or 1 for s in steps]  # a 0 step has one point at most
-        number = defaultdict(count().__next__)  # box id -> point number
-        gather = array("i", map(number.__getitem__, chain.from_iterable(map(
-            range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
+        points, gather, ends = ray_table(rays, self.d, r2.numerator,
+                                         r2.denominator)
         keys, mine = ray_keys(rays), dict(zip(self.keys, self.keys))
         keys = tuple(map(mine.get, keys, keys))
         mine = dict(zip(self.order, self.order))
-        return ForwardTable(r2, rays, keys, [
-            mine.get(z, z) for z in box_points(list(number), place, offset)],
-            gather, array("i", accumulate(counts)))
+        return ForwardTable(r2, rays, list(map(mine.get, points, points)),
+                            gather, ends, keys)
 
     @cached_property
     def chord_table(self) -> ChordTable:

@@ -18,7 +18,7 @@ from .errors import PreconditionError, ZeroWeightError
 from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
                       dots, norm2)
 from .rays import (Ray, RayKey, is_canonical_direction, ray_boxes, ray_key,
-                   ray_keys, ray_points, ray_span, ray_spans)
+                   ray_keys, ray_points, ray_span, ray_table)
 
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]
@@ -186,15 +186,16 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
 
 
 class ForwardTable(NamedTuple):
-    """Rays compiled for the forward in the ball |z|^2 <= r2: ray i sums
-    points[gather[j]], j in range(ends[i-1], ends[i])."""
+    """Rays compiled for the forward in the ball |z|^2 <= r2 (``ray_table``):
+    ray i sums points[gather[j]], j in range(ends[i-1], ends[i]). A plan's
+    table keeps its rays' line keys; a fresh one leaves them to the caller."""
 
     r2: Fraction
     rays: tuple[Ray, ...]
-    keys: tuple[RayKey, ...]
     points: list[IntVec]
     gather: array
     ends: array
+    keys: tuple[RayKey, ...] = ()
 
     def weights(self, weight: Weight) -> array:
         """weight(point, ray.dir) per incidence, in gather order."""
@@ -232,15 +233,15 @@ def _plan_table(f: GridFunction, rays: tuple[Ray, ...],
 def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
-    """Project f along every ray of a family: by span columns or by the
-    ``forward_table`` of a live plan compiled for these rays (weighted: for
-    this very weight)."""
+    """Project f along every ray of a family: by the ``forward_table`` of a
+    live plan compiled for these rays (weighted: for this very weight), else
+    by span columns, or weighted by a fresh table of the lines' first rays."""
     num, den = _r2_terms(f)
     if weight is not None:
         def values(rays: Sequence[Ray]) -> list[float]:
-            ks, counts = ray_spans(rays, num, den)
-            return [_weighted_sum(f, ray, range(k, k + n), weight)
-                    for ray, k, n in zip(rays, ks, counts)]
+            t = ForwardTable(f.support_radius ** 2, tuple(rays),
+                             *ray_table(rays, f.d, num, den))
+            return list(t.sums(f.values, t.weights(weight)))
     else:
         def values(rays: Sequence[Ray]) -> list[float]:
             place, offset, _ = box_index(f.d, num, den)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import time
@@ -644,3 +645,97 @@ def test_inverted_annulus_in_file_exit_code(tmp_path, alpha, beta, capsys):
     assert run(["recon", "--sino", str(s), "--out", str(r)]) == 4
     assert "alpha" in capsys.readouterr().err
     assert not r.exists()
+
+
+@pytest.fixture
+def collector():
+    """Sets the caller's collector on or off; restores it on the way out."""
+    was = gc.isenabled()
+
+    def set_to(on):
+        (gc.enable if on else gc.disable)()
+
+    yield set_to
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--kind", "point", "--r", "1", "--out", "g.json"],
+    ["forward", "--grid", "g.json", "--family", "tstar", "--out", "s.json"],
+    ["recon", "--sino", "s.json", "--out", "r.json"],
+    ["export", "--grid", "r.json", "--out", "r.csv"],
+    ["count", "farey", "--n", "3"],
+])
+def test_each_command_runs_with_the_collector_paused(argv, collector,
+                                                     monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(lxray.cli, f"cmd_{argv[0]}", record)
+    collector(True)
+    assert run(argv) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _failing_command(args):
+    raise RuntimeError("not an lxray error")
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_main_restores_the_callers_collector(tmp_path, on, collector,
+                                             monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for argv, code in [
+            (["count", "farey", "--n", "3"], 0),
+            (["count", "farey", "--n", "0"], 2),
+            (["count", "tmin", "--r", "20", "--budget", "10"], 3),
+            (["export", "--grid", str(bad), "--out", str(tmp_path / "x")], 4)]:
+        collector(on)
+        assert run(argv) == code
+        assert gc.isenabled() == on
+    collector(on)
+    with pytest.raises(SystemExit) as exc:
+        run(["count", "farey", "--n", "three"])
+    assert exc.value.code == 2 and gc.isenabled() == on
+    monkeypatch.setattr(lxray.cli, "cmd_count", _failing_command)
+    with pytest.raises(RuntimeError, match="not an lxray error"):
+        run(["count", "farey", "--n", "3"])
+    assert gc.isenabled() == on
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # what the pause relies on: reference counting frees all a command
+    # makes, on success and on error exits alike
+    grid, sino, csino = (str(tmp_path / n) for n in ("g.json", "s.json", "c.json"))
+    out = str(tmp_path / "out.json")
+    _, opsino, dirfile = _one_point_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for argv, code in [
+            (["phantom", "--kind", "random-int", "--d", "2", "--r", "6",
+              "--seed", "4", "--out", grid], 0),
+            (["forward", "--grid", grid, "--family", "tstar", "--out", sino], 0),
+            (["forward", "--grid", grid, "--family", "tstar", "--weight",
+              "const", "2", "--out", out], 0),
+            (["forward", "--grid", grid, "--family", "tstar", "--continuous",
+              "--out", csino], 0),
+            (["recon", "--sino", sino, "--out", out], 0),
+            (["recon", "--sino", sino, "--weight", "const", "2", "--out", out], 0),
+            (["recon", "--sino", csino, "--iterate", "2", "--out", out], 0),
+            (["recon", "--sino", str(opsino), "--one-point", str(dirfile),
+              "--out", out], 0),
+            (["export", "--grid", grid, "--out", str(tmp_path / "g.csv")], 0),
+            (["count", "tmin", "--r", "3"], 0),
+            (["count", "farey", "--n", "20"], 0),
+            (["count", "separation", "--R", "4"], 0),
+            (["count", "bounds", "--r", "3"], 0),
+            (["recon", "--sino", str(bad), "--out", out], 4),
+            (["recon", "--sino", sino, "--weight", "const", "0", "--out", out], 2),
+            (["count", "tmin", "--r", "20", "--budget", "10"], 3)]:
+        gc.collect()
+        assert run(argv) == code
+        assert gc.collect() == 0, argv

@@ -282,11 +282,20 @@ def _hexed(g):
     return [(k, v.hex()) for k, v in g.entries.items()]
 
 
+def _first_rays(family):
+    """Each line's first ray in the family, by line key, in order."""
+    firsts = {}
+    for _, ray in family:
+        firsts.setdefault(ray_key(ray), ray)
+    return firsts
+
+
 @settings(max_examples=40, deadline=None)
 @given(round_trip_cases(), st.sampled_from(("const", "varying", "chord")))
 def test_weighted_plan_forward_matches_the_per_call_path(case, name):
-    # the plan's weight column against _weighted_sum on an equal family
-    # once the plan is gone: same entries, order and float.hex
+    # the plan's weight column against the fresh table of an equal family
+    # once the plan is gone, and both against forward_weighted, point by
+    # point, on each line's first ray: same entries, order and float.hex
     d, r, plane, alpha, beta, seed = case
     weight, fs = WEIGHTS[name], _phantoms(d, r, seed)
     plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
@@ -303,10 +312,13 @@ def test_weighted_plan_forward_matches_the_per_call_path(case, name):
     del plan
     gc.collect()
     assert not transform.PLANS
+    firsts = _first_rays(family)
     for f, g in zip(fs, got):
         want = forward_family(f, family, weight=weight)
         assert _hexed(g) == _hexed(want)
         assert g.family == want.family and g.meta == want.meta
+        assert _hexed(want) == [(k, forward_weighted(f, ray, weight).hex())
+                                for k, ray in firsts.items()]
 
 
 def _error(call):
@@ -346,6 +358,8 @@ def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
     del plan
     gc.collect()
     assert _error(lambda: forward_family(f, family, weight=weight)) == message
+    assert _error(lambda: [forward_weighted(f, ray, weight)
+                           for ray in _first_rays(family).values()]) == message
 
 
 @settings(max_examples=30, deadline=None)
@@ -1141,6 +1155,129 @@ def test_one_point_recon_of_a_spoiled_direction_file_exits_with_a_code(
     dirs.write_bytes(spoiled)
     assert cli.main(["recon", "--sino", str(tmp / "sino.json"), "--one-point",
                      str(dirs), *flags, "--out", str(out)]) in (0, 2, 3, 4)
+
+
+# argv tokens: "{name}" stands for a path of ``argv_files``. Each flag is
+# missing, given or repeated (an optional one, marked "?", missing more
+# often), three times in four with a valid value, else with junk. Sizes
+# stay small: d is at most 1000 (40 for separation, whose scan grows like
+# d^2 at R >= 1), a huge d only where it is refused at once, no budget is
+# raised and no --iterate count is large, so that every example ends
+# quickly
+HUGE = "99999999999999999999"
+ARGV_GRID = (("{grid}", "{grid3}"),
+             ("{sino}", "{bad}", "{missing}", "{dir}", ""))
+ARGV_SINO = (("{sino}", "{csino}", "{asino}", "{opsino}"),
+             ("{grid}", "{dirs}", "{bad}", "{missing}", "{dir}", ""))
+ARGV_OUT = (("{out}", "{out2}", "{nodir}/out.json", "{dir}"),
+            ("{bad}/out.json",))
+ARGV_R = (("0", "1", "2", "5/2", "3", "1e-400"),
+          ("-1", "-3/2", "1/0", "nan", "inf", "1e400", "abc", "", "1,2", HUGE))
+ARGV_INT = ("-1", "nan", "1e400", "1/0", "x", "", "1,2")
+ARGV_D = (("2", "3", "4", "1000"), ARGV_INT + ("0", "1"))
+ARGV_BUDGET = (("10", "1000"), ARGV_INT + ("0",))
+ARGV_SPECS = (("const", "2"), ("cell-chord",), ("tstar",),
+              ("annulus", "1", "3"), ("annulus", "2", "2"),
+              ("tstar-plane", "1,1,0", "0,1,1"))
+ARGV_SPEC_JUNK = tuple((head, *rest) for head in (
+    "const", "cell-chord", "annulus", "tstar-plane", "x")
+    for rest in ((), ("nan",), ("1e400", "-1"), ("1/0",), ("1,0", "0,1"),
+                 ("0",)))
+ARGV_FLAGS = {
+    "phantom": {"--kind": (("point", "disc", "checker", "random-int"),
+                           ("ball", "")),
+                "--d?": (ARGV_D[0], ARGV_D[1] + (HUGE,)), "--r": ARGV_R,
+                "--seed?": (("0", "7", "-5"), ARGV_INT + (HUGE,)),
+                "--out": ARGV_OUT},
+    "forward": {"--grid": ARGV_GRID,
+                "--family": (ARGV_SPECS[2:], ARGV_SPEC_JUNK),
+                "--weight?": (ARGV_SPECS[:2], ARGV_SPEC_JUNK),
+                "--continuous?": (((),), (("x",),)),
+                "--out": ARGV_OUT},
+    "recon": {"--sino": ARGV_SINO,
+              "--weight?": (ARGV_SPECS[:2], ARGV_SPEC_JUNK),
+              "--one-point?": (("{dirs}",), ARGV_SINO[0] + ARGV_SINO[1][2:]),
+              "--iterate?": (("1", "2"), ARGV_INT + ("0",)), "--r?": ARGV_R,
+              "--residuals?": ARGV_OUT, "--out": ARGV_OUT},
+    "export": {"--grid": ARGV_GRID, "--out": ARGV_OUT},
+    "count tmin": {"--r": ARGV_R, "--d?": ARGV_D, "--budget?": ARGV_BUDGET},
+    "count farey": {"--n": (("1", "30"), ARGV_INT + ("0", HUGE))},
+    "count separation": {"--R": ARGV_R, "--d?": (("2", "3", "40"), ARGV_D[1])},
+    "count bounds": {"--r": ARGV_R, "--d?": ARGV_D, "--budget?": ARGV_BUDGET},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its flags in any order, perhaps among unknown
+    tokens; a flag's value is one token or a tuple of them."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS) + ["bogus", "count"]))
+    flags = []
+    for flag, (valid, junk) in ARGV_FLAGS.get(command, {}).items():
+        times = (0, 0, 0, 1, 1, 2) if flag.endswith("?") else (1, 1, 1, 1, 0, 2)
+        for _ in range(draw(st.sampled_from(times))):
+            value = draw(st.sampled_from(valid) | st.sampled_from(valid)
+                         | st.sampled_from(valid) | st.sampled_from(junk))
+            flags.append([flag.rstrip("?"),
+                          *((value,) if isinstance(value, str) else value)])
+    argv = command.split() + sum(draw(st.permutations(flags)), [])
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ("--bogus", "extra", "-x", "--d", "--help", "1"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A directory of small valid and broken input files, by token."""
+    tmp = tmp_path_factory.mktemp("argv_fuzz")
+    files = {name: str(tmp / f"{name}.json") for name in (
+        "grid", "grid3", "sino", "csino", "asino", "opsino", "dirs", "bad",
+        "missing", "out", "out2")}
+    files.update(dir=str(tmp), nodir=str(tmp / "nodir"))
+    for argv in (
+            ["phantom", "--kind", "random-int", "--r", "3", "--seed", "2",
+             "--out", files["grid"]],
+            ["phantom", "--kind", "checker", "--d", "3", "--r", "2",
+             "--out", files["grid3"]],
+            ["forward", "--grid", files["grid"], "--family", "tstar",
+             "--out", files["sino"]],
+            ["forward", "--grid", files["grid"], "--family", "tstar",
+             "--continuous", "--out", files["csino"]],
+            ["forward", "--grid", files["grid"], "--family", "annulus", "1",
+             "3", "--out", files["asino"]]):
+        assert cli.main(argv) == 0
+    points = enumerate_ball(2, 3)
+    dirs = one_point_directions(points, 3)
+    sino = forward_family(random_int_grid(2, 3, seed=5),
+                          one_point_family(points, dirs),
+                          FamilyMeta("free", support_radius=Fraction(3)))
+    lio.write_json_atomic(files["opsino"], lio.sino_to_obj(sino))
+    lio.write_json_atomic(files["dirs"], [{"z": list(z), "dir": list(t)}
+                                          for z, t in dirs.items()])
+    with open(files["bad"], "w") as fh:
+        fh.write("{not json")
+    return files
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+@example(["phantom", "--kind", "point", "--d", "99999999999999999999",
+          "--r", "1", "--out", "{out}"])
+@example(["export", "--grid", "{grid}", "--out", "{nodir}/out.json"])
+@example(["phantom", "--kind", "point", "--r", "1", "--out", "{dir}"])
+def test_any_argv_exits_with_a_code(argv_files, argv):
+    # 0, 2, 3 or 4, or argparse's SystemExit 0 (help) or 2; never a
+    # traceback, and the caller's collector setting is left as it was
+    argv = [token.format_map(argv_files) for token in argv]
+    assert gc.isenabled()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+    else:
+        assert code in (0, 2, 3, 4)
+    assert gc.isenabled()
 
 
 # a NamedTuple key per length: equal to the plain tuple, of another type
