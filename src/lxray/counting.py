@@ -1,13 +1,15 @@
 """Brute-force verification of counting and separation estimates, in
 exact integers: lines through two or more ball points (lens sizes, one
 direction per orbit of the signed coordinate permutations), the Farey
-ratio, and the separation of lattice projections (one direction per
-orbit). Budgets are checked before any list is built.
+ratio, and the separation of lattice projections (each pair of canonical
+primitives from the orbit of its longer member). Budgets are checked before
+any list is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,18 +151,12 @@ def verify_count_bounds(r, d: int = 2, *,
                        upper_bound=upper, passed=lower < count < upper)
 
 
-def _half_ball(r, d: int) -> list[IntVec]:
-    """One point of each pair +-z of nonzero ball points: the ball's
-    lexicographic order is symmetric about the origin, so the points after
-    it are those whose first nonzero entry is positive."""
-    ball = enumerate_ball(d, r)
-    return ball[len(ball) // 2 + 1:]
-
-
 def canonical_primitives(r, d: int = 2) -> list[IntVec]:
-    """Canonical primitive vectors of norm <= r (one per antipodal pair):
-    the points of ``_half_ball`` whose entries have gcd 1, in ball order."""
-    half = _half_ball(r, d)
+    """Canonical primitive vectors of norm <= r (one per antipodal pair), in
+    ball order: the ball points after the origin, whose first nonzero entry
+    is positive, with entries of gcd 1."""
+    ball = enumerate_ball(d, r)
+    half = ball[len(ball) // 2 + 1:]
     if not half:
         return []
     return list(compress(half, map((1).__eq__, map(math.gcd, *zip(*half)))))
@@ -196,13 +192,6 @@ def _check_budget(n: int, rho, d: int, budget: int, what: str) -> None:
         raise BudgetError(f"{what} exceed the budget of {budget}")
 
 
-def _point_columns(R: Fraction, d: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Coordinate columns and squared norms of the points of ``_half_ball``;
-    z and -z give every direction the same q."""
-    half = _half_ball(R, d)
-    return list(zip(*half)), list(map(norm2, half))
-
-
 def _direction_minimum(zeta: IntVec, cols: list[tuple[int, ...]],
                        norms: list[int]) -> int:
     """Minimum of |zeta|^2 |z|^2 - (z.zeta)^2 over the points z not collinear
@@ -225,25 +214,30 @@ def _direction_minimum(zeta: IntVec, cols: list[tuple[int, ...]],
 
 def separation_margin(R, d: int = 2, *,
                       budget: int = DEFAULT_SEPARATION_BUDGET) -> int:
-    """Minimum of |zeta|^2 |z|^2 - (z.zeta)^2 over non-collinear pairs.
-
-    zeta ranges over primitive directions of norm <= R, z over nonzero ball
-    lattice points; the quantity is a nonnegative integer, zero exactly on
-    collinear pairs, so a minimum >= 1 over the rest is the exact separation
-    estimate for lattice projections. One direction per orbit (see the
-    module docstring) is scanned against one point of each pair +-z.
-    ``budget`` caps the pairs, directions x nonzero points.
+    """Least q(zeta, z) = |zeta|^2 |z|^2 - (z.zeta)^2 > 0, zeta a primitive
+    direction of norm <= R and z a nonzero ball lattice point: q is an
+    integer, zero exactly on collinear pairs, so a least value >= 1 is the
+    exact separation estimate for lattice projections. q(zeta, m z) =
+    m^2 q(zeta, z), so z may be a canonical primitive too. q is symmetric
+    and signed coordinate permutations g keep it, so if |z| <= |zeta| some
+    g maps zeta onto its orbit's representative rho and +-g z onto a
+    canonical primitive of norm <= |rho|: one ``_direction_minimum`` per
+    orbit, over that prefix of the primitives sorted by norm, meets every
+    pair. Each prefix holds a unit vector not collinear with rho.
+    ``budget`` caps directions x nonzero points.
     """
     rf = ball_radius(d, R)
     # nonzero ball points, exact up to the budget
     _check_budget(count_within(d, rf * rf, budget + 1) - 1, rf, d, budget,
                   "separation tests")
-    # sorted absolute values: the orbit's member with nonnegative rising entries
-    reps = {tuple(sorted(map(abs, zeta))) for zeta in canonical_primitives(rf, d)}
-    if not reps:
+    prims = sorted(canonical_primitives(rf, d), key=norm2)
+    if not prims:
         raise PreconditionError("no non-collinear pairs at this radius")
-    cols, norms = _point_columns(rf, d)
-    return min(_direction_minimum(zeta, cols, norms) for zeta in reps)
+    cols, norms = list(zip(*prims)), list(map(norm2, prims))
+    # sorted absolute values: the orbit's member with nonnegative rising entries
+    reps = {tuple(sorted(map(abs, zeta))) for zeta in prims}
+    return min(_direction_minimum(rho, [col[:n] for col in cols], norms[:n])
+               for rho in reps for n in [bisect_right(norms, norm2(rho))])
 
 
 def farey_asymptotic_report(count: int, n: int) -> float:

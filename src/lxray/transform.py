@@ -113,6 +113,8 @@ def constant_weight(c: float) -> Weight:
     if c == 0:
         raise ZeroWeightError("constant weight must be nonzero")
     c = float(c)
+    if not math.isfinite(c):
+        raise PreconditionError(f"constant weight must be finite, not {c}")
     return lambda z, dirv: c
 
 

@@ -202,6 +202,21 @@ def test_const_weight_pipeline(tmp_path):
     assert values_equal(read_grid(r), read_grid(g))
 
 
+@pytest.mark.parametrize("c", ["inf", "nan", "1e400"])
+def test_non_finite_const_weight_exit_code(tmp_path, c):
+    # an infinite weight would turn every recovered value into 0.0
+    g, s, out = (tmp_path / n for n in ("g.json", "s.json", "out.json"))
+    run(["phantom", "--kind", "random-int", "--d", "2", "--r", "3",
+         "--seed", "14", "--out", str(g)])
+    run(["forward", "--grid", str(g), "--family", "tstar", "--out", str(s)])
+    assert run(["forward", "--grid", str(g), "--family", "tstar", "--weight",
+                "const", c, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["recon", "--sino", str(s), "--weight", "const", c,
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def _one_point_files(tmp_path):
     """A one-point sinogram of a random-int d=2 r=3 grid and its direction
     file; returns the grid and both paths."""

@@ -154,6 +154,29 @@ def test_separation_scans_one_direction_per_orbit(monkeypatch, R, d):
     assert len(seen) == len(orbits) and set(seen) == orbits
 
 
+@pytest.mark.parametrize("R, d, tests", [(20, 2, 18_686), (8, 3, 23_046)])
+def test_separation_tests_each_pair_once(monkeypatch, R, d, tests):
+    # each representative meets only the canonical primitives no longer
+    # than itself: a prefix of one list sorted by norm, from one ball listing
+    balls, lengths = [], []
+    real, scan = counting.enumerate_ball, counting._direction_minimum
+
+    def listed(*args):
+        balls.append(args)
+        return real(*args)
+
+    def counted(zeta, cols, norms):
+        assert all(len(col) == len(norms) for col in cols)
+        lengths.append(len(norms))
+        return scan(zeta, cols, norms)
+
+    monkeypatch.setattr(counting, "enumerate_ball", listed)
+    monkeypatch.setattr(counting, "_direction_minimum", counted)
+    assert separation_margin(R, d) == 1
+    assert balls == [(d, R)]
+    assert sum(lengths) == tests
+
+
 def test_counting_kernels_call_no_primitive(monkeypatch):
     # the canonical primitives come from one gcd column, not per point
     calls = []

@@ -9,6 +9,8 @@ the per-call forward fails here instead of only slowing the benchmark, and
 their phantoms must pass ``GridFunction``'s column checks with their keys
 kept, never walked point by point, and the continuum forward and rounds
 must read their plans' chord tables, one pass per forward and per iterate.
+The counting kernels' small pass runs here too, so a wrong count or
+separation margin fails the suite and not only the benchmark.
 """
 
 import importlib
@@ -123,3 +125,14 @@ def test_benchmark_phantoms_are_checked_as_columns(monkeypatch):
         assert len(f.values) == len(points)
         assert all(map(is_, f.values, map(points.__getitem__, f.values)))
         assert set(map(type, f.values.values())) == {float}
+
+
+def test_count_verify_tiny_pass_checks_its_results():
+    # a wrong count or separation margin fails here, not only the benchmark
+    count = runpy.run_path(str(PERFBENCH / "workloads.py"))["CountVerify"]
+    work = count(5, count.TINY)
+    work.prepare()
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in count.TINY)
+    for op in ops:
+        op.check(op.run())

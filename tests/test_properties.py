@@ -8,7 +8,7 @@ import random
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul, neg, sub
 from unittest import mock
 
 import pytest
@@ -16,8 +16,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (brute_direction_minima, brute_forward, brute_line_count,
-                      brute_ray_points, on_line, random_int_grid, reduced_key,
+from conftest import (brute_forward, brute_line_count, brute_ray_points,
+                      brute_separation_margin, lagrange_q, on_line,
+                      random_int_grid, reduced_key,
                       reference_canonical_primitives,
                       reference_corrected_sinogram, reference_data_residual,
                       reference_farey_count, reference_forward_continuous,
@@ -36,11 +37,10 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    ray_key, recon_annulus, recon_shells, separation_margin)
 from lxray import ZeroWeightError, cli
 from lxray import io as lio
-from lxray import transform
+from lxray import counting, transform
 from lxray.continuum import _chord_sums, _corrected_sinogram
 from lxray.counting import (_direction_minimum, _lens_sizes,
-                            _orbit_representatives, _point_columns,
-                            primitive_count)
+                            _orbit_representatives, primitive_count)
 from lxray.lattice import count_within
 from lxray.recon import sweep_data
 from lxray.rays import is_perp_ray, walk_box, walk_cells
@@ -68,15 +68,62 @@ def separation_cases(draw):
 @example((3, Fraction(6)))
 @example((4, Fraction(3)))
 def test_separation_minimum_per_direction_matches_pair_scan(case):
-    # the global margin is 1 at every R >= 1, so each direction's own
-    # minimum is compared, the orbit representatives' and all the others'
+    # the global margin is 1 at every R >= 1, so each orbit's own minimum
+    # is compared: its representative against the canonical primitives no
+    # longer than itself, the prefix the scan passes
     d, R = case
-    cols, norms = _point_columns(R, d)
-    minima = brute_direction_minima(R, d)
-    assert sorted(minima) == sorted(canonical_primitives(R, d))
-    for zeta, least in minima.items():
-        assert _direction_minimum(zeta, cols, norms) == least
-    assert separation_margin(R, d) == min(minima.values())
+    prims = reference_canonical_primitives(R, d)
+    for rho in _orbit_representatives(R, d):
+        prefix = [w for w in prims if norm2(w) <= norm2(rho)]
+        least = min(q for w in prefix if (q := lagrange_q(rho, w)))
+        cols, norms = list(zip(*prefix)), list(map(norm2, prefix))
+        assert _direction_minimum(rho, cols, norms) == least
+    assert separation_margin(R, d) == brute_separation_margin(R, d)
+
+
+def _signed_permutations(d):
+    """Every signed coordinate permutation of Z^d, as a function on vectors."""
+    return [lambda z, perm=perm, signs=signs: tuple(
+                s * z[i] for s, i in zip(signs, perm))
+            for perm in itertools.permutations(range(d))
+            for signs in itertools.product((1, -1), repeat=d)]
+
+
+@st.composite
+def coverage_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    return d, draw(st.fractions(1, {2: 7, 3: 3, 4: 2}[d], max_denominator=4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(coverage_cases())
+@example((2, Fraction(7)))
+@example((3, Fraction(3)))
+@example((4, Fraction(2)))
+def test_separation_scan_meets_every_pair(case):
+    # the margin is 1 at every R >= 1, so it cannot tell a partial scan
+    # from a full one: every pair of distinct canonical primitives must
+    # map, by a signed permutation and a sign, onto a scanned pair
+    d, R = case
+    scanned = {}  # representative -> (its prefix of points, its minimum)
+    scan = counting._direction_minimum
+
+    def recorded(rho, cols, norms):
+        scanned[rho] = set(zip(*cols)), scan(rho, cols, norms)
+        return scanned[rho][1]
+
+    with mock.patch.object(counting, "_direction_minimum", recorded):
+        separation_margin(R, d)
+    prims = reference_canonical_primitives(R, d)
+    moves = _signed_permutations(d)
+    onto_rep = {x: [g for g in moves if g(x) in scanned] for x in prims}
+    for a, b in itertools.combinations(prims, 2):
+        q = lagrange_q(a, b)
+        met = [(g(x), g(y)) for x, y in ((a, b), (b, a)) for g in onto_rep[x]
+               if {g(y), tuple(map(neg, g(y)))} & scanned[g(x)][0]]
+        assert met, (a, b)
+        for rho, w in met:
+            assert lagrange_q(rho, w) == q >= scanned[rho][1]
 
 
 @settings(max_examples=80, deadline=None)

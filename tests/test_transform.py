@@ -59,6 +59,9 @@ def test_forward_weighted_zero_weight():
         forward_weighted(f, Ray((0, 0), (0, 1)), lambda z, d: float(z != (0, 0)))
     with pytest.raises(ZeroWeightError):
         constant_weight(0.0)
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            constant_weight(c)
 
 
 def test_forward_family_point_phantom():
