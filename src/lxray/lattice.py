@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -103,6 +103,8 @@ def enumerate_ball(d: int, r, budget: int | None = None) -> list[IntVec]:
     if budget is not None and count_within(d, r2, budget // d) > budget // d:
         raise BudgetError(f"the {d}-ball's coordinates exceed the budget "
                           f"of {budget}")
+    if r2 < 1:  # the origin alone
+        return [(0,) * d]
     # per coordinate, each prefix's run -m..m, m = isqrt(rem // den), rem =
     # den*(r^2 - |prefix|^2): no recursion over d
     rems, layers = [num], []
@@ -137,15 +139,19 @@ def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
     """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, a coordinate at a
     time: prefixes are merged by the integer den*(r2 - |prefix|^2) they
     leave, each followed by 2 isqrt(... // den) + 1 next coordinates
-    (``enumerate_ball``'s exact test). With a ``cap`` the count stops once
-    the prefixes alone pass it; a result <= cap is exact.
+    (``enumerate_ball``'s exact test), until none admits a nonzero one.
+    With a ``cap`` a lower bound is returned once it passes the cap (a
+    prefix with m > 0 takes +-1 in any one of the k coordinates left); a
+    result <= cap is exact.
     """
     den = r2.denominator
     left = {r2.numerator: 1}  # remainder -> prefixes leaving it
     for k in range(d, 0, -1):
         ms = list(map(math.isqrt, map(floordiv, left, repeat(den))))
-        total = sum(n * (2 * m + 1) for n, m in zip(left.values(), ms))
-        if k == 1 or cap is not None and total > cap:
+        ns = left.values()
+        total = sum(ns) + 2 * max(sum(map(mul, ns, ms)),
+                                  k * sum(compress(ns, ms)))
+        if k == 1 or not any(ms) or cap is not None and total > cap:
             return total
         nxt: dict[int, int] = {}
         for (rem, n), m in zip(left.items(), ms):

@@ -6,11 +6,10 @@ continuum bridge's ray-cell geometry in doubles (see README.md).
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import (add, floordiv, ge, itemgetter, lt, mul, ne, neg, not_,
                       sub, truediv)
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -201,18 +200,18 @@ def ray_boxes(rays: Sequence[Ray], num: int, den: int, place: IntVec,
 
 
 def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
-              ) -> tuple[list[IntVec], array, array]:
-    """(points, gather, ends): ray i's lattice points with den |z|^2 <= num
-    are points[gather[j]], j in range(ends[i-1], ends[i]), in ray order;
-    each distinct point is listed once. Rays of dimension d (``ray_boxes``)."""
+              ) -> tuple[list[IntVec], list[int], list[int]]:
+    """(points, gather, lens): ray i's lattice points with den |z|^2 <= num
+    are points[gather[j]] for its next lens[i] slots j, in ray order; each
+    distinct point is listed once, numbered by one int object. Rays of
+    dimension d (``ray_boxes``)."""
     place, offset, _ = box_index(d, num, den)
     firsts, steps, counts = ray_boxes(rays, num, den, place, offset)
     steps = [s or 1 for s in steps]  # a 0 step has one point at most
     number = defaultdict(count().__next__)  # box id -> point number
-    gather = array("i", map(number.__getitem__, chain.from_iterable(map(
+    gather = list(map(number.__getitem__, chain.from_iterable(map(
         range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
-    return (list(box_points(list(number), place, offset)), gather,
-            array("i", accumulate(counts)))
+    return list(box_points(list(number), place, offset)), gather, counts
 
 
 def points_on_ray(ray: Ray, r) -> list[IntVec]:

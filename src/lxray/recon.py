@@ -151,19 +151,19 @@ class ReconPlan:
             got = vars(self)[name] = w, build(w)
         return got[1]
 
-    def forward_weights(self, w: Weight) -> array:
+    def forward_weights(self, w: Weight) -> list[float]:
         """w at each ``forward_table`` incidence, in gather order."""
         return self._for_weight("_forward_weights", self.forward_table.weights, w)
 
-    def sweep_weights(self, w: Weight) -> tuple[array, array]:
+    def sweep_weights(self, w: Weight) -> tuple[list, list]:
         """w at each ``steps`` incidence (flat) and each target, on the
         compiled ray's direction."""
-        def build(w: Weight) -> tuple[array, array]:
+        def build(w: Weight) -> tuple[list, list]:
             dirs = list(map(itemgetter(0), self.keys))
             wz = weight_column(w, self.order, dirs)
             at = map(self.order.__getitem__, chain.from_iterable(self.steps))
             on = chain.from_iterable(map(repeat, dirs, map(len, self.steps)))
-            return array("d", map(w, at, on)), wz
+            return list(map(float, map(w, at, on))), wz
         return self._for_weight("_sweep_weights", build, w)
 
     @cached_property
@@ -174,18 +174,21 @@ class ReconPlan:
         rays = tuple(self.rays.values())
         if not set(map(len, chain.from_iterable(rays))) <= {self.d}:
             raise PreconditionError("ray and grid dimensions differ")
-        points, gather, ends = ray_table(rays, self.d, r2.numerator,
+        points, gather, lens = ray_table(rays, self.d, r2.numerator,
                                          r2.denominator)
         keys, mine = ray_keys(rays), dict(zip(self.keys, self.keys))
         keys = tuple(map(mine.get, keys, keys))
         mine = dict(zip(self.order, self.order))
         return ForwardTable(r2, rays, list(map(mine.get, points, points)),
-                            gather, ends, keys)
+                            gather, lens, keys)
 
     @cached_property
     def chord_table(self) -> ChordTable:
         """Each sweep step's cell walk, chords and central chord (walked once)."""
-        radius = float(self.support_radius) + math.sqrt(self.d)
+        try:
+            radius = float(self.support_radius) + math.sqrt(self.d)
+        except OverflowError:
+            raise PreconditionError("radius too large to walk") from None
         place, offset = walk_box(self.d, radius)
         cells = list(self.order)
         cell_id = {b: i for i, b in enumerate(box_ids(cells, place, offset))}

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import math
 import weakref
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import add, gt, itemgetter, mul, sub
+from itertools import chain, compress, count, islice, repeat
+from operator import add, gt, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
@@ -154,9 +153,9 @@ def _check_dim(f: GridFunction, ray: Ray) -> None:
 
 
 def weight_column(weight: Weight, points: Sequence[IntVec],
-                  dirs: Iterable[IntVec]) -> array:
+                  dirs: Iterable[IntVec]) -> list[float]:
     """weight(points[i], dirs[i]) as doubles, refused at the first zero."""
-    ws = array("d", map(weight, points, dirs))
+    ws = list(map(float, map(weight, points, dirs)))
     if 0 in ws:
         raise ZeroWeightError(f"weight vanishes at {points[ws.index(0)]}")
     return ws
@@ -189,32 +188,31 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
 
 class ForwardTable(NamedTuple):
     """Rays compiled for the forward in the ball |z|^2 <= r2 (``ray_table``):
-    ray i sums points[gather[j]], j in range(ends[i-1], ends[i]). A plan's
+    ray i sums points[gather[j]] over its next lens[i] slots j. A plan's
     table keeps its rays' line keys; a fresh one leaves them to the caller."""
 
     r2: Fraction
     rays: tuple[Ray, ...]
     points: list[IntVec]
-    gather: array
-    ends: array
+    gather: list[int]
+    lens: list[int]
     keys: tuple[RayKey, ...] = ()
 
-    def weights(self, weight: Weight) -> array:
+    def weights(self, weight: Weight) -> list[float]:
         """weight(point, ray.dir) per incidence, in gather order."""
-        dirs = map(repeat, map(itemgetter(1), self.rays),
-                   map(sub, self.ends, chain((0,), self.ends)))
+        dirs = map(repeat, map(itemgetter(1), self.rays), self.lens)
         return weight_column(weight, list(map(self.points.__getitem__, self.gather)),
                              chain.from_iterable(dirs))
 
     def sums(self, values: dict[IntVec, float],
-             weights: array | None = None) -> Iterator[float]:
+             weights: list[float] | None = None) -> Iterator[float]:
         """The per-call sums: in ray order from +0.0, of weights[j] * value
-        if weighted."""
+        if weighted, from one stream."""
         vals = list(map(values.get, self.points, repeat(0.0)))
-        flat = map(vals.__getitem__, self.gather)
-        flat = list(flat if weights is None else map(mul, weights, flat))
-        return map(sum, map(flat.__getitem__, map(
-            slice, chain((0,), self.ends), self.ends)), repeat(0.0))
+        stream = map(vals.__getitem__, self.gather)
+        if weights is not None:
+            stream = map(mul, weights, stream)
+        return map(sum, map(islice, repeat(stream), self.lens), repeat(0.0))
 
 
 def _plan_table(f: GridFunction, rays: tuple[Ray, ...],

@@ -254,6 +254,18 @@ def test_iterate_pipeline_writes_residuals(tmp_path):
     read_grid(r)  # parses as a grid file
 
 
+def test_iterate_refuses_a_radius_past_the_doubles(tmp_path, capsys):
+    # the cell walk runs in doubles: 1e400 has no float, so exit 2
+    g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
+    run(["phantom", "--kind", "random-int", "--r", "3", "--seed", "2",
+         "--out", str(g)])
+    run(["forward", "--grid", str(g), "--family", "tstar", "--out", str(s)])
+    assert run(["recon", "--sino", str(s), "--iterate", "1", "--r", "1e400",
+                "--out", str(r)]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert not r.exists()
+
+
 def test_iterate_writes_min_residual_iterate(tmp_path):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     res = tmp_path / "res.csv"
@@ -490,6 +502,25 @@ def test_count_in_a_thousand_dimensions(argv, code, capsys):
         assert "lens steps exceed the budget" in out.err
     else:
         assert json.loads(out.out.strip().splitlines()[-1])["margin"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "tmin", "--r", "1", "--d", "1000000000"], 3),
+    (["count", "separation", "--R", "1", "--d", "1000000000"], 3),
+    (["count", "tmin", "--r", "0", "--d", "200000"], 0),
+    (["count", "separation", "--R", "0", "--d", "200000"], 2),
+])
+def test_count_takes_no_step_per_coordinate_the_ball_decides(argv, code, capsys):
+    # the origin alone fixes every coordinate, and the unit vectors alone
+    # pass the budget: neither waits for a coordinate-by-coordinate count
+    t0 = time.perf_counter()
+    assert run(argv) == code
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out.out.strip().splitlines()[-1])["count"] == 0
+    elif code == 3:
+        assert "exceed the budget" in out.err
 
 
 def test_count_time_is_bounded_by_the_ball_not_the_dimension(capsys):

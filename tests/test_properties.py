@@ -43,7 +43,7 @@ from lxray.counting import (_direction_minimum, _lens_sizes,
                             _orbit_representatives, primitive_count)
 from lxray.lattice import count_within
 from lxray.recon import sweep_data
-from lxray.rays import is_perp_ray, walk_box, walk_cells
+from lxray.rays import is_perp_ray, ray_table, walk_box, walk_cells
 from lxray.transform import FamilyMeta
 
 
@@ -424,6 +424,123 @@ def test_a_plan_calls_its_weight_once_per_incidence(case):
         recon_shells(forward_family(f, plan.rays.items(), weight=weight), plan)
     assert len(calls) == len(plan.forward_table.gather) + len(plan.order) + \
         sum(map(len, plan.steps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(round_trip_cases())
+def test_a_plan_table_gathers_one_int_object_per_point(case):
+    # every slot naming a point holds that point's one number object, so
+    # reading the column boxes no int
+    d, r, plane, alpha, beta, seed = case
+    table = make_plan(d, r, plane=plane, alpha=alpha, beta=beta).forward_table
+    assert type(table.gather) is list and type(table.lens) is list
+    assert len(set(map(id, table.gather))) == len(table.points)
+    assert sum(table.lens) == len(table.gather)
+
+
+def _weight_runs(d, r, plane, alpha, beta, f, weight):
+    """One weight's results, as float.hex, on every weighted path: the plan
+    table, the sweep, the fresh table and forward_weighted per first ray;
+    or the ZeroWeightError message of each path."""
+    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    plan.weight = weight
+    family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
+              for z, ray in plan.rays.items()]
+    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+        on_plan = _error(lambda: forward_family(f, plan.rays.items(),
+                                                weight=weight))
+        if on_plan is None:
+            on_plan = _hexed(forward_family(f, plan.rays.items(), weight=weight))
+            assert {type(w) for w in plan.forward_weights(weight)} <= {float}
+            assert {type(w) for ws in plan.sweep_weights(weight)
+                    for w in ws} <= {float}
+    g = forward_family(f, family, weight=constant_weight(1.5))
+    swept = _error(lambda: recon_shells(g, plan))
+    if swept is None:
+        swept = [(z, v.hex()) for z, v in recon_shells(g, plan).values.items()]
+    del plan
+    gc.collect()
+    assert not transform.PLANS
+    fresh = _error(lambda: forward_family(f, family, weight=weight))
+    if fresh is None:
+        fresh = _hexed(forward_family(f, family, weight=weight))
+    rays = _first_rays(family).items()
+    per_ray = _error(lambda: [forward_weighted(f, ray, weight) for _, ray in rays])
+    if per_ray is None:
+        per_ray = [(k, forward_weighted(f, ray, weight).hex()) for k, ray in rays]
+    return on_plan, swept, fresh, per_ray
+
+
+@settings(max_examples=30, deadline=None)
+@given(round_trip_cases(_wide_radii), st.sampled_from((2, 0, -0.0, False)))
+def test_a_weight_is_taken_as_the_double_it_converts_to(case, value):
+    # W returning the int 2 gives the float 2.0's results on every path,
+    # and a W of 0, -0.0 or False at some points is refused naming the
+    # point that 0.0 names, on every path
+    d, r, plane, alpha, beta, seed = case
+    rng = random.Random(seed)
+    f = _phantoms(d, r, seed)[1]
+    points = make_plan(d, r, plane=plane, alpha=alpha, beta=beta).order
+    gc.collect()
+    at = set(points) if value else set(rng.sample(points, min(2, len(points))))
+
+    def weight(z, p, value=value):
+        return value if z in at else 1.25
+
+    def double(z, p, value=float(value)):
+        return value if z in at else 1.25
+
+    got = _weight_runs(d, r, plane, alpha, beta, f, weight)
+    assert got == _weight_runs(d, r, plane, alpha, beta, f, double)
+    if not value and at:  # the sweep and every forward meet a target
+        assert all(isinstance(run, str) for run in got)
+
+
+@st.composite
+def stream_cases(draw):
+    """A family interleaving rays that miss the ball, rays through one ball
+    point (a direction longer than the diameter) and rays through three or
+    more (along the first axis, off it by |w| <= sqrt(r^2 - 1))."""
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.sampled_from((1, Fraction(3, 2), 2, Fraction(7, 2), 5)))
+    ball = enumerate_ball(d, r)
+    far = math.floor(r) + 1
+    miss = st.builds(lambda t, p: Ray((far + t, *p[1:]), (0, 1, *p[2:])),
+                     st.integers(0, 3), _vec(d, -3, 3))
+    lone = st.builds(lambda z, t: Ray(z, (1, 2 * far + t, *([0] * (d - 2)))),
+                     st.sampled_from(ball), st.integers(0, 3))
+    inner = [z for z in ball if z[0] == 0 and norm2(z) + 1 <= r * r]
+    long = st.builds(lambda z: Ray(z, (1, *([0] * (d - 1)))),
+                     st.sampled_from(inner))
+    kinds = draw(st.lists(st.tuples(miss, lone, long), min_size=1, max_size=10))
+    rays = draw(st.permutations(list(itertools.chain.from_iterable(kinds))))
+    return d, r, rays, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_cases(), st.sampled_from(("const", "varying", "chord")))
+def test_a_fresh_table_streams_each_ray_its_own_terms(case, name):
+    # no live plan: the family's fresh table takes each ray's lens[i]
+    # terms from one stream, so rays of 0, 1 and many points stay in step
+    # with forward_weighted ray by ray, in family order
+    d, r, rays, seed = case
+    family = [(ray.base, ray) for ray in rays]
+    weight = WEIGHTS[name]
+    num, den = _r2_terms(Fraction(r))
+    gc.collect()
+    assert not transform.PLANS
+    for f in _phantoms(d, r, seed):
+        got = forward_family(f, family, weight=weight)
+        assert _hexed(got) == [(k, forward_weighted(f, ray, weight).hex())
+                               for k, ray in _first_rays(family).items()]
+    firsts = list(_first_rays(family).values())
+    lens = ray_table(firsts, d, num, den)[2]
+    assert type(lens) is list and {0, 1} <= set(lens) and max(lens) >= 3
+    assert lens == [len(points_on_ray(ray, r)) for ray in firsts]
+
+
+def _r2_terms(r):
+    return (r * r).numerator, (r * r).denominator
 
 
 @st.composite
