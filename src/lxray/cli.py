@@ -32,8 +32,7 @@ from .errors import (BudgetError, FileFormatError, LxrayError,
                      PreconditionError)
 from .lattice import as_fraction, enumerate_ball, farey_count, norm2, totient_sum
 from .rays import Plane, coordinate_plane, is_perp_ray, perp_family
-from .recon import (make_plan, plan_targets, recon_annulus, recon_one_point,
-                    recon_shells)
+from .recon import make_plan, plan_targets, recon_one_point, recon_shells
 from .transform import FamilyMeta, GridFunction, constant_weight, forward_family
 
 # coordinates of the declared ball phantom and forward may list, d per point
@@ -215,11 +214,7 @@ def cmd_recon(args) -> int:
         lio.residuals_to_csv(res_path, residuals[1:])
         return 0
 
-    plan = _plan_from_sinogram(sino, r_override, weight=weight)
-    if plan.alpha is not None or plan.beta is not None:
-        grid = recon_annulus(sino, plan)
-    else:
-        grid = recon_shells(sino, plan)
+    grid = recon_shells(sino, _plan_from_sinogram(sino, r_override, weight=weight))
     lio.write_json_atomic(args.out, lio.grid_to_obj(grid))
     return 0
 

@@ -161,12 +161,6 @@ def is_perp_ray(z: IntVec, ray: Ray, plane: Plane | None = None) -> bool:
     return pa * pa == sum(map(mul, p, p)) * plane.aa
 
 
-def ray_span(ray: Ray, num: int, den: int) -> range:
-    """The k with den |base + k dir|^2 <= num, as a range (``ray_spans``)."""
-    (k,), (n,) = ray_spans((ray,), num, den)
-    return range(k, k + n)
-
-
 def ray_spans(rays: Sequence[Ray], num: int, den: int
               ) -> tuple[list[int], list[int]]:
     """Each ray's first k and count of k with den |base + k dir|^2 <= num.
@@ -215,18 +209,9 @@ def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
 
 
 def points_on_ray(ray: Ray, r) -> list[IntVec]:
-    """Lattice points of the ray within |x| <= r, in order (``ray_span``)."""
+    """Lattice points of the ray within |x| <= r, in order (``ray_table``)."""
     r2 = as_fraction(r) ** 2
-    return list(ray_points(ray, ray_span(ray, r2.numerator, r2.denominator)))
-
-
-def ray_points(ray: Ray, ks: range) -> Iterator[IntVec]:
-    """The points base + k*dir for k in ks (a step-1 range), in order."""
-    p = ray.dir
-    z = tuple(bi + ks.start * pi for bi, pi in zip(ray.base, p))
-    for _ in ks:
-        yield z
-        z = tuple(map(add, z, p))
+    return ray_table([ray], ray.d, r2.numerator, r2.denominator)[0]
 
 
 def effectively_irrational(theta: Sequence[int], r) -> bool:

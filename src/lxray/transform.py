@@ -9,21 +9,17 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
-from operator import add, gt, itemgetter, mul
+from functools import partial
+from itertools import chain, islice, repeat
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
-from .lattice import (IntVec, as_fraction, ball_radius, box_ids, box_index,
-                      dots, norm2)
-from .rays import (Ray, RayKey, is_canonical_direction, ray_boxes, ray_key,
-                   ray_keys, ray_points, ray_span, ray_table)
+from .lattice import IntVec, as_fraction, ball_radius, dots, norm2
+from .rays import Ray, RayKey, is_canonical_direction, ray_key, ray_keys, ray_table
 
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]
-
-# rays whose span columns are held at once: bounds the forward's memory
-COLUMN_BLOCK = 2048
 
 # live plans by id: forward_family reads their tables
 PLANS = weakref.WeakValueDictionary()
@@ -142,13 +138,8 @@ class Sinogram:
     family: tuple[tuple[IntVec, Ray], ...] = ()
 
 
-def _r2_terms(f: GridFunction) -> tuple[int, int]:
-    r2 = f.support_radius * f.support_radius
-    return r2.numerator, r2.denominator
-
-
 def _check_dim(f: GridFunction, ray: Ray) -> None:
-    if len(ray.base) != f.d:
+    if set(map(len, ray)) != {f.d}:
         raise PreconditionError("ray and grid dimensions differ")
 
 
@@ -159,31 +150,6 @@ def weight_column(weight: Weight, points: Sequence[IntVec],
     if 0 in ws:
         raise ZeroWeightError(f"weight vanishes at {points[ws.index(0)]}")
     return ws
-
-
-def _weighted_sum(f: GridFunction, ray: Ray, ks: range, weight: Weight) -> float:
-    """Sum of W(z, dir) f(z) over base + k*dir, k in ks, in ray order, by
-    ``sum`` from 0.0 as on the plan path."""
-    terms = []
-    for z in ray_points(ray, ks):
-        w = weight(z, ray.dir)
-        if w == 0:
-            raise ZeroWeightError(f"weight vanishes at {z}")
-        terms.append(w * f.values.get(z, 0.0))
-    return sum(terms, 0.0)
-
-
-def forward(f: GridFunction, ray: Ray) -> float:
-    """Sum of f over the lattice points of the ray inside the support ball."""
-    _check_dim(f, ray)
-    points = ray_points(ray, ray_span(ray, *_r2_terms(f)))
-    return float(sum(map(f.values.get, points, repeat(0.0))))
-
-
-def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
-    """Weighted sum of f over the ray's lattice points in the support ball."""
-    _check_dim(f, ray)
-    return _weighted_sum(f, ray, ray_span(ray, *_r2_terms(f)), weight)
 
 
 class ForwardTable(NamedTuple):
@@ -215,6 +181,28 @@ class ForwardTable(NamedTuple):
         return map(sum, map(islice, repeat(stream), self.lens), repeat(0.0))
 
 
+def _fresh_sums(f: GridFunction, rays: Sequence[Ray],
+                weight: Weight | None = None) -> list[float]:
+    """The rays' sums by a fresh ``ForwardTable`` of them, as on the plan
+    path: the same terms, in the same order, summed alike."""
+    r2 = f.support_radius ** 2
+    t = ForwardTable(r2, tuple(rays),
+                     *ray_table(rays, f.d, r2.numerator, r2.denominator))
+    return list(t.sums(f.values, None if weight is None else t.weights(weight)))
+
+
+def forward(f: GridFunction, ray: Ray) -> float:
+    """Sum of f over the lattice points of the ray inside the support ball."""
+    _check_dim(f, ray)
+    return _fresh_sums(f, [ray])[0]
+
+
+def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
+    """Weighted sum of f over the ray's lattice points in the support ball."""
+    _check_dim(f, ray)
+    return _fresh_sums(f, [ray], weight)[0]
+
+
 def _plan_table(f: GridFunction, rays: tuple[Ray, ...],
                 weight: Weight | None = None, name: str = "forward_table"):
     """A live plan whose table ``name`` (``forward_table`` or
@@ -235,32 +223,9 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    weight: Weight | None = None) -> Sinogram:
     """Project f along every ray of a family: by the ``forward_table`` of a
     live plan compiled for these rays (weighted: for this very weight), else
-    by span columns, or weighted by a fresh table of the lines' first rays."""
-    num, den = _r2_terms(f)
-    if weight is not None:
-        def values(rays: Sequence[Ray]) -> list[float]:
-            t = ForwardTable(f.support_radius ** 2, tuple(rays),
-                             *ray_table(rays, f.d, num, den))
-            return list(t.sums(f.values, t.weights(weight)))
-    else:
-        def values(rays: Sequence[Ray]) -> list[float]:
-            place, offset, _ = box_index(f.d, num, den)
-            index = dict(zip(box_ids(f.values, place, offset), f.values.values()))
-            sums: list[float] = []
-            for at in range(0, len(rays), COLUMN_BLOCK):
-                firsts, steps, counts = ray_boxes(rays[at:at + COLUMN_BLOCK],
-                                                  num, den, place, offset)
-                # a lone point's value times 0 (no point) or 1, plus sum()'s
-                # int start 0, which turns a -0.0 into 0.0
-                block = list(map(add, repeat(0), map(mul, map(
-                    index.get, firsts, repeat(0.0)), map(bool, counts))))
-                for i, lo, step, n in compress(zip(count(), firsts, steps, counts),
-                                               map(gt, counts, repeat(1))):
-                    block[i] = float(sum(map(index.get, range(lo, lo + n * step, step),
-                                             repeat(0.0))))
-                sums += block
-            return sums
-    return project_family(f, family, meta, values, "forward_table", weight)
+    by a fresh table of the lines' first rays."""
+    return project_family(f, family, meta, partial(_fresh_sums, f, weight=weight),
+                          "forward_table", weight)
 
 
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],

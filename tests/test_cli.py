@@ -178,6 +178,21 @@ def test_annulus_beta_below_radius_exit_code(tmp_path, capsys):
     assert not r.exists()
 
 
+def test_recon_inverts_an_alpha_only_annulus_file(tmp_path):
+    # an annulus file with its outer bound removed still bounds the plan
+    # from inside: recon inverts it bit-exactly over the same targets
+    g, s = _forward_file(tmp_path, 2, 4, ["annulus", "2", "4"])
+    obj = json.loads(s.read_text())
+    del obj["family"]["beta"]
+    s.write_text(json.dumps(obj))
+    r = tmp_path / "r.json"
+    assert run(["recon", "--sino", str(s), "--out", str(r)]) == 0
+    got, want = read_grid(r).values, read_grid(g).values
+    assert got and all(4 <= norm2(z) for z in got)
+    assert {z: v.hex() for z, v in got.items()} == \
+        {z: want[z].hex() for z in got}
+
+
 def test_weighted_pipeline(tmp_path):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     run(["phantom", "--kind", "random-int", "--d", "2", "--r", "3",
@@ -507,6 +522,7 @@ def test_count_in_a_thousand_dimensions(argv, code, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["count", "tmin", "--r", "1", "--d", "1000000000"], 3),
     (["count", "separation", "--R", "1", "--d", "1000000000"], 3),
+    (["count", "tmin", "--r", "1", "--d", "2000001"], 3),
     (["count", "tmin", "--r", "0", "--d", "200000"], 0),
     (["count", "separation", "--R", "0", "--d", "200000"], 2),
 ])

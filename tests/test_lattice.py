@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
                    ball_count, build_shells, coordinate_plane, enumerate_ball,
                    farey_count, primitive, totient_sieve, totient_sum)
 from lxray.cli import BALL_BUDGET
-from lxray.lattice import box_ids, box_index, box_points, mobius_sieve
+from lxray.lattice import (box_ids, box_index, box_points, count_within,
+                           mobius_sieve)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
@@ -244,3 +246,10 @@ def test_box_ids_round_trip_through_box_points(d, r):
     assert list(box_points(ids, place, offset)) == pts
     assert box_ids([], place, offset) == []
     assert list(box_points([], place, offset)) == []
+
+
+def test_count_within_the_unit_ball_takes_no_step_per_coordinate():
+    # every coordinate is 0 or +-1: the origin and 2d unit vectors
+    t0 = time.perf_counter()
+    assert count_within(2_000_000, Fraction(1), 150_000_000) == 4_000_001
+    assert time.perf_counter() - t0 < 0.1

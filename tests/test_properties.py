@@ -143,6 +143,14 @@ def test_counted_sizes_match_enumeration(d, r, cap):
     assert capped == prims if prims <= cap else capped > cap
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.fractions(0, 2, max_denominator=12).filter(
+    lambda r: r < 2))
+def test_count_within_below_radius_two_matches_enumeration(d, r):
+    # r^2 < 4: every coordinate is 0 or +-1, counted in closed form
+    assert count_within(d, Fraction(r) ** 2) == len(enumerate_ball(d, r))
+
+
 @st.composite
 def farey_cases(draw):
     d = draw(st.sampled_from((2, 3, 4)))
@@ -346,7 +354,7 @@ def test_weighted_plan_forward_matches_the_per_call_path(case, name):
     d, r, plane, alpha, beta, seed = case
     weight, fs = WEIGHTS[name], _phantoms(d, r, seed)
     plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
-    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+    with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
         got = [forward_family(f, plan.rays.items(), weight=weight) for f in fs]
     # an equal constant weight that is another object misses the table
     other = constant_weight(1.7)
@@ -394,7 +402,7 @@ def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
     plan.weight = weight
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
               for z, ray in plan.rays.items()]
-    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+    with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
         message = _error(lambda: forward_family(f, plan.rays.items(),
                                                 weight=weight))
     assert (message is None) == (not dead)
@@ -446,7 +454,7 @@ def _weight_runs(d, r, plane, alpha, beta, f, weight):
     plan.weight = weight
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
               for z, ray in plan.rays.items()]
-    with mock.patch.object(transform, "_weighted_sum", side_effect=AssertionError):
+    with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
         on_plan = _error(lambda: forward_family(f, plan.rays.items(),
                                                 weight=weight))
         if on_plan is None:
@@ -575,7 +583,7 @@ def _vec(d, lo, hi):
 
 
 @st.composite
-def ray_span_cases(draw):
+def points_on_ray_cases(draw):
     d = draw(st.sampled_from((2, 3, 4)))
     r = draw(st.fractions(0, 3 if d < 4 else 2, max_denominator=6))
     center = draw(st.none() | _vec(d, -3, 3))
@@ -587,7 +595,7 @@ def ray_span_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ray_span_cases())
+@given(points_on_ray_cases())
 @example((Ray((5, 5), (1, 0)), Fraction(3), None))            # misses
 @example((Ray((-7, 2, 0), (1, 0, 0)), Fraction(5, 2), (0, 0, 1)))  # base outside
 @example((Ray((0, 1), (1, 9)), Fraction(4), None))             # |dir|^2 > 4 r^2
@@ -648,11 +656,49 @@ def test_forward_family_entries_in_first_appearance_order(case):
     for got, ray in zip(g.entries.values(), firsts.values()):
         want = float(sum(f.get(z) for z in brute_ray_points(ray, r, candidates=ball)))
         assert got.hex() == forward(f, ray).hex() == want.hex()
-    # the span columns are taken in blocks of rays; any block size agrees
-    with mock.patch.object(transform, "COLUMN_BLOCK", 3):
-        small = forward_family(f, fam)
-    assert [(k, v.hex()) for k, v in small.entries.items()] == \
-        [(k, v.hex()) for k, v in g.entries.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(forward_cases(), st.sampled_from(("none", "const", "varying", "chord")))
+def test_every_forward_without_a_plan_sums_one_fresh_table(case, name):
+    # no live plan: a family forward compiles one fresh table per call, and
+    # its entries equal the one-ray forward of each line's first ray and an
+    # oracle sum over its points, in float.hex, signed zeros included
+    d, r, ball, fam, seed = case
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((-0.0, 0.0, rng.uniform(-1e3, 1e3)))
+                            for z in ball if rng.random() < 0.8})
+    weight = WEIGHTS[name]
+    gc.collect()
+    assert not transform.PLANS
+    with mock.patch.object(transform, "ray_table", side_effect=ray_table) as compile_:
+        g = forward_family(f, fam, weight=weight)
+    assert compile_.call_count == 1
+    firsts = _first_rays(fam)
+    assert list(g.entries) == list(firsts)
+    for got, ray in zip(g.entries.values(), firsts.values()):
+        points = brute_ray_points(ray, r, candidates=ball)
+        if weight is None:
+            one = forward(f, ray)
+            want = float(sum(f.get(z) for z in points))
+        else:
+            one = forward_weighted(f, ray, weight)
+            want = sum([weight(z, ray.dir) * f.get(z) for z in points], 0.0)
+        assert got.hex() == one.hex() == want.hex()
+    # W vanishing at some ball points: every path names the first of them
+    # in ray and point order over the lines' first rays
+    dead = set(rng.sample(ball, rng.randint(0, min(3, len(ball)))))
+    base = weight or WEIGHTS["const"]
+
+    def vanishing(z, p):
+        return 0.0 if z in dead else base(z, p)
+
+    hits = [z for ray in firsts.values()
+            for z in brute_ray_points(ray, r, candidates=ball) if z in dead]
+    want = f"weight vanishes at {hits[0]}" if hits else None
+    assert _error(lambda: forward_family(f, fam, weight=vanishing)) == want
+    assert _error(lambda: [forward_weighted(f, ray, vanishing)
+                             for ray in firsts.values()]) == want
 
 
 @st.composite
