@@ -522,9 +522,9 @@ def test_count_in_a_thousand_dimensions(argv, code, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["count", "tmin", "--r", "1", "--d", "1000000000"], 3),
     (["count", "separation", "--R", "1", "--d", "1000000000"], 3),
-    (["count", "tmin", "--r", "1", "--d", "2000001"], 3),
     (["count", "tmin", "--r", "0", "--d", "200000"], 0),
     (["count", "separation", "--R", "0", "--d", "200000"], 2),
+    (["count", "tmin", "--r", "1", "--d", "2000001"], 3),
 ])
 def test_count_takes_no_step_per_coordinate_the_ball_decides(argv, code, capsys):
     # the origin alone fixes every coordinate, and the unit vectors alone
