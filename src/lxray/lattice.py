@@ -139,12 +139,12 @@ def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
     """#{z in Z^d : |z|^2 <= r2} for d >= 1 and r2 >= 0, a coordinate at a
     time: prefixes are merged by the integer den*(r2 - |prefix|^2) they
     leave, each followed by 2 isqrt(... // den) + 1 next coordinates
-    (``enumerate_ball``'s exact test), until none admits a nonzero one or
-    none admits more than +-1: then the j of the k coordinates left that
-    are +-1 cost den each, so a remainder counts sum C(k, j) 2^j over
-    j <= rem // den. With a ``cap`` a lower bound is returned once it
-    passes the cap (a prefix with m > 0 takes +-1 in any one of the k
-    coordinates left); a result <= cap is exact.
+    (``enumerate_ball``'s exact test), until none admits more than +-1:
+    then the j of the k coordinates left that are +-1 cost den each, so a
+    remainder counts sum C(k, j) 2^j over j <= rem // den. With a ``cap``
+    a lower bound is returned once it passes the cap (a prefix with m > 0
+    takes +-1 in any one of the k coordinates left); a result <= cap is
+    exact.
     """
     den = r2.denominator
     left = {r2.numerator: 1}  # remainder -> prefixes leaving it
@@ -153,9 +153,9 @@ def count_within(d: int, r2: Fraction, cap: int | None = None) -> int:
         ns = left.values()
         total = sum(ns) + 2 * max(sum(map(mul, ns, ms)),
                                   k * sum(compress(ns, ms)))
-        if k == 1 or not any(ms) or cap is not None and total > cap:
+        if k == 1 or cap is not None and total > cap:
             return total
-        if max(ms) == 1:
+        if max(ms) <= 1:
             return sum(n * sum(math.comb(k, j) << j
                                for j in range(min(k, rem // den) + 1))
                        for rem, n in left.items())
