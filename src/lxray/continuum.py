@@ -11,15 +11,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, le, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, ball_radius, box_ids, box_points, dot, norm2,
-                      vsub)
-from .rays import (Ray, _on_line, cell_chord, coordinate_plane, perp_ray,
-                   walk_box, walk_cells)
-from .recon import ReconPlan, datum, recon_shells, step_sums, sweep_data
+from .lattice import IntVec, ball_radius, box_ids, box_points, norm2
+from .rays import (Ray, cell_chord, coordinate_plane, perp_ray, walk_box,
+                   walk_cells)
+from .recon import ReconPlan, recon_shells, step_sums, sweep_data
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
                         forward_weighted, project_family)
 
@@ -88,6 +87,8 @@ def correction_identity_check(f: GridFunction, z: IntVec,
     # Only a cell within sqrt(d)/2 of the line can meet it. The squared
     # distance is q/|p|^2, q = |p|^2|u|^2 - (u.p)^2 an integer, so a cell
     # with 4q > d|p|^2 misses by a margin far above roundoff: chord 0.0.
+    # q = 0 exactly for a cell centred on the line, which lhs holds: the
+    # correction takes 0 < 4q <= d|p|^2.
     pp = norm2(ray.dir)
     uu = up = [0] * len(f.values)
     for col, bi, pi in zip(map(itemgetter, range(f.d)), ray.base, ray.dir):
@@ -96,11 +97,9 @@ def correction_identity_check(f: GridFunction, z: IntVec,
         up = map(add, up, map(mul, u, repeat(pi)))
     up = list(up)
     q4 = map(mul, map(sub, map(mul, uu, repeat(pp)), map(mul, up, up)), repeat(4))
-    near = compress(f.values, map(le, q4, repeat(f.d * pp)))
+    near = compress(f.values, map(range(1, f.d * pp + 1).__contains__, q4))
     correction = 0.0
     for zeta in sorted(near):  # the order of sorted(f.values)
-        if _on_line(zeta, ray):
-            continue
         v = f.values[zeta]
         if v:
             correction += v * cell_chord(ray, zeta)
@@ -140,18 +139,25 @@ class BallField:
 
 
 def _ball_line_status(ray: Ray, center: IntVec, rho: float) -> str:
-    """'center', 'miss', or 'graze' for one ball against the ray's line."""
-    if _on_line(center, ray):
+    """'center', 'miss', or 'graze' for one ball against the ray's line.
+
+    The squared distance from center to the line is q/|p|^2, q = |p|^2|u|^2
+    - (u.p)^2, u = center - base, compared with rho^2 = (n/m)^2 in integers.
+    """
+    u = list(map(sub, center, ray.base))
+    p = ray.dir
+    pp, up = norm2(p), sum(map(mul, u, p))
+    q = norm2(u) * pp - up * up
+    if q == 0:
         return "center"
-    u = vsub(center, ray.base)
-    # exact rational squared distance from center to the line
-    d2 = Fraction(norm2(u)) - Fraction(dot(u, ray.dir) ** 2, norm2(ray.dir))
-    rho2 = Fraction(rho) * Fraction(rho)
-    return "miss" if d2 > rho2 else "graze"
+    n, m = rho.as_integer_ratio()
+    return "miss" if q * m * m > n * n * pp else "graze"
 
 
 def hits_centers_only(ray: Ray, bf: BallField) -> bool:
     """True iff the ray meets every ball through its center or not at all."""
+    if ray.d != bf.d:
+        raise PreconditionError("ray and field dimensions differ")
     return all(_ball_line_status(ray, z, rho) != "graze"
                for z, (rho, _, _) in bf.balls.items())
 
@@ -193,9 +199,8 @@ def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     norms = list(map(geom.scaled_inplane_norm2, plan.order))
     vals: list[float] = []
     start = 0
-    for i, (z, key, end) in enumerate(zip(plan.order, plan.keys, table.ends)):
+    for i, (total, end) in enumerate(zip(sweep_data(g, plan), table.ends)):
         span, start = slice(start, end), end
-        total = datum(g, key, z)
         nu = norms[i]
         # cell c < i is a target already recovered; the others read 0
         for c, chord in zip(ids[span], chords[span]):

@@ -23,8 +23,7 @@ FAMILY_KINDS = ("tstar", "tstar_plane", "free")
 
 
 def frac_str(x: Fraction) -> str:
-    x = as_fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(as_fraction(x))
 
 
 def parse_frac(s) -> Fraction:

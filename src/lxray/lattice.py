@@ -39,14 +39,6 @@ def norm2(v: Sequence[int]) -> int:
     return sum(c * c for c in v)
 
 
-def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def unit_vector(d: int, axis: int) -> IntVec:
     return tuple(1 if i == axis else 0 for i in range(d))
 

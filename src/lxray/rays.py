@@ -15,9 +15,9 @@ from operator import (add, floordiv, ge, itemgetter, lt, mul, ne, neg, not_,
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .lattice import (IntVec, as_fraction, box_ids, box_index, box_points, dot,
+from .lattice import (IntVec, as_fraction, box_ids, box_index, box_points,
                       dots, is_canonical_direction, norm2, primitive,
-                      unit_vector, vsub)
+                      unit_vector)
 
 
 class Ray(NamedTuple):
@@ -72,7 +72,7 @@ class Plane:
         object.__setattr__(self, "b", b)
         if len(a) != len(b):
             raise PreconditionError("plane vectors must share a dimension")
-        aa, ab, bb = norm2(a), dot(a, b), norm2(b)
+        aa, ab, bb = norm2(a), sum(map(mul, a, b)), norm2(b)
         det = aa * bb - ab * ab
         if det <= 0:
             raise PreconditionError("plane vectors must be linearly independent")
@@ -383,22 +383,3 @@ def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
     such a cell holds a ball point, so |coordinate| <= floor(|radius|) + 1."""
     m = math.floor(abs(radius)) + 1
     return box_index(d, m * m, 1)[:2]
-
-
-def _on_line(z: IntVec, ray: Ray) -> bool:
-    """Exact test: is lattice point z on the ray's line."""
-    u = vsub(z, ray.base)
-    k = None
-    for ui, pi in zip(u, ray.dir):
-        if pi == 0:
-            if ui != 0:
-                return False
-        else:
-            q, rem = divmod(ui, pi)
-            if rem != 0:
-                return False
-            if k is None:
-                k = q
-            elif q != k:
-                return False
-    return True

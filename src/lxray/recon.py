@@ -84,8 +84,6 @@ class ReconPlan:
     slices: dict[IntVec, ShellDecomposition]
     plane: Plane | None = None
     weight: Weight | None = None
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
     order: tuple[IntVec, ...] = field(init=False, repr=False)
     keys: tuple[RayKey, ...] = field(init=False, repr=False)
     steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
@@ -267,8 +265,7 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
         slices.setdefault(slice_key(z), []).append(z)
     decomps = {k: build_shells(v, plane=geom) for k, v in sorted(slices.items())}
     return ReconPlan(d=d, support_radius=r, points=tuple(pts), rays=rays,
-                     slices=decomps, plane=plane, weight=weight, alpha=af,
-                     beta=bf)
+                     slices=decomps, plane=plane, weight=weight)
 
 
 def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
@@ -323,9 +320,8 @@ def recon_shells_weighted(g: Sinogram, plan: ReconPlan) -> GridFunction:
 
 
 def recon_annulus(g: Sinogram, plan: ReconPlan) -> GridFunction:
-    """Shell sweep for annulus data; the plan must carry annulus bounds."""
-    if plan.beta is None:
-        raise PreconditionError("plan carries no annulus bounds")
+    """Shell sweep for annulus data: ``make_plan`` has restricted the
+    plan's targets to the annulus."""
     return recon_shells(g, plan)
 
 

@@ -28,7 +28,7 @@ from lxray import (FileFormatError, GridFunction, MissingDataError,
                    enumerate_ball, primitive)
 from lxray import io as lio
 from lxray.lattice import ball_radius, box_points, norm2
-from lxray.rays import _on_line, cell_chord, walk_box, walk_cells
+from lxray.rays import cell_chord, walk_box, walk_cells
 from lxray.recon import datum
 
 
@@ -52,6 +52,17 @@ def on_line(z, ray):
             if u[i] * p[j] != u[j] * p[i]:
                 return False
     return True
+
+
+def reference_ball_line_status(ray, center, rho):
+    """'center', 'miss' or 'graze' by the exact rational squared distance
+    |u|^2 - (u.p)^2/|p|^2, u = center - base, against rho^2 (oracle)."""
+    if on_line(center, ray):
+        return "center"
+    u = [a - b for a, b in zip(center, ray.base)]
+    up = sum(a * b for a, b in zip(u, ray.dir))
+    d2 = Fraction(sum(c * c for c in u)) - Fraction(up * up, norm2(ray.dir))
+    return "miss" if d2 > Fraction(rho) * Fraction(rho) else "graze"
 
 
 def brute_forward(f, ray):
@@ -237,7 +248,7 @@ def reference_corrected_sinogram(g, plan, f):
         total = datum(g, key, z)
         corr = 0.0
         for cell, chord in reference_traverse_cells(ray, radius):
-            if _on_line(cell, ray):
+            if on_line(cell, ray):
                 continue
             v = f.values.get(cell)
             if v:

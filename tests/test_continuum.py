@@ -142,6 +142,15 @@ def test_forward_balls_grazing_rejected():
         forward_balls(bf, graze)
 
 
+@pytest.mark.parametrize("ray", [Ray((0, 0), (0, 1)),
+                                 Ray((0, 0, 0, 0), (0, 0, 0, 1))])
+def test_ball_contact_refuses_a_ray_of_another_dimension(ray):
+    bf = BallField(3, 2, {(0, 0, 0): (0.25, 1.0, 1.0), (1, 0, 0): (0.25, 1.0, 2.0)})
+    for call in (hits_centers_only, lambda r, b: forward_balls(b, r)):
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            call(ray, bf)
+
+
 def test_layer_recon_lone_outer_cell():
     plan = make_plan(2, 4)
     f = GridFunction(2, 4, {(0, 4): 3.0})
@@ -244,7 +253,8 @@ def test_missing_data_and_a_bad_start_keep_their_errors():
     # two entries gone: the first missing target in sweep order is named
     for i in (len(plan.order) - 1, 3):
         del g.entries[plan.keys[i]]
-    for call in (lambda: iterate_recon(g, plan, iters=2),
+    for call in (lambda: layer_recon(g, plan),
+                 lambda: iterate_recon(g, plan, iters=2),
                  lambda: iterate_recon(g, plan, f_init=f, iters=2),
                  lambda: data_residual(g, plan, f)):
         with pytest.raises(MissingDataError) as err:

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (brute_forward, brute_line_count, brute_ray_points,
                       brute_separation_margin, lagrange_q, on_line,
                       random_int_grid, reduced_key,
+                      reference_ball_line_status,
                       reference_canonical_primitives,
                       reference_corrected_sinogram, reference_data_residual,
                       reference_farey_count, reference_forward_continuous,
@@ -38,7 +39,8 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
 from lxray import ZeroWeightError, cli
 from lxray import io as lio
 from lxray import counting, transform
-from lxray.continuum import _chord_sums, _corrected_sinogram
+from lxray.continuum import (_ball_line_status, _chord_sums,
+                             _corrected_sinogram)
 from lxray.counting import (_direction_minimum, _lens_sizes,
                             _orbit_representatives, primitive_count)
 from lxray.lattice import count_within
@@ -977,6 +979,35 @@ def test_family_walk_and_continuous_forward_match_the_reference_walk(case):
     assert list(g.entries) == list(firsts)
     assert [v.hex() for v in g.entries.values()] == \
         [reference_forward_continuous(f, ray).hex() for ray in firsts.values()]
+
+
+@st.composite
+def ball_line_cases(draw):
+    d = draw(st.integers(2, 5))
+    p = primitive(draw(_vec(d, -4, 4).filter(any)))
+    base = draw(_vec(d, -5, 5))
+    k = draw(st.integers(-3, 3))
+    off = draw(st.just((0,) * d) | _vec(d, -2, 2))  # zero: on the line
+    center = tuple(b + k * c + o for b, c, o in zip(base, p, off))
+    u = list(map(sub, center, base))
+    up = sum(map(mul, u, p))
+    dist = math.sqrt((norm2(u) * norm2(p) - up * up) / norm2(p))
+    if dist == 0.0:
+        return Ray(base, p), center, draw(st.floats(0.01, 0.49))
+    rho = draw(st.sampled_from((math.nextafter(dist, 0.0), dist,
+                                math.nextafter(dist, math.inf))))
+    return Ray(base, p), center, rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_line_cases())
+@example((Ray((0, 0), (1, 0)), (3, 1), 1.0))            # distance a double
+@example((Ray((1, 0, 0), (1, 2, 2)), (3, -2, 1), 3.0))  # u normal to p, |u| = 3
+@example((Ray((0, 0), (1, 1)), (2, 2), 0.3))            # on the line
+def test_ball_line_status_matches_the_rational_distance(case):
+    ray, center, rho = case
+    assert _ball_line_status(ray, center, rho) == \
+        reference_ball_line_status(ray, center, rho)
 
 
 def _hex(values):

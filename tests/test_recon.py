@@ -151,8 +151,7 @@ def test_intra_shell_order_independence():
     # recon_shells follows the shuffled order
     plan2 = ReconPlan(d=plan.d, support_radius=plan.support_radius,
                       points=plan.points, rays=plan.rays, slices=shuffled_slices,
-                      plane=plan.plane, weight=plan.weight, alpha=plan.alpha,
-                      beta=plan.beta)
+                      plane=plan.plane, weight=plan.weight)
     assert plan2.order != plan.order
     assert values_equal(recon_shells(g, plan2), baseline)
 
@@ -265,6 +264,18 @@ def test_annulus_partial_recovery():
     plan = make_plan(2, 6, alpha=2, beta=6)
     g = tstar_data(f, plan)
     rec = recon_annulus(g, plan)
+    assert len(plan.points) < len(enumerate_ball(2, 6))
+    for z in plan.points:
+        assert rec.get(z) == f.get(z)
+
+
+def test_annulus_with_only_an_inner_bound():
+    f = random_int_grid(2, 6, seed=30)
+    plan = make_plan(2, 6, alpha=2)
+    g = tstar_data(f, plan)
+    rec = recon_annulus(g, plan)
+    assert [(z, v.hex()) for z, v in rec.values.items()] == \
+        [(z, v.hex()) for z, v in recon_shells(g, plan).values.items()]
     assert len(plan.points) < len(enumerate_ball(2, 6))
     for z in plan.points:
         assert rec.get(z) == f.get(z)
