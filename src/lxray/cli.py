@@ -116,10 +116,14 @@ def make_phantom(kind: str, d: int, r, seed: int = 0) -> GridFunction:
     return GridFunction(d, rf, values)
 
 
-def _infer_radius(points) -> Fraction:
-    if not points:
-        return Fraction(0)
-    top = max(norm2(z) for z in points)
+def _radius(sino, r_override, points) -> Fraction:
+    """--r, else the file's radius (0 too), else the least integer radius
+    holding the points."""
+    if r_override is not None:
+        return r_override
+    if sino.meta.support_radius is not None:
+        return sino.meta.support_radius
+    top = max(map(norm2, points), default=0)
     s = math.isqrt(top)
     return Fraction(s if s * s == top else s + 1)
 
@@ -128,7 +132,7 @@ def _plan_from_sinogram(sino, r_override=None, weight=None):
     """The plan over the file's points and the rays stored in its rows.
 
     A tstar/tstar_plane row must hold its point's family ray (a format
-    error otherwise); the compile refuses any other ray it cannot sweep.
+    error otherwise); a free row may hold any ray the compile accepts.
     """
     meta = sino.meta
     plane = Plane(meta.a, meta.b) if meta.kind == "tstar_plane" else None
@@ -137,14 +141,9 @@ def _plan_from_sinogram(sino, r_override=None, weight=None):
             if not is_perp_ray(z, ray, plane):
                 raise FileFormatError(f"ray of {z} is not its {meta.kind} ray")
     points = [z for z, _ in sino.family]
-    if r_override is not None:
-        radius = as_fraction(r_override)
-    elif meta.support_radius is not None:
-        radius = meta.support_radius
-    else:
-        radius = _infer_radius(points)
-    return make_plan(sino.d, radius, points=points, plane=plane, weight=weight,
-                     alpha=meta.alpha, beta=meta.beta, rays=dict(sino.family))
+    return make_plan(sino.d, _radius(sino, r_override, points), points=points,
+                     plane=plane, weight=weight, alpha=meta.alpha,
+                     beta=meta.beta, rays=dict(sino.family))
 
 
 def cmd_phantom(args) -> int:
@@ -195,10 +194,8 @@ def cmd_recon(args) -> int:
                 raise FileFormatError(f"bad direction row {row!r}")
             z = lio._int_vec(row["z"], sino.d, "z")
             theta_of[z] = lio._int_vec(row["dir"], sino.d, "dir")
-        radius = r_override
-        if radius is None:
-            radius = sino.meta.support_radius or _infer_radius(list(theta_of))
-        grid = recon_one_point(sino, list(theta_of), theta_of, radius, weight)
+        grid = recon_one_point(sino, list(theta_of), theta_of,
+                               _radius(sino, r_override, list(theta_of)), weight)
         lio.write_json_atomic(args.out, lio.grid_to_obj(grid))
         return 0
 

@@ -1,6 +1,6 @@
-"""Exact inversions of the discrete transform, one ray per point: the
-one-point formula and the shell sweep of the perpendicular family (see
-README.md).
+"""Exact inversions of the discrete transform, one ray per point, by one
+engine: the shell sweep of a plan compiled over any rays through their
+targets; the one-point formula is a sweep of empty steps (see README.md).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, gt, itemgetter, mul, ne, not_, or_, sub, truediv
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import (MissingDataError, PlanError, PreconditionError,
-                     ZeroWeightError)
+from .errors import MissingDataError, PlanError, PreconditionError
 from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       box_ids, box_index, box_points, build_shells, dots,
-                      enumerate_ball, norm2)
+                      enumerate_ball)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
                    ray_keys, ray_table, walk_box, walk_cells)
@@ -71,10 +70,11 @@ class ReconPlan:
     outermost first): step i recovers ``order[i]`` from line ``keys[i]``;
     ``steps[i]`` holds the steps of the other plan points on that ray, in
     ray order (``()`` if none). It refuses a negative radius, a target
-    outside the ball or of another dimension, a ray not based at its
-    target normal to it, and a plan point on a target's ray not in an
-    earlier shell. Tables and weight columns are built when first read,
-    out of equality and repr; each plan is in ``PLANS``.
+    outside the ball or of another dimension, a ray missing its target or
+    of another dimension, and a plan point on a target's ray not in an
+    earlier shell, the one exactness certificate. Tables and weight
+    columns are built when first read, out of equality and repr; each plan
+    is in ``PLANS``.
     """
 
     d: int
@@ -90,35 +90,43 @@ class ReconPlan:
 
     def __post_init__(self):
         r2 = ball_radius(self.d, self.support_radius) ** 2
-        num, den = r2.numerator, r2.denominator
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
         self.order = tuple(chain.from_iterable(shells))
         for z in self.order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
+        norms = dots(self.order, self.order)
+        top = max(norms, default=0)
+        if top > r2:
+            far = next(z for z, n in zip(self.order, norms) if n > r2)
+            raise PreconditionError(f"target {far} outside the support ball")
         # no plan point lies beyond the farthest target: walk rays that far
-        top = max(dots(self.order, self.order), default=0)
-        if den * top <= num:
-            num, den = math.ceil(top), 1
-        place, offset, _ = box_index(self.d, num, den)
+        place, offset, _ = box_index(self.d, top, 1)
         rays = list(map(self.rays.__getitem__, self.order))
+        dims = list(map(len, chain.from_iterable(rays)))  # base, dir, base, ...
+        if dims.count(self.d) < len(dims):
+            bad = next(compress(count(), map(ne, dims, repeat(self.d)))) // 2
+            raise PlanError(f"the ray of {self.order[bad]} does not pass through it")
         bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
-        # the first step whose ray is not based at its target normal to it
-        bad = next(compress(count(), map(ne, map(len, dirs), repeat(self.d))),
-                   len(rays))
-        bad = next(compress(count(), map(or_, map(ne, bases[:bad], self.order),
-                                         dots(self.order[:bad], dirs[:bad]))), bad)
-        firsts, strides, counts = ray_boxes(rays[:bad], num, den, place, offset)
-        # such a ray holds its target, unless the target is outside the ball
-        stop = counts.index(0) if 0 in counts else bad
+        firsts, strides, counts = ray_boxes(rays, top, 1, place, offset)
         boxes = box_ids(self.order, place, offset)
+        # a ray based at its target holds it; only one based elsewhere, or
+        # with base.dir != 0, is looked for on its line and keyed afresh
+        keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
+        for i in compress(count(), map(or_, map(ne, bases, self.order),
+                                      dots(self.order, dirs))):
+            k, rest = divmod(boxes[i] - firsts[i], strides[i] or 1)
+            if rest or not 0 <= k < counts[i]:
+                raise PlanError(
+                    f"the ray of {self.order[i]} does not pass through it")
+            keys[i] = ray_key(rays[i])
         step_of = dict(zip(boxes, count()))
         # each step's first step of its shell: from there on, not yet swept
         heads = chain.from_iterable(map(repeat, accumulate(
             map(len, shells), initial=0), map(len, shells)))
-        steps = [()] * stop
+        steps = [()] * len(rays)
         for me, lo, step, n, home, head in compress(zip(
-                range(stop), firsts, strides, counts, boxes, heads),
+                count(), firsts, strides, counts, boxes, heads),
                 map(gt, counts, repeat(1))):
             # the ray's other ball points; hits shares step_of's ints
             span = chain(range(lo, home, step),
@@ -130,15 +138,7 @@ class ReconPlan:
                 raise PlanError(f"{late} on the ray of {self.order[me]} "
                                 f"is not in an earlier shell")
             steps[me] = hits
-        self.steps = tuple(steps)
-        if stop < bad:
-            raise PreconditionError(
-                f"target {self.order[stop]} outside the support ball")
-        if bad < len(rays):
-            raise PlanError(
-                f"the ray of {self.order[bad]} is not based at it or not normal to it")
-        # base.dir = 0, so each base is reduced: the key is (dir, target)
-        self.keys = tuple(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
+        self.steps, self.keys = tuple(steps), tuple(keys)
         PLANS[id(self)] = self
 
     def _for_weight(self, name: str, build: Callable[[Weight], object],
@@ -237,8 +237,8 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
               rays: Mapping[IntVec, Ray] | None = None) -> ReconPlan:
     """A plan over a point set (default: the full ball) for d >= 2 and a
     radius >= 0; alpha/beta bound the targets' in-plane norms. ``rays``
-    maps each target to its ray (default: the perpendicular family of
-    ``plane``); a target without one is a PreconditionError.
+    maps each target to any ray through it (default: the perpendicular
+    family of ``plane``); a target without one is a PreconditionError.
     """
     r = ball_radius(d, support_radius)
     if plane is not None and plane.d != d:
@@ -268,29 +268,21 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
                      slices=decomps, plane=plane, weight=weight)
 
 
-def datum(g: Sinogram, key: RayKey, z: IntVec) -> float:
-    """The entry of line key, needed to recover z; a missing one is an error."""
-    try:
-        return g.entries[key]
-    except KeyError:
-        raise MissingDataError(f"no sinogram entry for ray of {z}") from None
-
-
 def sweep_data(g: Sinogram, plan: ReconPlan) -> list[float]:
     """Each sweep step's datum, in step order; the first missing one is an
     error."""
     vals = list(map(g.entries.get, plan.keys))
     if None in vals:
-        i = vals.index(None)
-        datum(g, plan.keys[i], plan.order[i])
+        raise MissingDataError(
+            f"no sinogram entry for ray of {plan.order[vals.index(None)]}")
     return vals
 
 
 def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
-    """Invert per-point-perpendicular-family data by the shell sweep:
-    a target's value is its datum minus the nonzero values recovered on
-    its ray, in ray order (each times W(y, dir) and the total divided by
-    W(z, dir) if the plan has a weight W). A missing datum is an error.
+    """Invert data on a plan's rays by the shell sweep: a target's value
+    is its datum minus the nonzero values recovered on its ray, in ray
+    order (each times W(y, dir) and the total divided by W(z, dir) if the
+    plan has a weight W). A missing datum is an error.
     """
     vals = sweep_data(g, plan)
     steps, w = plan.steps, plan.weight
@@ -328,30 +320,20 @@ def recon_annulus(g: Sinogram, plan: ReconPlan) -> GridFunction:
 def recon_one_point(g: Sinogram, points: Iterable[IntVec],
                     theta_of: Mapping[IntVec, IntVec] | Callable[[IntVec], IntVec],
                     r, weight: Weight | None = None) -> GridFunction:
-    """Read f off one ray per point: each target in the ball, each
-    direction with |prim|^2 > 4 r^2, so the datum (divided by the weight,
-    if given) is the target's value.
+    """The one-point formula: each direction has |prim|^2 > 4 r^2, so a
+    target's line meets the ball in it alone and the sweep's empty step
+    reads f(z) off the datum (divided by W(z, theta) if weighted).
     """
     rf = as_fraction(r)
-    r2 = rf * rf
     pick = theta_of if callable(theta_of) else theta_of.__getitem__
-    out: dict[IntVec, float] = {}
-    for z in points:
-        z = tuple(z)
-        if norm2(z) > r2:
-            raise PreconditionError(f"target {z} outside the support ball")
+    rays: dict[IntVec, Ray] = {}
+    for z in map(tuple, points):
         theta = tuple(pick(z))
         if not effectively_irrational(theta, rf):
             raise PreconditionError(
                 f"direction {theta} is not effectively irrational at radius {rf}")
-        val = datum(g, ray_key(Ray(z, theta)), z)
-        if weight is not None:
-            wz = weight(z, theta)
-            if wz == 0:
-                raise ZeroWeightError(f"weight vanishes at {z}")
-            val /= wz
-        out[z] = val
-    return GridFunction(d=g.d, support_radius=rf, values=out)
+        rays[z] = Ray(z, theta)
+    return recon_shells(g, make_plan(g.d, rf, rays, rays=rays, weight=weight))
 
 
 def one_point_directions(points: Iterable[IntVec], r) -> dict[IntVec, IntVec]:

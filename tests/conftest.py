@@ -29,7 +29,13 @@ from lxray import (FileFormatError, GridFunction, MissingDataError,
 from lxray import io as lio
 from lxray.lattice import ball_radius, box_points, norm2
 from lxray.rays import cell_chord, walk_box, walk_cells
-from lxray.recon import datum
+
+
+def datum(g, key, z):
+    """The entry of line key, needed to recover z (oracle's own lookup)."""
+    if key not in g.entries:
+        raise MissingDataError(f"no sinogram entry for ray of {z}")
+    return g.entries[key]
 
 
 def random_int_grid(d, r, seed, lo=-9, hi=9):
@@ -66,27 +72,50 @@ def reference_ball_line_status(ray, center, rho):
 
 
 def brute_forward(f, ray):
-    """Discrete transform by scanning the whole support (oracle)."""
-    return float(sum(v for z, v in f.values.items() if on_line(z, ray)))
+    """Discrete transform: f summed over the ray's support-ball points (oracle)."""
+    return float(sum(f.get(z) for z in brute_ray_points(ray, f.support_radius)))
 
 
 def brute_ray_points(ray, r, center=None, candidates=None):
     """Lattice points of the ray in the closed ball, in ray order (oracle).
 
-    Scans the candidates (default: the whole box around the center) with
-    the minor test of ``on_line`` and the exact ball test, and orders the
-    hits by their parameter along the direction.
+    With u = base - center, |u + k dir|^2 = |u|^2 - (u.dir)^2/|dir|^2 +
+    (k - k*)^2 |dir|^2 for k* = -u.dir/|dir|^2, so only the k within
+    r/|dir| of k* can reach the ball. Steps base + k*dir over an integer
+    range holding them and keeps the points passing the exact ball test
+    (and lying among the candidates, if given): the work follows the
+    points on the ray, not the ball's volume.
     """
     d = len(ray.base)
     center = center or (0,) * d
     r2 = Fraction(r) ** 2
-    if candidates is None:
-        m = 0
-        while m * m <= r2:
-            m += 1
-        candidates = (tuple(c + o for c, o in zip(center, off)) for off in
-                      itertools.product(range(-m, m + 1), repeat=d))
-    hits = [z for z in candidates if on_line(z, ray)
+    num, den = r2.numerator, r2.denominator
+    pp = sum(c * c for c in ray.dir)
+    mid = -sum((b - c) * q for b, c, q in zip(ray.base, center, ray.dir)) // pp
+    reach = math.ceil(Fraction(r)) // math.isqrt(pp) + 1  # >= r/|dir|
+    keep = None if candidates is None else set(candidates)
+    hits = []
+    for k in range(mid - reach, mid + reach + 1):
+        z = tuple(b + k * q for b, q in zip(ray.base, ray.dir))
+        if (den * sum((a - c) ** 2 for a, c in zip(z, center)) <= num
+                and (keep is None or z in keep)):
+            hits.append(z)
+    return hits
+
+
+def box_scan_ray_points(ray, r, center=None):
+    """The ray's points in the closed ball by scanning the whole box about
+    the center with the minor test of ``on_line`` (a check on the stepping
+    oracle ``brute_ray_points``)."""
+    d = len(ray.base)
+    center = center or (0,) * d
+    r2 = Fraction(r) ** 2
+    m = 0
+    while m * m <= r2:
+        m += 1
+    box = (tuple(c + o for c, o in zip(center, off))
+           for off in itertools.product(range(-m, m + 1), repeat=d))
+    hits = [z for z in box if on_line(z, ray)
             and sum((a - c) ** 2 for a, c in zip(z, center)) <= r2]
     return sorted(hits, key=lambda z: sum(
         (a - b) * p for a, b, p in zip(z, ray.base, ray.dir)))
@@ -133,7 +162,7 @@ def reference_sweep(g, plan):
 
     Slices by sorted key, shells outermost first: each target's value is
     its datum minus the nonzero already-recovered values at the other plan
-    points of its ray, in ray order (found by the box-scan oracle), each
+    points of its ray, in ray order (found by the stepping oracle), each
     weighted, then the total divided by the target's weight. Returns the
     values in sweep order.
     """

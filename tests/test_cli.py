@@ -255,6 +255,31 @@ def test_one_point_pipeline(tmp_path):
     assert values_equal(read_grid(r), grid)
 
 
+@pytest.mark.parametrize("weight", [[], ["--weight", "const", "2.5"]],
+                         ids=["plain", "const-2.5"])
+def test_a_one_point_file_inverts_without_its_direction_file(tmp_path, weight):
+    # its rows hold rays based off their points; the plan compiles them
+    _, s, dirfile = _one_point_files(tmp_path)
+    op, plain = tmp_path / "op.out.json", tmp_path / "plain.out.json"
+    assert run(["recon", "--sino", str(s), "--one-point", str(dirfile),
+                *weight, "--out", str(op)]) == 0
+    assert run(["recon", "--sino", str(s), *weight, "--out", str(plain)]) == 0
+    assert plain.read_bytes() == op.read_bytes()
+
+
+def test_one_point_recon_reads_a_declared_radius_of_zero(tmp_path, capsys):
+    # Fraction(0) is falsy: it must not fall back to the points' radius 3
+    _, s, dirfile = _one_point_files(tmp_path)
+    obj = json.loads(s.read_text())
+    obj["family"]["r"] = "0"
+    s.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert run(["recon", "--sino", str(s), "--one-point", str(dirfile),
+                "--out", str(out)]) == 2
+    assert "target (-3, 0) outside the support ball" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iterate_pipeline_writes_residuals(tmp_path):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     res = tmp_path / "res.csv"

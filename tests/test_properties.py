@@ -1,10 +1,12 @@
 """Property tests over randomly generated inputs (needs hypothesis)."""
 
+import ast
 import gc
 import itertools
 import json
 import math
 import random
+import re
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
@@ -16,9 +18,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (brute_forward, brute_line_count, brute_ray_points,
-                      brute_separation_margin, lagrange_q, on_line,
-                      random_int_grid, reduced_key,
+from conftest import (box_scan_ray_points, brute_forward, brute_line_count,
+                      brute_ray_points, brute_separation_margin, lagrange_q, on_line,
+                      random_int_grid, reduced_key, values_equal,
                       reference_ball_line_status,
                       reference_canonical_primitives,
                       reference_corrected_sinogram, reference_data_residual,
@@ -36,7 +38,7 @@ from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
                    layer_recon, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, points_on_ray, primitive,
                    ray_key, recon_annulus, recon_shells, separation_margin)
-from lxray import ZeroWeightError, cli
+from lxray import PlanError, ZeroWeightError, cli
 from lxray import io as lio
 from lxray import counting, transform
 from lxray.continuum import (_ball_line_status, _chord_sums,
@@ -326,6 +328,79 @@ def test_recon_shells_matches_reference_sweep_bit_for_bit(case, weight):
         [(z, v.hex()) for z, v in want.items()]
 
 
+@st.composite
+def general_ray_cases(draw):
+    """A ray through each point of a small ball, its base moved off the
+    point by k*dir, |k| <= 3. Its direction is random and short for every
+    point or for up to three, and else the point's perpendicular one or a
+    long (m, 1, 0, ...), m > 2r, which meets the ball at the point alone."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(1, {2: 3, 3: 2, 4: Fraction(3, 2)}[d], max_denominator=2))
+    ball = enumerate_ball(d, r)
+    wild = set(ball) if draw(st.booleans()) else set(
+        draw(st.lists(st.sampled_from(ball), max_size=3)))
+    rays = {}
+    for z, perp in perp_family(ball):
+        if z in wild:
+            p = primitive(draw(st.tuples(*[st.integers(-3, 3)] * d).filter(any)))
+        else:
+            m = math.floor(2 * r) + 1 + draw(st.integers(0, 3))
+            p = draw(st.sampled_from((perp.dir, (m, 1) + (0,) * (d - 2))))
+        k = draw(st.integers(-3, 3))
+        rays[z] = Ray(tuple(c + k * q for c, q in zip(z, p)), p)
+    return d, r, rays, draw(st.integers(0, 2 ** 16))
+
+
+def _one_point_case(r):
+    ball = enumerate_ball(2, r)
+    return 2, r, dict(one_point_family(ball, one_point_directions(ball, r))), 5
+
+
+def _rebased_perp_case(d, r):
+    """The perpendicular family, each ray based k*dir off its point."""
+    return d, r, {z: Ray(tuple(c + (sum(z) % 5 - 2) * q
+                               for c, q in zip(z, ray.dir)), ray.dir)
+                  for z, ray in perp_family(enumerate_ball(d, r))}, 11
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_ray_cases())
+@example(_one_point_case(3))
+@example(_rebased_perp_case(3, 2))
+def test_a_plan_compiles_any_ray_through_its_target_or_names_a_late_point(case):
+    # the shell rule is the compile's one certificate: an accepted plan
+    # sweeps like the dict walk, and a refused one names a plan point on
+    # the target's line that the sweep has not recovered yet
+    d, r, rays, seed = case
+    default = make_plan(d, r)  # the same targets, slices and shells
+    try:
+        plan = make_plan(d, r, rays=rays)
+    except PlanError as exc:
+        late, z = map(ast.literal_eval, re.fullmatch(
+            r"(\(.*\)) on the ray of (\(.*\)) is not in an earlier shell",
+            str(exc)).groups())
+        shells = [s for k in sorted(default.slices) for s in default.slices[k].shells]
+        rank = {y: i for i, shell in enumerate(shells) for y in shell}
+        assert late != z and late in brute_ray_points(rays[z], r)
+        assert rank[late] >= rank[z]
+        return
+    if all(norm2(ray.dir) > 4 * r * r for ray in rays.values()):
+        assert not any(plan.steps)  # effectively irrational: one-point formula
+    f = random_int_grid(d, r, seed)
+    g = forward_family(f, rays.items())
+    assert values_equal(recon_shells(g, plan), f)
+    # non-integer data with signed zeros: bit for bit the dict walk
+    rng = random.Random(seed)
+    g.entries = {k: rng.choice((0.0, -0.0, 1.0, rng.uniform(-10, 10)))
+                 for k in g.entries}
+    got = [(z, v.hex()) for z, v in recon_shells(g, plan).values.items()]
+    assert got == [(z, v.hex()) for z, v in reference_sweep(g, plan).items()]
+    if all(reduced_key(rays[z]) == reduced_key(default.rays[z]) for z in rays):
+        assert (plan.keys, plan.steps) == (default.keys, default.steps)
+        assert got == [(z, v.hex())
+                       for z, v in recon_shells(g, default).values.items()]
+
+
 def _phantoms(d, r, seed):
     """An integer, a perturbed and a signed-zero phantom on the ball."""
     rng = random.Random(seed)
@@ -608,8 +683,10 @@ def test_points_on_ray_matches_box_scan_in_ray_order(case):
     ray, r, center = case
     c = center or (0,) * ray.d
     moved = Ray(tuple(b - x for b, x in zip(ray.base, c)), ray.dir)
+    want = brute_ray_points(ray, r, center)
     assert [tuple(a + x for a, x in zip(z, c)) for z in points_on_ray(moved, r)] \
-        == brute_ray_points(ray, r, center)
+        == want == box_scan_ray_points(ray, r, center)
+    assert all(on_line(z, ray) for z in want)
 
 
 @st.composite

@@ -179,13 +179,24 @@ def test_plan_refuses_points_not_in_an_earlier_shell():
 
 def test_plan_refuses_rays_not_perpendicular_at_their_target():
     plan = make_plan(2, 2)
-    for ray in [Ray((1, 0), (1, 1)),  # tilted: z.dir != 0
-                Ray((1, 1), (0, 1))]:  # the right line, based off z
+
+    def replan(ray):
         rays = dict(plan.rays)
         rays[(1, 0)] = ray
-        with pytest.raises(PlanError, match=r"ray of \(1, 0\) is not based"):
-            ReconPlan(d=2, support_radius=plan.support_radius,
-                      points=plan.points, rays=rays, slices=plan.slices)
+        return ReconPlan(d=2, support_radius=plan.support_radius,
+                         points=plan.points, rays=rays, slices=plan.slices)
+    # tilted: the line through (1, 0) meets (0, -1) in the same shell
+    with pytest.raises(PlanError, match=r"\(0, -1\) on the ray of \(1, 0\) "
+                                        r"is not in an earlier shell"):
+        replan(Ray((1, 0), (1, 1)))
+    # the right line, based off z: the same plan as the default
+    rebased = replan(Ray((1, 1), (0, 1)))
+    assert (rebased.keys, rebased.steps) == (plan.keys, plan.steps)
+    # off the line, or of another dimension: the ray misses its target
+    for ray in [Ray((2, 1), (0, 1)), Ray((1, 0, 0), (0, 1, 0)),
+                Ray((1, 0), (0, 1, 0))]:
+        with pytest.raises(PlanError, match=r"ray of \(1, 0\) does not pass"):
+            replan(ray)
 
 
 def test_make_plan_takes_the_given_rays():
@@ -198,8 +209,16 @@ def test_make_plan_takes_the_given_rays():
     with pytest.raises(PreconditionError, match=r"no ray for target \(1, 0\)"):
         make_plan(2, 3, alpha=1, beta=3, rays=rays)
     rays[(1, 0)] = Ray((1, 0), (1, 1))
-    with pytest.raises(PlanError, match=r"ray of \(1, 0\) is not based"):
+    with pytest.raises(PlanError, match=r"\(0, -1\) on the ray of \(1, 0\) "
+                                        r"is not in an earlier shell"):
         make_plan(2, 3, alpha=1, beta=3, rays=rays)
+    rays[(1, 0)] = Ray((1, -3), (0, 1))  # (1, 0)'s own line, based at k = -3
+    rebased = make_plan(2, 3, alpha=1, beta=3, rays=rays)
+    assert (rebased.keys, rebased.steps) == (default.keys, default.steps)
+    for ray in [Ray((2, 1), (0, 1)), Ray((1, 0, 0), (0, 1, 0))]:
+        rays[(1, 0)] = ray
+        with pytest.raises(PlanError, match=r"ray of \(1, 0\) does not pass"):
+            make_plan(2, 3, alpha=1, beta=3, rays=rays)
 
 
 def test_shells_round_trip_high_dimension_small_radius():
