@@ -6,21 +6,21 @@ over the plan's chord table; in doubles, identities to 1e-9 relative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .lattice import IntVec, ball_radius, box_ids, box_points, norm2
-from .rays import (Ray, cell_chord, coordinate_plane, perp_ray, walk_box,
-                   walk_cells)
-from .recon import ReconPlan, recon_shells, step_sums, sweep_data
+from .rays import (Ray, cell_chord, perp_ray, walk_box, walk_cells,
+                   walk_radius)
+from .recon import (ReconPlan, recon_shells, step_sums, sweep_data,
+                    weighted_sweep)
 from .transform import (FamilyMeta, GridFunction, Sinogram, Weight,
-                        forward_weighted, project_family)
+                        project_family)
 
 
 def chord_weight() -> Weight:
@@ -28,14 +28,14 @@ def chord_weight() -> Weight:
     return lambda z, dirv: cell_chord(Ray(tuple(z), tuple(dirv)), tuple(z))
 
 
-def _continuous_sums(f: GridFunction, rays: Sequence[Ray]) -> list[float]:
+def _continuous_sums(f: GridFunction, rays: Sequence[Ray], radius: float
+                     ) -> list[float]:
     """``forward_continuous`` of each ray, the rays walked together.
 
     Values are looked up by cell number, so no cell tuple is made. Unset
     cells add 0.0, which leaves the double sum as it was: it starts at +0.0
     and can never become -0.0.
     """
-    radius = float(f.support_radius) + math.sqrt(f.d)
     place, offset = walk_box(f.d, radius)
     get = dict(zip(box_ids(f.values, place, offset), f.values.values())).get
     sums = [0.0] * len(rays)
@@ -44,21 +44,29 @@ def _continuous_sums(f: GridFunction, rays: Sequence[Ray]) -> list[float]:
     return sums
 
 
+def _lone_walk(f: GridFunction, ray: Ray
+               ) -> tuple[list[IntVec], list[float], list[float], list[bool]]:
+    """One ray's cells in the ball of radius r + sqrt(d), in walk order:
+    (cells, f's values there (0.0 if unset), chords, on-line flags), all
+    empty for a ray that misses the ball."""
+    if set(map(len, ray)) != {f.d}:
+        raise PreconditionError("ray and grid dimensions differ")
+    radius = walk_radius(f.d, f.support_radius)
+    place, offset = walk_box(f.d, radius)
+    for _, ids, chords, on_line in walk_cells([ray], radius):
+        cells = list(box_points(ids, place, offset))
+        return cells, list(map(f.values.get, cells, repeat(0.0))), chords, on_line
+    return [], [], [], []
+
+
 def forward_continuous(f: GridFunction, ray: Ray) -> float:
     """Line integral of the piecewise-constant cell field defined by f.
 
     Walks the cells along the ray, clipped to the ball that contains every
     cell meeting the declared support; no global cell scan.
     """
-    if ray.d != f.d:
-        raise PreconditionError("ray and grid dimensions differ")
-    radius = float(f.support_radius) + math.sqrt(f.d)
-    place, offset = walk_box(f.d, radius)
-    for _, ids, chords, _ in walk_cells([ray], radius):
-        cells = box_points(ids, place, offset)
-        return reduce(add, map(mul, map(f.values.get, cells, repeat(0.0)),
-                               chords), 0.0)
-    return 0.0
+    _, vals, chords, _ = _lone_walk(f, ray)
+    return reduce(add, map(mul, vals, chords), 0.0)
 
 
 def forward_continuous_family(f: GridFunction,
@@ -67,44 +75,38 @@ def forward_continuous_family(f: GridFunction,
     """``forward_continuous`` of every line of the family: by the
     ``chord_table`` of a live plan of f's radius walked on these very rays,
     else walked together."""
-    return project_family(f, family, meta, lambda rays: _continuous_sums(f, rays),
+    radius = walk_radius(f.d, f.support_radius)
+    return project_family(f, family, meta,
+                          lambda rays: _continuous_sums(f, rays, radius),
                           "chord_table")
 
 
 def correction_identity_check(f: GridFunction, z: IntVec,
                               ray: Ray | None = None) -> tuple[float, float]:
-    """Both sides of the exact chord-correction identity along a ray.
+    """Both sides of the exact chord-correction identity along a ray
+    (default: ``perp_ray(z)``), read off one walk of it.
 
-    lhs: chord-weighted discrete transform of f along the ray (default:
-    ``perp_ray(z)``).
+    lhs: chord-weighted discrete transform of f along the ray, the sum of
+    ``forward_weighted(f, ray, chord_weight())``: the walk's on-line cells
+    in order, each value times W(y, dir) = cell_chord(Ray(y, dir), y), one
+    double for every y with coordinates below 2^52.
     rhs: continuous transform of the cell field minus the chord
-    contributions of all supported cells off the line.
+    contributions of the supported cells off the line, in sorted order.
+    A cell the line meets with a positive ``cell_chord`` is one the walk
+    crosses: both take the same correctly rounded cuts (k + 1/2)/p_i.
     The two agree up to double-precision roundoff.
     """
     if ray is None:
         ray = perp_ray(z)
-    lhs = forward_weighted(f, ray, chord_weight())
-    # Only a cell within sqrt(d)/2 of the line can meet it. The squared
-    # distance is q/|p|^2, q = |p|^2|u|^2 - (u.p)^2 an integer, so a cell
-    # with 4q > d|p|^2 misses by a margin far above roundoff: chord 0.0.
-    # q = 0 exactly for a cell centred on the line, which lhs holds: the
-    # correction takes 0 < 4q <= d|p|^2.
-    pp = norm2(ray.dir)
-    uu = up = [0] * len(f.values)
-    for col, bi, pi in zip(map(itemgetter, range(f.d)), ray.base, ray.dir):
-        u = list(map(sub, map(col, f.values), repeat(bi)))
-        uu = map(add, uu, map(mul, u, u))
-        up = map(add, up, map(mul, u, repeat(pi)))
-    up = list(up)
-    q4 = map(mul, map(sub, map(mul, uu, repeat(pp)), map(mul, up, up)), repeat(4))
-    near = compress(f.values, map(range(1, f.d * pp + 1).__contains__, q4))
+    cells, vals, chords, on_line = _lone_walk(f, ray)
+    zero = (0,) * f.d
+    weight = cell_chord(Ray(zero, ray.dir), zero)
+    lhs = sum(map(mul, repeat(weight), compress(vals, on_line)), 0.0)
     correction = 0.0
-    for zeta in sorted(near):  # the order of sorted(f.values)
-        v = f.values[zeta]
+    for zeta, v in sorted(compress(zip(cells, vals), map(not_, on_line))):
         if v:
             correction += v * cell_chord(ray, zeta)
-    rhs = forward_continuous(f, ray) - correction
-    return lhs, rhs
+    return lhs, reduce(add, map(mul, vals, chords), 0.0) - correction
 
 
 @dataclass
@@ -184,31 +186,18 @@ def forward_balls(bf: BallField, ray: Ray) -> float:
 def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:
     """One-sweep approximate inversion of continuous cell-field data.
 
-    Shell order as in the discrete sweep; each update divides the datum,
-    corrected by the chords through already-recovered (strictly outer)
-    cells of the same slice, by the chord through the target's own cell.
-    Cross terms from the target's shell and inner shells are dropped, so
-    this is a first approximation, not an identity.
+    The weighted shell sweep over the chord table's ``outer`` crossings:
+    each update divides the datum, corrected by the chords through
+    already-recovered cells of strictly larger in-plane norm, by the chord
+    through the target's own cell. Cross terms from the target's shell and
+    inner shells are dropped, so this is a first approximation, not an
+    identity.
     """
     if plan.weight is not None:
         raise PreconditionError("layer reconstruction defines its own weight")
     table = plan.chord_table
-    ids, chords, central = table.ids, table.chords, table.central
-    geom = plan.plane or coordinate_plane(plan.d)
-    # shell order as the integers build_shells groups by: det * in-plane norm^2
-    norms = list(map(geom.scaled_inplane_norm2, plan.order))
-    vals: list[float] = []
-    start = 0
-    for i, (total, end) in enumerate(zip(sweep_data(g, plan), table.ends)):
-        span, start = slice(start, end), end
-        nu = norms[i]
-        # cell c < i is a target already recovered; the others read 0
-        for c, chord in zip(ids[span], chords[span]):
-            if c < i:
-                v = vals[c]
-                if v != 0.0 and norms[c] > nu:
-                    total -= chord * v
-        vals.append(total / central[i])
+    vals = weighted_sweep(sweep_data(g, plan), table.outer, table.outer_chords,
+                          table.central)
     return GridFunction.over_checked_points(plan.d, plan.support_radius,
                                             plan.order, vals)
 

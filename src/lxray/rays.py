@@ -378,6 +378,15 @@ def walk_cells(rays: Sequence[Ray], radius: float
                    [wa, *chords[j0:j1 - 1], wb], [oa, *on_line[j0:j1 - 1], ob])
 
 
+def walk_radius(d: int, r) -> float:
+    """r + sqrt(d): a walk of this radius crosses every cell that meets
+    the ball of radius r. A radius no double holds is refused."""
+    try:
+        return float(r) + math.sqrt(d)
+    except OverflowError:
+        raise PreconditionError("radius too large to walk") from None
+
+
 def walk_box(d: int, radius: float) -> tuple[IntVec, int]:
     """(place, offset) numbering every cell a walk within radius can cross:
     such a cell holds a ball point, so |coordinate| <= floor(|radius|) + 1."""

@@ -10,9 +10,11 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, gt, itemgetter, mul, ne, not_, or_, sub, truediv
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from itertools import (accumulate, chain, compress, count, filterfalse, islice,
+                       repeat, starmap)
+from operator import (add, and_, eq, gt, is_not, itemgetter, le, lt, mul, ne,
+                      not_, or_, sub, truediv)
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MissingDataError, PlanError, PreconditionError
 from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
@@ -20,18 +22,24 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       enumerate_ball)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
-                   ray_keys, ray_table, walk_box, walk_cells)
+                   ray_keys, ray_table, walk_box, walk_cells, walk_radius)
 from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
                         weight_column)
 
 
 class ChordTable(NamedTuple):
     """Every plan ray's cell walk in the ball of radius r + sqrt(d), r^2 =
-    r2: step i's ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]``
-    (chords and off-line flags in the same slots), ``off_lens[i]`` of them
-    off its line; ``central[i]`` is the chord through its target's cell.
-    Cell i is ``order[i]``, then cells of no target. Ray j of ``rays`` (as
-    walked, in ``plan.rays`` order) is step ``at[j]``, of key ``keys[j]``.
+    r2, kept only at cells of the support ball (den |c|^2 <= num): step i's
+    ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]`` (chords
+    and off-line flags in the same slots), ``off_lens[i]`` of them off its
+    line; ``central[i]`` is the chord through its target's cell. A cell
+    outside the ball holds no value of an f of at most the plan's radius:
+    its term chord * 0.0 = +0.0 would change no sum from +0.0. Cell i is
+    ``order[i]``, then cells of no target. ``outer[i]`` lists the earlier
+    targets of strictly larger in-plane norm that step i crosses, in walk
+    order, their chords flat in ``outer_chords``: the layer sweep's steps.
+    Ray j of ``rays`` (as walked, in ``plan.rays`` order) is step
+    ``at[j]``, of key ``keys[j]``.
     """
 
     r2: Fraction
@@ -46,6 +54,8 @@ class ChordTable(NamedTuple):
     off_lens: array
     ends: array
     central: array
+    outer: tuple[tuple[int, ...], ...]
+    outer_chords: array
 
     def column(self, values: Mapping[IntVec, float]) -> list[float]:
         """values[cell] (default 0.0) times chord per crossing, in walk order."""
@@ -108,6 +118,13 @@ class ReconPlan:
             bad = next(compress(count(), map(ne, dims, repeat(self.d)))) // 2
             raise PlanError(f"the ray of {self.order[bad]} does not pass through it")
         bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
+        # canonical primitive: gcd 1 and the first nonzero entry positive
+        canonical = list(map(and_, map(eq, starmap(math.gcd, dirs), repeat(1)),
+                             map(gt, dirs, repeat((0,) * self.d))))
+        if not all(canonical):
+            bad = canonical.index(False)
+            raise PlanError(f"the ray of {self.order[bad]} has direction "
+                            f"{dirs[bad]}, not a canonical primitive vector")
         firsts, strides, counts = ray_boxes(rays, top, 1, place, offset)
         boxes = box_ids(self.order, place, offset)
         # a ray based at its target holds it; only one based elsewhere, or
@@ -182,38 +199,55 @@ class ReconPlan:
 
     @cached_property
     def chord_table(self) -> ChordTable:
-        """Each sweep step's cell walk, chords and central chord (walked once)."""
-        try:
-            radius = float(self.support_radius) + math.sqrt(self.d)
-        except OverflowError:
-            raise PreconditionError("radius too large to walk") from None
+        """Each sweep step's cell walk, chords and central chord (walked
+        once), and the layer sweep's steps."""
+        radius = walk_radius(self.d, self.support_radius)
         place, offset = walk_box(self.d, radius)
-        cells = list(self.order)
-        cell_id = {b: i for i, b in enumerate(box_ids(cells, place, offset))}
-        rays = [self.rays[z] for z in self.order]
+        rays = list(map(self.rays.__getitem__, self.order))
         walks: list[tuple] = [((), (), ())] * len(rays)
         for i, walk_ids, chords, on_line in walk_cells(rays, radius):
             walks[i] = walk_ids, chords, on_line
+        # the targets, then the other support-ball cells in order of first
+        # crossing; cell_id.get reads None for a cell outside the ball
+        cell_id = dict(zip(box_ids(self.order, place, offset), count()))
+        new = list(filterfalse(cell_id.__contains__, dict.fromkeys(
+            chain.from_iterable(map(itemgetter(0), walks)))))
+        others = list(box_points(new, place, offset))
+        r2 = self.support_radius ** 2
+        inside = list(map(le, map(mul, dots(others, others),
+                                  repeat(r2.denominator)), repeat(r2.numerator)))
+        cell_id.update(zip(compress(new, inside), count(len(cell_id))))
         # a list of cell_id's own ints: no int is boxed per read
-        ids, chords, off_line = [], array("d"), array("b")
-        lens, off_lens, central = array("i"), array("i"), array("d")
-        for z, ray, (walk_ids, ray_chords, ray_on) in zip(self.order, rays, walks):
-            for b in walk_ids:
-                ids.append(cell_id.setdefault(b, len(cell_id)))
-            chords.extend(ray_chords)
-            off_line.extend(map(not_, ray_on))
-            lens.append(len(ray_on))
-            off_lens.append(ray_on.count(False))
-            central.append(cell_chord(ray, z))
-        cells.extend(box_points(list(cell_id)[len(cells):], place, offset))
+        ids = list(map(cell_id.get, chain.from_iterable(map(itemgetter(0), walks))))
+        kept = list(map(is_not, ids, repeat(None)))
+        lens = array("i", map(sum, map(islice, repeat(iter(kept)),
+                                       map(len, map(itemgetter(0), walks)))))
+        ids = list(compress(ids, kept))
+        chords = array("d", compress(chain.from_iterable(
+            map(itemgetter(1), walks)), kept))
+        off_line = array("b", map(not_, compress(chain.from_iterable(
+            map(itemgetter(2), walks)), kept)))
+        # the layer sweep reads crossings of earlier targets (id < step) of
+        # strictly larger in-plane norm; a cell of no target has norm -1
+        geom = self.plane or coordinate_plane(self.d)
+        norms = list(map(geom.scaled_inplane_norm2, self.order))
+        norm_of = norms + [-1] * (len(cell_id) - len(norms))
+        at_step = list(chain.from_iterable(map(repeat, count(), lens)))
+        outer = list(map(and_, map(lt, ids, at_step), map(
+            gt, map(norm_of.__getitem__, ids), map(norms.__getitem__, at_step))))
+        outer_ids = iter(compress(ids, outer))
+        outer_lens = map(sum, map(islice, repeat(iter(outer)), lens))
+        steps = tuple(map(tuple, map(islice, repeat(outer_ids), outer_lens)))
         step_of = dict(zip(self.order, count()))
         at = array("i", map(step_of.__getitem__, filter(step_of.__contains__,
                                                         self.rays)))
         return ChordTable(
-            self.support_radius ** 2, tuple(map(rays.__getitem__, at)),
-            tuple(map(self.keys.__getitem__, at)), at, tuple(cells), ids,
-            chords, off_line, lens, off_lens, array("i", accumulate(lens)),
-            central)
+            r2, tuple(map(rays.__getitem__, at)),
+            tuple(map(self.keys.__getitem__, at)), at,
+            (*self.order, *compress(others, inside)), ids, chords, off_line,
+            lens, array("i", map(sum, map(islice, repeat(iter(off_line)), lens))),
+            array("i", accumulate(lens)), array("d", map(cell_chord, rays, self.order)),
+            steps, array("d", compress(chords, outer)))
 
 
 def plan_targets(points: list[IntVec], geom: Plane, r: Fraction,
@@ -292,16 +326,25 @@ def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
             # zeros are skipped: -0.0 - -0.0 would be +0.0
             vals[i] = reduce(sub, filter(None, map(get, s)), vals[i])
     else:
-        ws, wz = plan.sweep_weights(w)
-        data, vals, ws = vals, list(map(truediv, vals, wz)), iter(ws)
-        get = vals.__getitem__
-        for i, s in compress(enumerate(steps), steps):
-            vs = list(map(get, s))
-            # islice takes this step's len(s) weights, used or not
-            vals[i] = reduce(sub, map(mul, compress(islice(ws, len(s)), vs),
-                                      filter(None, vs)), data[i]) / wz[i]
+        vals = weighted_sweep(vals, steps, *plan.sweep_weights(w))
     return GridFunction.over_checked_points(plan.d, plan.support_radius,
                                             plan.order, vals)
+
+
+def weighted_sweep(data: list[float], steps: Sequence[tuple[int, ...]],
+                   weights: Iterable[float], divisors: Sequence[float]
+                   ) -> list[float]:
+    """The shell sweep with weights: value i is data[i] less each nonzero
+    value found at ``steps[i]`` times its weight, in order, over
+    divisors[i]; ``weights`` holds the steps' incidences flat."""
+    vals, ws = list(map(truediv, data, divisors)), iter(weights)
+    get = vals.__getitem__
+    for i, s in compress(enumerate(steps), steps):
+        vs = list(map(get, s))
+        # islice takes this step's len(s) weights, used or not
+        vals[i] = reduce(sub, map(mul, compress(islice(ws, len(s)), vs),
+                                  filter(None, vs)), data[i]) / divisors[i]
+    return vals
 
 
 def recon_shells_weighted(g: Sinogram, plan: ReconPlan) -> GridFunction:

@@ -3,8 +3,10 @@
 The oracles deliberately avoid the library's ray enumeration and key
 machinery so that round-trip tests check two genuinely different routes.
 The continuum references keep the one-ray cell walk that the shared cut
-patterns replaced, and the per-round walks that the plan's chord table
-replaced, so the walker and the table's consumers are checked bit for bit.
+patterns replaced, the per-round walks that the plan's chord table
+replaced, and the identity check's support scan and one-ray forward that
+its single walk replaced, so the walker and the table's consumers are
+checked bit for bit.
 The separation reference keeps the per-pair scan that the orbit scan
 replaced, and the family reference the one ``primitive()`` per point that
 the gcd column of ``perp_family`` replaced. The counting references keep the gcd-per-tuple Farey count, the
@@ -25,7 +27,8 @@ from fractions import Fraction
 
 from lxray import (FileFormatError, GridFunction, MissingDataError,
                    PreconditionError, Ray, RayKey, Sinogram, ZeroWeightError,
-                   enumerate_ball, primitive)
+                   chord_weight, enumerate_ball, forward_continuous,
+                   forward_weighted, perp_ray, primitive)
 from lxray import io as lio
 from lxray.lattice import ball_radius, box_points, norm2
 from lxray.rays import cell_chord, walk_box, walk_cells
@@ -238,6 +241,26 @@ def reference_forward_continuous(f, ray):
         if v:
             total += v * chord
     return total
+
+
+def reference_correction_identity(f, z, ray=None):
+    """Both sides of the correction identity by three passes (oracle):
+    lhs by ``forward_weighted`` with the chord weight; the off-line cells
+    by a scan of f's whole support for 0 < 4q <= d|p|^2, q = |p|^2|u|^2 -
+    (u.p)^2, u = cell - base (a cell farther from the line has chord 0.0),
+    their terms summed in sorted order; rhs by ``forward_continuous``."""
+    if ray is None:
+        ray = perp_ray(z)
+    lhs = forward_weighted(f, ray, chord_weight())
+    pp = norm2(ray.dir)
+    correction = 0.0
+    for zeta in sorted(f.values):
+        u = [a - b for a, b in zip(zeta, ray.base)]
+        up = sum(a * b for a, b in zip(u, ray.dir))
+        v = f.values[zeta]
+        if 0 < 4 * (norm2(u) * pp - up * up) <= f.d * pp and v:
+            correction += v * cell_chord(ray, zeta)
+    return lhs, forward_continuous(f, ray) - correction
 
 
 def reference_layer_recon(g, plan):

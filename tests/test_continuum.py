@@ -105,6 +105,18 @@ def test_correction_identity_random_field():
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
+@pytest.mark.parametrize("walk", [
+    lambda f, ray: forward_continuous(f, ray),
+    lambda f, ray: forward_continuous_family(f, [(ray.base, ray)]),
+    lambda f, ray: correction_identity_check(f, ray.base, ray),
+], ids=["forward_continuous", "family", "identity"])
+def test_walks_refuse_a_radius_no_double_holds(walk):
+    # refused before any walk or listing of the ball's points
+    f = GridFunction(2, 10 ** 400, {(0, 0): 1.0})
+    with pytest.raises(PreconditionError, match="radius too large to walk"):
+        walk(f, perp_ray((0, 0)))
+
+
 def test_ball_field_validation():
     with pytest.raises(PreconditionError):
         BallField(2, 2, {(0, 0): (0.6, 1.0, 1.0)})

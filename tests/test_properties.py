@@ -23,6 +23,7 @@ from conftest import (box_scan_ray_points, brute_forward, brute_line_count,
                       random_int_grid, reduced_key, values_equal,
                       reference_ball_line_status,
                       reference_canonical_primitives,
+                      reference_correction_identity,
                       reference_corrected_sinogram, reference_data_residual,
                       reference_farey_count, reference_forward_continuous,
                       reference_grid_values, reference_layer_recon, reference_lens,
@@ -872,15 +873,27 @@ def test_chord_table_is_the_walk_and_its_rounds_match_the_reference(case):
     assert table.cells[:len(plan.order)] == plan.order
     assert len(set(table.cells)) == len(table.cells)
     radius = float(plan.support_radius) + math.sqrt(d)
+    r2 = plan.support_radius ** 2
+    num, den = r2.numerator, r2.denominator
     start = 0
     for i, (z, end) in enumerate(zip(plan.order, table.ends)):
         ray = plan.rays[z]
-        want = [(cell, chord.hex(), on_line(cell, ray))
+        walk = [(cell, chord.hex(), on_line(cell, ray))
                 for cell, chord in reference_traverse_cells(ray, radius)]
         got = [(table.cells[c], chord.hex(), not off) for c, chord, off in zip(
             table.ids[start:end], table.chords[start:end],
             table.off_line[start:end])]
-        assert got == want
+        # the table is the reference walk less the crossings it drops, and
+        # it drops exactly those of cells outside the support ball
+        kept = iter(got)
+        nxt = next(kept, None)
+        for crossing in walk:
+            if crossing == nxt:
+                assert den * norm2(crossing[0]) <= num
+                nxt = next(kept, None)
+            else:
+                assert den * norm2(crossing[0]) > num
+        assert nxt is None
         assert table.central[i].hex() == cell_chord(ray, z).hex()
         start = end
     assert start == len(table.ids) == len(table.chords) == len(table.off_line)
@@ -1056,6 +1069,42 @@ def test_family_walk_and_continuous_forward_match_the_reference_walk(case):
     assert list(g.entries) == list(firsts)
     assert [v.hex() for v in g.entries.values()] == \
         [reference_forward_continuous(f, ray).hex() for ray in firsts.values()]
+
+
+@st.composite
+def identity_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.fractions(0, 5 if d < 4 else 3, max_denominator=6))
+    # bases also beyond the support ball: some lines miss the walk ball
+    base = draw(st.sampled_from(enumerate_ball(d, r + 3)))
+    # all-odd directions pass through cell corners, others through edges
+    odd = st.tuples(*[st.sampled_from((-3, -1, 1, 3))] * d)
+    p = primitive(draw(odd | _vec(d, -4, 4).filter(any)))
+    return d, r, Ray(base, p), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(identity_cases())
+@example((2, Fraction(3), Ray((0, 0), (1, 1)), 1))
+@example((3, Fraction(5, 2), Ray((1, 0, -1), (1, 1, 1)), 2))
+@example((3, Fraction(2), Ray((0, 1, 0), (1, -1, 0)), 3))
+@example((2, Fraction(1), Ray((4, 0), (0, 1)), 4))  # misses the walk ball
+# the off-line terms summed in walk order would round differently
+@example((2, Fraction(2), Ray((0, 0), (1, -2)), 36))
+def test_correction_identity_reads_one_walk_as_the_support_scan_did(case):
+    # both sides against the three-pass oracle, bit for bit, on fields with
+    # signed zeros, non-integer values and unset points
+    d, r, ray, seed = case
+    rng = random.Random(seed)
+    f = GridFunction(d, r, {z: rng.choice((0.0, -0.0, float(rng.randint(-9, 9)),
+                                           rng.uniform(-9, 9)))
+                            for z in enumerate_ball(d, r) if rng.random() < 0.9})
+    z = ray.base
+    for got, want in ((correction_identity_check(f, z, ray),
+                       reference_correction_identity(f, z, ray)),
+                      (correction_identity_check(f, z),
+                       reference_correction_identity(f, z))):
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
 
 
 @st.composite

@@ -221,6 +221,18 @@ def test_make_plan_takes_the_given_rays():
             make_plan(2, 3, alpha=1, beta=3, rays=rays)
 
 
+@pytest.mark.parametrize("z, ray", [
+    ((0, 1), Ray((0, 1), (2, 0))),  # its stride skips (-1, 1) and (1, 1)
+    ((1, 0), Ray((1, 0), (0, 0))),  # no line at all
+    ((0, 1), Ray((0, 1), (-1, 0))),  # first nonzero entry negative
+])
+def test_plan_refuses_a_direction_that_is_not_canonical_primitive(z, ray):
+    rays = {**make_plan(2, 2).rays, z: ray}
+    with pytest.raises(PlanError, match=rf"the ray of \({z[0]}, {z[1]}\) has "
+                                        r"direction .* not a canonical primitive"):
+        make_plan(2, 2, rays=rays)
+
+
 def test_shells_round_trip_high_dimension_small_radius():
     # the box [-1, 1]^d far outnumbers the ball's 2d + 1 points
     for d in (12, 40):
