@@ -2,8 +2,8 @@
 exact integers: lines through two or more ball points (lens sizes, one
 direction per orbit of the signed coordinate permutations), the Farey
 ratio, and the separation of lattice projections (each pair of canonical
-primitives from the orbit of its longer member). Budgets are checked before
-any list is built.
+primitives from the orbit of its longer member; in the plane, q of a pair
+is its squared 2x2 minor). Budgets are checked before any list is built.
 """
 
 from __future__ import annotations
@@ -198,8 +198,15 @@ def _direction_minimum(zeta: IntVec, cols: list[tuple[int, ...]],
     with zeta, given as coordinate columns and squared norms.
 
     Every product is exact integer arithmetic, done by C iterators over the
-    columns. At least one point must not be collinear with zeta.
+    columns. In the plane, Lagrange's identity makes the Gram form the
+    square of the one 2x2 minor zeta_1 z_2 - zeta_2 z_1, so the least
+    nonzero |minor| is squared and the norms go unread. At least one point
+    must not be collinear with zeta.
     """
+    if len(zeta) == 2:
+        (a, b), (xs, ys) = zeta, cols
+        minors = map(sub, map(mul, ys, repeat(a)), map(mul, xs, repeat(b)))
+        return min(filter(None, map(abs, minors))) ** 2
     dots = None
     for c, col in zip(zeta, cols):
         if c:

@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .lattice import (IntVec, as_fraction, box_ids, box_index, box_points,
-                      dots, is_canonical_direction, norm2, primitive,
-                      unit_vector)
+                      dots, norm2, primitive, unit_vector)
 
 
 class Ray(NamedTuple):
@@ -107,8 +106,19 @@ def coordinate_plane(d: int) -> Plane:
 
 def perp_ray(z: Sequence[int]) -> Ray:
     """The ray through z normal to z's first two coordinates; where both
-    are 0, the first axis (any fixed in-plane direction would serve)."""
-    return perp_family([z])[0][1]
+    are 0, the first axis (any fixed in-plane direction would serve).
+    ``perp_family([z])[0][1]`` in O(d): the in-plane normal (-z2, z1, 0, ...)
+    over gcd(z1, z2), negated where its first nonzero entry is negative."""
+    z = tuple(z)
+    if len(z) < 2:
+        raise PreconditionError("dimension must be >= 2")
+    x, y = z[0], z[1]
+    g = math.gcd(x, y)
+    if not g:
+        return Ray(z, unit_vector(len(z), 0))
+    if y > 0 or (y == 0 and x < 0):
+        g = -g
+    return Ray(z, (-y // g, x // g) + (0,) * (len(z) - 2))
 
 
 def perp_family(points: Iterable[IntVec],
@@ -217,11 +227,14 @@ def points_on_ray(ray: Ray, r) -> list[IntVec]:
 def effectively_irrational(theta: Sequence[int], r) -> bool:
     """True iff |theta|^2 > 4 r^2 for the canonical primitive theta: the
     lattice points of its lines are over 2r apart, so a line meets a
-    radius-r ball in one at most (irrational at scale r)."""
-    if not is_canonical_direction(theta):
+    radius-r ball in one at most (irrational at scale r). In integers:
+    theta is canonical iff its gcd is 1 and its first nonzero entry is
+    positive, and with r = num/den the test is den^2 |theta|^2 > 4 num^2."""
+    if math.gcd(*theta) != 1 or next(filter(None, theta)) < 0:
         raise PreconditionError("direction must be a canonical primitive vector")
     rf = as_fraction(r)
-    return norm2(theta) > 4 * rf * rf
+    num, den = rf.numerator, rf.denominator
+    return den * den * norm2(theta) > 4 * num * num
 
 
 def cell_chord(ray: Ray, cell: IntVec) -> float:

@@ -15,8 +15,9 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, ZeroWeightError
-from .lattice import IntVec, as_fraction, ball_radius, dots, norm2
-from .rays import Ray, RayKey, is_canonical_direction, ray_key, ray_keys, ray_table
+from .lattice import (IntVec, as_fraction, ball_radius, dots,
+                      is_canonical_direction, norm2)
+from .rays import Ray, RayKey, ray_key, ray_keys, ray_table
 
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]

@@ -402,10 +402,16 @@ def reference_lens(rows, v):
 
 
 def lagrange_q(zeta, z):
-    """|zeta|^2 |z|^2 - (z.zeta)^2 by Lagrange's identity: the sum of the
-    squared 2x2 minors of (zeta, z), so no formula is shared with the scan."""
-    return sum((zeta[i] * z[j] - zeta[j] * z[i]) ** 2
-               for i, j in itertools.combinations(range(len(z)), 2))
+    """|zeta|^2 |z|^2 - (z.zeta)^2, computed both as that Gram form and, by
+    Lagrange's identity, as the sum of the squared 2x2 minors of (zeta, z),
+    which must agree: the scan uses one form per dimension, so its oracle
+    rests on neither alone."""
+    dot = sum(a * b for a, b in zip(zeta, z))
+    gram = sum(a * a for a in zeta) * sum(b * b for b in z) - dot * dot
+    minors = sum((zeta[i] * z[j] - zeta[j] * z[i]) ** 2
+                 for i, j in itertools.combinations(range(len(z)), 2))
+    assert gram == minors, (zeta, z)
+    return gram
 
 
 def brute_direction_minima(R, d=2):

@@ -30,15 +30,17 @@ from conftest import (box_scan_ray_points, brute_forward, brute_line_count,
                       reference_obj_to_grid, reference_obj_to_sino,
                       reference_perp_family, reference_sweep, reference_traverse_cells,
                       traverse_cells)
-from lxray import (GridFunction, Plane, Ray, ball_count, canonical_primitives,
-                   cell_chord, chord_weight, constant_weight,
-                   correction_identity_check, count_connecting_lines,
-                   data_residual, enumerate_ball, farey_count,
+from lxray import (GridFunction, Plane, PreconditionError, Ray, ball_count,
+                   canonical_primitives, cell_chord, chord_weight,
+                   constant_weight, correction_identity_check,
+                   count_connecting_lines, data_residual,
+                   effectively_irrational, enumerate_ball, farey_count,
                    forward, forward_continuous, forward_continuous_family,
                    forward_family, forward_weighted, iterate_recon,
                    layer_recon, make_plan, norm2, one_point_directions,
-                   one_point_family, perp_family, points_on_ray, primitive,
-                   ray_key, recon_annulus, recon_shells, separation_margin)
+                   one_point_family, perp_family, perp_ray, points_on_ray,
+                   primitive, ray_key, recon_annulus, recon_shells,
+                   separation_margin)
 from lxray import PlanError, ZeroWeightError, cli
 from lxray import io as lio
 from lxray import counting, transform
@@ -46,7 +48,7 @@ from lxray.continuum import (_ball_line_status, _chord_sums,
                              _corrected_sinogram)
 from lxray.counting import (_direction_minimum, _lens_sizes,
                             _orbit_representatives, primitive_count)
-from lxray.lattice import count_within
+from lxray.lattice import as_fraction, count_within
 from lxray.recon import sweep_data
 from lxray.rays import is_perp_ray, ray_table, walk_box, walk_cells
 from lxray.transform import FamilyMeta
@@ -84,6 +86,37 @@ def test_separation_minimum_per_direction_matches_pair_scan(case):
         cols, norms = list(zip(*prefix)), list(map(norm2, prefix))
         assert _direction_minimum(rho, cols, norms) == least
     assert separation_margin(R, d) == brute_separation_margin(R, d)
+
+
+_BIG = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def plane_columns(draw):
+    # any nonzero direction, rows collinear with it (zero minors, the
+    # origin among them) and at least one row that is not
+    zeta = draw(st.tuples(_BIG, _BIG).filter(any))
+    g = math.gcd(*zeta)
+    step = (zeta[0] // g, zeta[1] // g)
+    rows = [(k * step[0], k * step[1])
+            for k in draw(st.lists(_BIG, max_size=8))]
+    rows += draw(st.lists(st.tuples(_BIG, _BIG), max_size=20))
+    rows.append(draw(st.tuples(_BIG, _BIG).filter(
+        lambda z: zeta[0] * z[1] != zeta[1] * z[0])))
+    return zeta, draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_columns())
+@example(((1, 0), [(0, 0), (5, 0), (-3, 0), (2 ** 64, 7)]))
+@example(((2 ** 63, -(2 ** 63) - 1), [(2 ** 63, -(2 ** 63) - 1), (1, 1)]))
+def test_direction_minimum_in_the_plane_is_the_gram_minimum(case):
+    zeta, rows = case
+    na = zeta[0] ** 2 + zeta[1] ** 2
+    grams = [na * (x * x + y * y) - (zeta[0] * x + zeta[1] * y) ** 2
+             for x, y in rows]
+    cols, norms = list(zip(*rows)), [x * x + y * y for x, y in rows]
+    assert _direction_minimum(zeta, cols, norms) == min(filter(None, grams))
 
 
 def _signed_permutations(d):
@@ -812,6 +845,63 @@ def _normal(plane):
 def test_perp_family_columns_match_the_per_point_family(case):
     points, plane = case
     assert perp_family(points, plane) == reference_perp_family(points, plane)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(*[_BIG] * d)),
+       st.booleans())
+@example((0, 0), False)
+@example((-3, 0), False)
+@example((0, 5, 1), False)
+@example((4, -6, 0, 0, 1), False)
+def test_perp_ray_is_the_one_point_family(z, flat):
+    if flat:  # the point with no in-plane part
+        z = (0, 0) + z[2:]
+    ray = perp_ray(z)
+    assert type(ray) is Ray
+    assert ray == reference_perp_family([z])[0][1] == perp_family([z])[0][1]
+
+
+@st.composite
+def irrationality_cases(draw):
+    d = draw(st.integers(1, 4))
+    theta = draw(st.tuples(*[st.integers(-7, 7)] * d))
+    if draw(st.booleans()) and any(theta):
+        theta = primitive(theta)  # so about half the draws are canonical
+    n2 = norm2(theta)
+    if draw(st.booleans()) and math.isqrt(n2) ** 2 == n2:
+        return theta, Fraction(math.isqrt(n2), 2)  # |theta|^2 = 4 r^2
+    return theta, draw(st.one_of(st.fractions(-9, 9, max_denominator=9),
+                                 st.integers(-9, 9),
+                                 st.floats(-9, 9, allow_nan=False),
+                                 st.sampled_from(["3/2", "abc", "1/0"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(irrationality_cases())
+@example(((3, 4), Fraction(5, 2)))
+@example(((1, 0, 0), Fraction(-1, 2)))
+@example(((2, 3, 6), "7/2"))
+@example(((0, -1), 1))
+@example(((), 1))
+def test_effectively_irrational_is_the_fraction_definition(case):
+    # the definition: a primitive() check, then 4 r^2 in Fractions
+    theta, r = case
+
+    def definition():
+        if not (any(theta) and theta == primitive(theta)):
+            raise PreconditionError(
+                "direction must be a canonical primitive vector")
+        rf = as_fraction(r)
+        return norm2(theta) > 4 * rf * rf
+
+    try:
+        want = definition()
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            effectively_irrational(theta, r)
+    else:
+        assert effectively_irrational(theta, r) is want
 
 
 @settings(max_examples=60, deadline=None)
