@@ -18,7 +18,7 @@ from operator import add, mul, neg, sub
 
 from .errors import BudgetError, PreconditionError
 from .lattice import (IntVec, as_fraction, ball_count, ball_radius, count_within,
-                      enumerate_ball, mobius_sieve, norm2)
+                      dots, enumerate_ball, mobius_sieve, norm2)
 
 # default ceiling on lens steps, directions x rows (d=4 radius 7 fits under it)
 DEFAULT_LENS_BUDGET = 150_000_000
@@ -237,10 +237,14 @@ def separation_margin(R, d: int = 2, *,
     # nonzero ball points, exact up to the budget
     _check_budget(count_within(d, rf * rf, budget + 1) - 1, rf, d, budget,
                   "separation tests")
-    prims = sorted(canonical_primitives(rf, d), key=norm2)
+    prims = canonical_primitives(rf, d)
     if not prims:
         raise PreconditionError("no non-collinear pairs at this radius")
-    cols, norms = list(zip(*prims)), list(map(norm2, prims))
+    # one column of squared norms, sorted with the points (stably, by it)
+    norms = dots(prims, prims)
+    at = sorted(range(len(prims)), key=norms.__getitem__)
+    prims, norms = list(map(prims.__getitem__, at)), list(map(norms.__getitem__, at))
+    cols = list(zip(*prims))
     # sorted absolute values: the orbit's member with nonnegative rising entries
     reps = {tuple(sorted(map(abs, zeta))) for zeta in prims}
     return min(_direction_minimum(rho, [col[:n] for col in cols], norms[:n])

@@ -204,7 +204,7 @@ def ray_boxes(rays: Sequence[Ray], num: int, den: int, place: IntVec,
 
 
 def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
-              ) -> tuple[list[IntVec], list[int], list[int]]:
+              ) -> tuple[list[IntVec], tuple[int, ...], list[int]]:
     """(points, gather, lens): ray i's lattice points with den |z|^2 <= num
     are points[gather[j]] for its next lens[i] slots j, in ray order; each
     distinct point is listed once, numbered by one int object. Rays of
@@ -213,7 +213,7 @@ def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
     firsts, steps, counts = ray_boxes(rays, num, den, place, offset)
     steps = [s or 1 for s in steps]  # a 0 step has one point at most
     number = defaultdict(count().__next__)  # box id -> point number
-    gather = list(map(number.__getitem__, chain.from_iterable(map(
+    gather = tuple(map(number.__getitem__, chain.from_iterable(map(
         range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
     return list(box_points(list(number), place, offset)), gather, counts
 

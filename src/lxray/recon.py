@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import (accumulate, chain, compress, count, filterfalse, islice,
                        repeat, starmap)
-from operator import (add, and_, eq, gt, is_not, itemgetter, le, lt, mul, ne,
-                      not_, or_, sub, truediv)
+from operator import (add, and_, eq, ge, gt, is_not, itemgetter, le, lt, mul,
+                      ne, not_, or_, sub, truediv)
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MissingDataError, PlanError, PreconditionError
@@ -22,9 +22,9 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       enumerate_ball)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
-                   ray_keys, ray_table, walk_box, walk_cells, walk_radius)
+                   ray_table, walk_box, walk_cells, walk_radius)
 from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
-                        weight_column)
+                        gather_at, weight_column)
 
 
 class ChordTable(NamedTuple):
@@ -39,7 +39,9 @@ class ChordTable(NamedTuple):
     targets of strictly larger in-plane norm that step i crosses, in walk
     order, their chords flat in ``outer_chords``: the layer sweep's steps.
     Ray j of ``rays`` (as walked, in ``plan.rays`` order) is step
-    ``at[j]``, of key ``keys[j]``.
+    ``at[j]``, of key ``keys[j]`` (the plan's ``step_map``): the plan's
+    sweep reads a sinogram of these keys by position. Each read of the
+    cells' values is one ``gather_at`` of ``ids``.
     """
 
     r2: Fraction
@@ -47,7 +49,7 @@ class ChordTable(NamedTuple):
     keys: tuple[RayKey, ...]
     at: array
     cells: tuple[IntVec, ...]
-    ids: list[int]
+    ids: tuple[int, ...]
     chords: array
     off_line: array
     lens: array
@@ -60,12 +62,29 @@ class ChordTable(NamedTuple):
     def column(self, values: Mapping[IntVec, float]) -> list[float]:
         """values[cell] (default 0.0) times chord per crossing, in walk order."""
         fv = list(map(values.get, self.cells, repeat(0.0)))
-        return list(map(mul, map(fv.__getitem__, self.ids), self.chords))
+        return list(map(mul, gather_at(fv, self.ids), self.chords))
 
     def sums(self, values: Mapping[IntVec, float]) -> Iterator[float]:
         """Each ray's sum of its column, in ``rays`` order."""
         full = list(step_sums(iter(self.column(values)), self.lens))
         return map(full.__getitem__, self.at)
+
+
+class StepMap(NamedTuple):
+    """Which sweep step each entry of ``plan.rays`` (targets to rays, as
+    mapped when this was built) is: entry j holds the ray the plan
+    compiled at step ``at[j]``, of line ``keys[j]``, the plan's own key
+    object; ``at[j]`` is -1 and ``keys[j]`` None where the entry is no
+    target or its ray was replaced after the compile. If two or more
+    entries are the steps one to one, step i is entry ``inverse[i]``;
+    else ``inverse`` is ().
+    """
+
+    targets: tuple[IntVec, ...]
+    rays: tuple[Ray, ...]
+    at: array
+    keys: tuple[RayKey | None, ...]
+    inverse: tuple[int, ...]
 
 
 def step_sums(terms: Iterator[float], lens: Iterable[int]) -> Iterator[float]:
@@ -82,9 +101,9 @@ class ReconPlan:
     ray order (``()`` if none). It refuses a negative radius, a target
     outside the ball or of another dimension, a ray missing its target or
     of another dimension, and a plan point on a target's ray not in an
-    earlier shell, the one exactness certificate. Tables and weight
-    columns are built when first read, out of equality and repr; each plan
-    is in ``PLANS``.
+    earlier shell, the one exactness certificate. The step map, tables
+    and weight columns are built when first read, out of equality and
+    repr; each plan is in ``PLANS``.
     """
 
     d: int
@@ -156,6 +175,7 @@ class ReconPlan:
                                 f"is not in an earlier shell")
             steps[me] = hits
         self.steps, self.keys = tuple(steps), tuple(keys)
+        self._compiled = rays
         PLANS[id(self)] = self
 
     def _for_weight(self, name: str, build: Callable[[Weight], object],
@@ -181,18 +201,43 @@ class ReconPlan:
             return list(map(float, map(w, at, on))), wz
         return self._for_weight("_sweep_weights", build, w)
 
+    def step_map(self) -> StepMap:
+        """The step map of ``rays`` as they are now, built when a table
+        first needs it and kept (as ``_step_map``, which the sweep reads)
+        while the entries stay these very rays."""
+        targets, rays = tuple(self.rays), tuple(self.rays.values())
+        m = vars(self).get("_step_map")
+        if m is not None and (m.targets, m.rays) == (targets, rays):
+            return m
+        step_of = dict(zip(self.order, count()))
+        at = array("i", map(step_of.get, targets, repeat(-1)))
+        compiled = (*self._compiled, None)  # step -1 reads None
+        for j in compress(count(), map(is_not, rays, map(compiled.__getitem__, at))):
+            at[j] = -1
+        keys = tuple(map((*self.keys, None).__getitem__, at))
+        inverse = ()
+        if len(at) == len(self.order) > 1 and -1 not in at:  # one to one
+            inverse = tuple(sorted(range(len(at)), key=at.__getitem__))
+        m = self._step_map = StepMap(targets, rays, at, keys, inverse)
+        return m
+
     @cached_property
     def forward_table(self) -> ForwardTable:
         """The rays as they are now, compiled for ``forward_family``, with
-        the plan's own target tuples and line keys."""
+        the plan's own target tuples and, through the step map, line keys;
+        a ray not compiled by the plan is keyed afresh."""
         r2 = ball_radius(self.d, self.support_radius) ** 2
         rays = tuple(self.rays.values())
         if not set(map(len, chain.from_iterable(rays))) <= {self.d}:
             raise PreconditionError("ray and grid dimensions differ")
         points, gather, lens = ray_table(rays, self.d, r2.numerator,
                                          r2.denominator)
-        keys, mine = ray_keys(rays), dict(zip(self.keys, self.keys))
-        keys = tuple(map(mine.get, keys, keys))
+        _, _, at, keys, _ = self.step_map()
+        if -1 in at:
+            keys = list(keys)
+            for j in compress(count(), map(lt, at, repeat(0))):
+                keys[j] = ray_key(rays[j])
+            keys = tuple(keys)
         mine = dict(zip(self.order, self.order))
         return ForwardTable(r2, rays, list(map(mine.get, points, points)),
                             gather, lens, keys)
@@ -217,12 +262,12 @@ class ReconPlan:
         inside = list(map(le, map(mul, dots(others, others),
                                   repeat(r2.denominator)), repeat(r2.numerator)))
         cell_id.update(zip(compress(new, inside), count(len(cell_id))))
-        # a list of cell_id's own ints: no int is boxed per read
+        # cell_id's own ints: no int is boxed per read
         ids = list(map(cell_id.get, chain.from_iterable(map(itemgetter(0), walks))))
         kept = list(map(is_not, ids, repeat(None)))
         lens = array("i", map(sum, map(islice, repeat(iter(kept)),
                                        map(len, map(itemgetter(0), walks)))))
-        ids = list(compress(ids, kept))
+        ids = tuple(compress(ids, kept))
         chords = array("d", compress(chain.from_iterable(
             map(itemgetter(1), walks)), kept))
         off_line = array("b", map(not_, compress(chain.from_iterable(
@@ -238,12 +283,11 @@ class ReconPlan:
         outer_ids = iter(compress(ids, outer))
         outer_lens = map(sum, map(islice, repeat(iter(outer)), lens))
         steps = tuple(map(tuple, map(islice, repeat(outer_ids), outer_lens)))
-        step_of = dict(zip(self.order, count()))
-        at = array("i", map(step_of.__getitem__, filter(step_of.__contains__,
-                                                        self.rays)))
+        m = self.step_map()
+        held = list(map(ge, m.at, repeat(0)))
+        at = array("i", compress(m.at, held))
         return ChordTable(
-            r2, tuple(map(rays.__getitem__, at)),
-            tuple(map(self.keys.__getitem__, at)), at,
+            r2, tuple(map(rays.__getitem__, at)), tuple(compress(m.keys, held)), at,
             (*self.order, *compress(others, inside)), ids, chords, off_line,
             lens, array("i", map(sum, map(islice, repeat(iter(off_line)), lens))),
             array("i", accumulate(lens)), array("d", map(cell_chord, rays, self.order)),
@@ -304,7 +348,14 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
 
 def sweep_data(g: Sinogram, plan: ReconPlan) -> list[float]:
     """Each sweep step's datum, in step order; the first missing one is an
-    error."""
+    error. Entries keyed, in order, by the keys of the plan's built step
+    map (its tables write these very objects, so the compare is by
+    pointer) are read by position, through the map's inverse, with no
+    lookup per step; any other sinogram is read by key."""
+    m = vars(plan).get("_step_map")
+    if (m is not None and m.inverse and len(g.entries) == len(m.keys)
+            and tuple(g.entries) == m.keys):
+        return list(itemgetter(*m.inverse)(tuple(g.entries.values())))
     vals = list(map(g.entries.get, plan.keys))
     if None in vals:
         raise MissingDataError(

@@ -144,6 +144,15 @@ def _check_dim(f: GridFunction, ray: Ray) -> None:
         raise PreconditionError("ray and grid dimensions differ")
 
 
+def gather_at(values: Sequence, at: tuple[int, ...]) -> Sequence:
+    """values[i] for each i of at: one ``itemgetter`` call, which shares the
+    tuple at, where at holds two or more; else by ``map``, since there the
+    getter returns a scalar or cannot be built."""
+    if len(at) > 1:
+        return itemgetter(*at)(values)
+    return list(map(values.__getitem__, at))
+
+
 def weight_column(weight: Weight, points: Sequence[IntVec],
                   dirs: Iterable[IntVec]) -> list[float]:
     """weight(points[i], dirs[i]) as doubles, refused at the first zero."""
@@ -155,20 +164,23 @@ def weight_column(weight: Weight, points: Sequence[IntVec],
 
 class ForwardTable(NamedTuple):
     """Rays compiled for the forward in the ball |z|^2 <= r2 (``ray_table``):
-    ray i sums points[gather[j]] over its next lens[i] slots j. A plan's
-    table keeps its rays' line keys; a fresh one leaves them to the caller."""
+    ray i sums points[gather[j]] over its next lens[i] slots j; each read
+    of the columns is one ``gather_at``. A plan's table keeps its rays' line
+    keys, the plan's own key objects in ``plan.rays`` order, so the plan's
+    sweep reads its sinogram by position; a fresh one leaves them to the
+    caller."""
 
     r2: Fraction
     rays: tuple[Ray, ...]
     points: list[IntVec]
-    gather: list[int]
+    gather: tuple[int, ...]
     lens: list[int]
     keys: tuple[RayKey, ...] = ()
 
     def weights(self, weight: Weight) -> list[float]:
         """weight(point, ray.dir) per incidence, in gather order."""
         dirs = map(repeat, map(itemgetter(1), self.rays), self.lens)
-        return weight_column(weight, list(map(self.points.__getitem__, self.gather)),
+        return weight_column(weight, gather_at(self.points, self.gather),
                              chain.from_iterable(dirs))
 
     def sums(self, values: dict[IntVec, float],
@@ -176,7 +188,7 @@ class ForwardTable(NamedTuple):
         """The per-call sums: in ray order from +0.0, of weights[j] * value
         if weighted, from one stream."""
         vals = list(map(values.get, self.points, repeat(0.0)))
-        stream = map(vals.__getitem__, self.gather)
+        stream = iter(gather_at(vals, self.gather))
         if weights is not None:
             stream = map(mul, weights, stream)
         return map(sum, map(islice, repeat(stream), self.lens), repeat(0.0))

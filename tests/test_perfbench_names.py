@@ -6,6 +6,7 @@ removed function would only fail a traced benchmark run. The tables are
 read as they are, from the file. The in-memory round trips must also keep
 reading their plans' compiled tables, so a change that sends them back to
 the per-call forward fails here instead of only slowing the benchmark, and
+their sweeps must read those tables' sinograms by position, not by key, and
 their phantoms must pass ``GridFunction``'s column checks with their keys
 kept, never walked point by point, and the continuum forward and rounds
 must read their plans' chord tables, one pass per forward and per iterate.
@@ -51,6 +52,32 @@ def test_shell_round_trips_project_through_their_plans(monkeypatch):
         raise AssertionError("the forward left the plan's table")
 
     monkeypatch.setattr(transform, "ray_table", per_call)  # a fresh table
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
+    for op in ops:
+        op.check(op.run())
+
+
+def test_shell_round_trips_read_their_sinograms_by_position(monkeypatch):
+    # each sinogram comes from its plan's table, so the sweep looks up no key
+    shell = runpy.run_path(str(PERFBENCH / "workloads.py"))["ShellRoundtrip"]
+    work = shell(5, shell.TINY)
+    work.prepare()
+
+    class Unkeyed(dict):
+        def get(self, *args):
+            raise AssertionError("the sweep looked a datum up by key")
+
+        __getitem__ = get
+
+    project = transform.forward_family
+
+    def positional(*args, **kwargs):
+        g = project(*args, **kwargs)
+        g.entries = Unkeyed(g.entries)
+        return g
+
+    monkeypatch.setattr(transform, "forward_family", positional)
     ops = work.ops(0)
     assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
     for op in ops:

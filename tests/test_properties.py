@@ -10,7 +10,8 @@ import re
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul, neg, sub
+from functools import reduce
+from operator import add, is_, mul, neg, sub
 from unittest import mock
 
 import pytest
@@ -41,7 +42,7 @@ from lxray import (GridFunction, Plane, PreconditionError, Ray, ball_count,
                    one_point_family, perp_family, perp_ray, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
-from lxray import PlanError, ZeroWeightError, cli
+from lxray import MissingDataError, PlanError, ZeroWeightError, cli
 from lxray import io as lio
 from lxray import counting, transform
 from lxray.continuum import (_ball_line_status, _chord_sums,
@@ -552,9 +553,110 @@ def test_a_plan_table_gathers_one_int_object_per_point(case):
     # reading the column boxes no int
     d, r, plane, alpha, beta, seed = case
     table = make_plan(d, r, plane=plane, alpha=alpha, beta=beta).forward_table
-    assert type(table.gather) is list and type(table.lens) is list
+    assert type(table.gather) is tuple and type(table.lens) is list
     assert len(set(map(id, table.gather))) == len(table.points)
     assert sum(table.lens) == len(table.gather)
+
+
+def _read_by_key(g, plan):
+    """Each sweep step's datum looked up by its line key, the first
+    missing one named (the sweep's read by key, written out)."""
+    data = []
+    for z, key in zip(plan.order, plan.keys):
+        if key not in g.entries:
+            raise MissingDataError(f"no sinogram entry for ray of {z}")
+        data.append(g.entries[key])
+    return data
+
+
+class _Unkeyed(dict):
+    """Entries that refuse every lookup by key."""
+
+    def get(self, *args):
+        raise AssertionError("a datum was looked up by key")
+
+    __getitem__ = get
+
+
+def _sweep_read(read, g, plan):
+    try:
+        return [v.hex() for v in read(g, plan)]
+    except MissingDataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(round_trip_cases(), st.sampled_from(("none", "const")))
+def test_the_sweep_reads_a_table_sinogram_by_position_as_by_key(case, name):
+    # sinograms of the plan's own tables (read by position), of a fresh
+    # table with equal keys and of a shuffled family, on distinct values
+    # so that a wrong step map shows; then each less one entry
+    d, r, plane, alpha, beta, seed = case
+    weight, rng = WEIGHTS[name], random.Random(seed)
+    f = _phantoms(d, r, seed)[1]
+    gc.collect()  # no earlier example's plan serves these rays
+    plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
+    family = list(plan.rays.items())
+    own = forward_family(f, family, weight=weight)
+    m = vars(plan)["_step_map"]
+    assert all(map(is_, own.entries, m.keys)) and len(own.entries) == len(m.keys)
+    assert bool(m.inverse) == (len(plan.order) > 1)
+    if m.inverse:  # read by position: no key is looked up
+        unkeyed = transform.Sinogram(d, _Unkeyed(own.entries), own.meta, own.family)
+        assert _sweep_read(sweep_data, unkeyed, plan) == _sweep_read(
+            _read_by_key, own, plan)
+    sinos = [own]
+    if weight is None:
+        sinos.append(forward_continuous_family(f, family))
+        assert all(map(is_, sinos[-1].entries, m.keys))
+    with mock.patch.object(transform, "_plan_table", return_value=None):
+        fresh = forward_family(f, family, weight=weight)
+    assert list(fresh.entries) == list(m.keys)
+    shuffled = rng.sample(family, len(family))
+    sinos += [fresh, forward_family(f, shuffled, weight=weight)]
+    for g in sinos:
+        data = _sweep_read(sweep_data, g, plan)
+        assert data == _sweep_read(_read_by_key, g, plan)
+        assert type(data) is str or type(sweep_data(g, plan)) is list
+        if g.entries:
+            gone = rng.choice(list(g.entries))
+            # less one entry, and the same in place of another key
+            for entries in ({k: v for k, v in g.entries.items() if k != gone},
+                            {(k if k != gone else (k[0], (7,) * d)): v
+                             for k, v in g.entries.items()}):
+                less = transform.Sinogram(g.d, entries, g.meta, g.family)
+                message = _sweep_read(sweep_data, less, plan)
+                assert message == _sweep_read(_read_by_key, less, plan)
+                assert message.startswith("no sinogram entry for ray of ")
+
+
+def test_tables_of_fewer_than_two_incidences_sum_as_before():
+    # 0, 1 and 2 incidences: the column reads without itemgetter where it
+    # would return a scalar or cannot be built, and every sum starts at +0.0
+    f = GridFunction(2, 1, {(0, 0): 2.5, (1, 0): -0.0, (0, 1): -0.0,
+                            (-1, 0): 0.75, (0, -1): 3.0})
+    weight = _varying_weight
+    for ray, n in ((Ray((5, 5), (1, 0)), 0), (Ray((1, 7), (0, 1)), 1),
+                   (Ray((0, 1), (1, 0)), 1), (Ray((1, 0), (1, -1)), 2),
+                   (Ray((-1, 0), (1, 1)), 2), (Ray((0, 0), (1, 0)), 3)):
+        points = brute_ray_points(ray, f.support_radius)
+        assert len(points) == n
+        plain = reduce(add, [f.get(z) for z in points], 0.0)
+        weighted = reduce(add, [weight(z, ray.dir) * f.get(z) for z in points], 0.0)
+        assert forward(f, ray).hex() == plain.hex()
+        assert forward_weighted(f, ray, weight).hex() == weighted.hex()
+    assert forward(f, Ray((1, 0), (1, -1))).hex() == (0.0).hex()  # -0.0 + -0.0
+    for d in (2, 3):  # one target, one incidence, one crossing
+        zero = GridFunction(d, 0, {(0,) * d: -1.25})
+        plan = make_plan(d, 0)
+        family = list(plan.rays.items())
+        g = forward_family(zero, family)
+        assert len(plan.forward_table.gather) == len(plan.chord_table.ids) == 1
+        assert _hexed(g) == [(plan.keys[0], (-1.25).hex())]
+        assert sweep_data(g, plan) == [-1.25] and not plan.step_map().inverse
+        assert values_equal(recon_shells(g, plan), zero)
+        assert _hexed(forward_continuous_family(zero, family)) == [
+            (plan.keys[0], reference_forward_continuous(zero, family[0][1]).hex())]
 
 
 def _weight_runs(d, r, plane, alpha, beta, f, weight):

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,8 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    forward_family, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, Ray, recon_annulus,
                    recon_one_point, recon_shells, recon_shells_weighted,
-                   Sinogram, ZeroWeightError, forward, ray_key)
+                   Sinogram, ZeroWeightError, forward,
+                   forward_continuous_family, ray_key)
 from lxray import transform
 
 
@@ -473,6 +475,41 @@ def test_a_plan_changed_after_compiling_never_gives_stale_sums():
     assert hexed(forward_family(small, plan.rays.items())) == \
         per_ray(small, plan.rays.values())
     assert plan.forward_table is table
+
+
+def test_a_ray_replaced_after_the_step_map_is_built_is_keyed_afresh():
+    # the chord table builds the step map; the forward table compiled
+    # after a ray is replaced must key that ray by its own line
+    plan = make_plan(2, 3)
+    f = random_int_grid(2, 3, seed=7)
+    plan.chord_table
+    z = next(y for y, ray in plan.rays.items() if ray.dir != (1, 0))
+    old = plan.rays[z]
+    plan.rays[z] = Ray(z, (1, 0))
+    g = forward_family(f, plan.rays.items())
+    assert hexed(g) == per_ray(f, plan.rays.values())
+    assert ray_key(old) not in g.entries
+    with pytest.raises(MissingDataError,
+                       match=re.escape(f"no sinogram entry for ray of {z}")):
+        recon_shells(g, plan)
+    plan.rays[z] = old
+    assert values_equal(recon_shells(forward_family(f, plan.rays.items()), plan), f)
+
+
+def test_a_ray_replaced_before_the_tables_are_built_is_keyed_by_its_line():
+    # both tables are compiled after the change: neither may key the new
+    # ray by the line the plan compiled for its target
+    plan = make_plan(2, 3)
+    f = random_int_grid(2, 3, seed=7)
+    z = next(y for y, ray in plan.rays.items() if ray.dir != (1, 0))
+    plan.rays[z] = Ray(z, (1, 0))
+    lines = list(dict.fromkeys(map(ray_key, plan.rays.values())))
+    for project in (forward_continuous_family, forward_family):
+        g = project(f, plan.rays.items())
+        with mock.patch.object(transform, "_plan_table", return_value=None):
+            assert hexed(g) == hexed(project(f, plan.rays.items()))
+        assert list(g.entries) == lines
+    assert "chord_table" in vars(plan) and "forward_table" in vars(plan)
 
 
 def test_threads_building_and_projecting_plans_agree():
