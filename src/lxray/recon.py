@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import (accumulate, chain, compress, count, filterfalse, islice,
                        repeat, starmap)
-from operator import (add, and_, eq, ge, gt, is_not, itemgetter, le, lt, mul,
-                      ne, not_, or_, sub, truediv)
+from operator import (add, and_, eq, gt, is_not, itemgetter, le, lt, mul, ne,
+                      not_, or_, sub, truediv)
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MissingDataError, PlanError, PreconditionError
@@ -28,26 +29,19 @@ from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
 
 
 class ChordTable(NamedTuple):
-    """Every plan ray's cell walk in the ball of radius r + sqrt(d), r^2 =
-    r2, kept only at cells of the support ball (den |c|^2 <= num): step i's
-    ray crosses the ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]`` (chords
-    and off-line flags in the same slots), ``off_lens[i]`` of them off its
-    line; ``central[i]`` is the chord through its target's cell. A cell
-    outside the ball holds no value of an f of at most the plan's radius:
-    its term chord * 0.0 = +0.0 would change no sum from +0.0. Cell i is
+    """Each sweep step's cell walk in the ball of radius r + sqrt(d), kept
+    only at cells of the support ball: step i's ray crosses the
+    ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]`` (chords and off-line
+    flags in the same slots), ``off_lens[i]`` of them off its line;
+    ``central[i]`` is the chord through its target's cell. A cell outside
+    the ball holds no value of an f of at most the plan's radius: its term
+    chord * 0.0 = +0.0 would change no sum from +0.0. Cell i is
     ``order[i]``, then cells of no target. ``outer[i]`` lists the earlier
     targets of strictly larger in-plane norm that step i crosses, in walk
     order, their chords flat in ``outer_chords``: the layer sweep's steps.
-    Ray j of ``rays`` (as walked, in ``plan.rays`` order) is step
-    ``at[j]``, of key ``keys[j]`` (the plan's ``step_map``): the plan's
-    sweep reads a sinogram of these keys by position. Each read of the
-    cells' values is one ``gather_at`` of ``ids``.
+    Each read of the cells' values is one ``gather_at`` of ``ids``.
     """
 
-    r2: Fraction
-    rays: tuple[Ray, ...]
-    keys: tuple[RayKey, ...]
-    at: array
     cells: tuple[IntVec, ...]
     ids: tuple[int, ...]
     chords: array
@@ -65,26 +59,8 @@ class ChordTable(NamedTuple):
         return list(map(mul, gather_at(fv, self.ids), self.chords))
 
     def sums(self, values: Mapping[IntVec, float]) -> Iterator[float]:
-        """Each ray's sum of its column, in ``rays`` order."""
-        full = list(step_sums(iter(self.column(values)), self.lens))
-        return map(full.__getitem__, self.at)
-
-
-class StepMap(NamedTuple):
-    """Which sweep step each entry of ``plan.rays`` (targets to rays, as
-    mapped when this was built) is: entry j holds the ray the plan
-    compiled at step ``at[j]``, of line ``keys[j]``, the plan's own key
-    object; ``at[j]`` is -1 and ``keys[j]`` None where the entry is no
-    target or its ray was replaced after the compile. If two or more
-    entries are the steps one to one, step i is entry ``inverse[i]``;
-    else ``inverse`` is ().
-    """
-
-    targets: tuple[IntVec, ...]
-    rays: tuple[Ray, ...]
-    at: array
-    keys: tuple[RayKey | None, ...]
-    inverse: tuple[int, ...]
+        """Each step's sum of its column, in step order."""
+        return step_sums(iter(self.column(values)), self.lens)
 
 
 def step_sums(terms: Iterator[float], lens: Iterable[int]) -> Iterator[float]:
@@ -93,68 +69,70 @@ def step_sums(terms: Iterator[float], lens: Iterable[int]) -> Iterator[float]:
     return map(reduce, repeat(add), map(islice, repeat(terms), lens), repeat(0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconPlan:
-    """Everything a shell sweep needs, compiled once (slices by key, shells
-    outermost first): step i recovers ``order[i]`` from line ``keys[i]``;
-    ``steps[i]`` holds the steps of the other plan points on that ray, in
-    ray order (``()`` if none). It refuses a negative radius, a target
-    outside the ball or of another dimension, a ray missing its target or
-    of another dimension, and a plan point on a target's ray not in an
-    earlier shell, the one exactness certificate. The step map, tables
-    and weight columns are built when first read, out of equality and
-    repr; each plan is in ``PLANS``.
+    """Everything a shell sweep needs, compiled once and immutable (slices
+    by key, shells outermost first): step i recovers ``order[i]`` from line
+    ``keys[i]``, on ray ``sweep_rays[i]``; ``steps[i]`` holds the steps of
+    the other plan points on that ray, in ray order (``()`` if none).
+    ``rays`` is read-only, each target's ray in step order. It refuses a
+    negative radius, a target outside the ball or of another dimension, a
+    ray missing its target or of another dimension, and a plan point on a
+    target's ray not in an earlier shell, the one exactness certificate.
+    The tables and weight columns are built when first read, out of
+    equality and repr; each plan is in ``PLANS``.
     """
 
     d: int
     support_radius: Fraction
     points: tuple[IntVec, ...]
-    rays: dict[IntVec, Ray]
+    rays: Mapping[IntVec, Ray]
     slices: dict[IntVec, ShellDecomposition]
     plane: Plane | None = None
     weight: Weight | None = None
     order: tuple[IntVec, ...] = field(init=False, repr=False)
     keys: tuple[RayKey, ...] = field(init=False, repr=False)
     steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    sweep_rays: tuple[Ray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        r2 = ball_radius(self.d, self.support_radius) ** 2
+        radius = ball_radius(self.d, self.support_radius)
+        r2 = radius ** 2
         shells = [s for k in sorted(self.slices) for s in self.slices[k].shells]
-        self.order = tuple(chain.from_iterable(shells))
-        for z in self.order:
+        order = tuple(chain.from_iterable(shells))
+        for z in order:
             if len(z) != self.d:
                 raise PreconditionError(f"target {z} has wrong dimension")
-        norms = dots(self.order, self.order)
+        norms = dots(order, order)
         top = max(norms, default=0)
         if top > r2:
-            far = next(z for z, n in zip(self.order, norms) if n > r2)
+            far = next(z for z, n in zip(order, norms) if n > r2)
             raise PreconditionError(f"target {far} outside the support ball")
         # no plan point lies beyond the farthest target: walk rays that far
         place, offset, _ = box_index(self.d, top, 1)
-        rays = list(map(self.rays.__getitem__, self.order))
+        rays = tuple(map(self.rays.__getitem__, order))
         dims = list(map(len, chain.from_iterable(rays)))  # base, dir, base, ...
         if dims.count(self.d) < len(dims):
             bad = next(compress(count(), map(ne, dims, repeat(self.d)))) // 2
-            raise PlanError(f"the ray of {self.order[bad]} does not pass through it")
+            raise PlanError(f"the ray of {order[bad]} does not pass through it")
         bases, dirs = list(map(itemgetter(0), rays)), list(map(itemgetter(1), rays))
         # canonical primitive: gcd 1 and the first nonzero entry positive
         canonical = list(map(and_, map(eq, starmap(math.gcd, dirs), repeat(1)),
                              map(gt, dirs, repeat((0,) * self.d))))
         if not all(canonical):
             bad = canonical.index(False)
-            raise PlanError(f"the ray of {self.order[bad]} has direction "
+            raise PlanError(f"the ray of {order[bad]} has direction "
                             f"{dirs[bad]}, not a canonical primitive vector")
         firsts, strides, counts = ray_boxes(rays, top, 1, place, offset)
-        boxes = box_ids(self.order, place, offset)
+        boxes = box_ids(order, place, offset)
         # a ray based at its target holds it; only one based elsewhere, or
         # with base.dir != 0, is looked for on its line and keyed afresh
-        keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, self.order)))
-        for i in compress(count(), map(or_, map(ne, bases, self.order),
-                                      dots(self.order, dirs))):
+        keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, order)))
+        for i in compress(count(), map(or_, map(ne, bases, order),
+                                      dots(order, dirs))):
             k, rest = divmod(boxes[i] - firsts[i], strides[i] or 1)
             if rest or not 0 <= k < counts[i]:
-                raise PlanError(
-                    f"the ray of {self.order[i]} does not pass through it")
+                raise PlanError(f"the ray of {order[i]} does not pass through it")
             keys[i] = ray_key(rays[i])
         step_of = dict(zip(boxes, count()))
         # each step's first step of its shell: from there on, not yet swept
@@ -170,77 +148,42 @@ class ReconPlan:
             hits = tuple(map(step_of.__getitem__,
                              filter(step_of.__contains__, span)))
             if hits and max(hits) >= head:
-                late = self.order[next(i for i in hits if i >= head)]
-                raise PlanError(f"{late} on the ray of {self.order[me]} "
+                late = order[next(i for i in hits if i >= head)]
+                raise PlanError(f"{late} on the ray of {order[me]} "
                                 f"is not in an earlier shell")
             steps[me] = hits
-        self.steps, self.keys = tuple(steps), tuple(keys)
-        self._compiled = rays
+        for name, value in (("support_radius", radius), ("order", order),
+                            ("keys", tuple(keys)), ("steps", tuple(steps)),
+                            ("sweep_rays", rays),
+                            ("rays", MappingProxyType(dict(zip(order, rays))))):
+            object.__setattr__(self, name, value)
         PLANS[id(self)] = self
 
-    def _for_weight(self, name: str, build: Callable[[Weight], object],
-                    w: Weight):
-        """build(w), kept until another weight is asked for."""
-        got = vars(self).get(name)
-        if got is None or got[0] is not w:
-            got = vars(self)[name] = w, build(w)
-        return got[1]
+    @cached_property
+    def forward_weights(self) -> list[float]:
+        """The weight at each ``forward_table`` incidence, in gather order."""
+        return self.forward_table.weights(self.weight)
 
-    def forward_weights(self, w: Weight) -> list[float]:
-        """w at each ``forward_table`` incidence, in gather order."""
-        return self._for_weight("_forward_weights", self.forward_table.weights, w)
-
-    def sweep_weights(self, w: Weight) -> tuple[list, list]:
-        """w at each ``steps`` incidence (flat) and each target, on the
-        compiled ray's direction."""
-        def build(w: Weight) -> tuple[list, list]:
-            dirs = list(map(itemgetter(0), self.keys))
-            wz = weight_column(w, self.order, dirs)
-            at = map(self.order.__getitem__, chain.from_iterable(self.steps))
-            on = chain.from_iterable(map(repeat, dirs, map(len, self.steps)))
-            return list(map(float, map(w, at, on))), wz
-        return self._for_weight("_sweep_weights", build, w)
-
-    def step_map(self) -> StepMap:
-        """The step map of ``rays`` as they are now, built when a table
-        first needs it and kept (as ``_step_map``, which the sweep reads)
-        while the entries stay these very rays."""
-        targets, rays = tuple(self.rays), tuple(self.rays.values())
-        m = vars(self).get("_step_map")
-        if m is not None and (m.targets, m.rays) == (targets, rays):
-            return m
-        step_of = dict(zip(self.order, count()))
-        at = array("i", map(step_of.get, targets, repeat(-1)))
-        compiled = (*self._compiled, None)  # step -1 reads None
-        for j in compress(count(), map(is_not, rays, map(compiled.__getitem__, at))):
-            at[j] = -1
-        keys = tuple(map((*self.keys, None).__getitem__, at))
-        inverse = ()
-        if len(at) == len(self.order) > 1 and -1 not in at:  # one to one
-            inverse = tuple(sorted(range(len(at)), key=at.__getitem__))
-        m = self._step_map = StepMap(targets, rays, at, keys, inverse)
-        return m
+    @cached_property
+    def sweep_weights(self) -> tuple[list, list]:
+        """The weight at each ``steps`` incidence (flat) and each target,
+        on the compiled ray's direction."""
+        dirs = list(map(itemgetter(0), self.keys))
+        wz = weight_column(self.weight, self.order, dirs)
+        at = map(self.order.__getitem__, chain.from_iterable(self.steps))
+        on = chain.from_iterable(map(repeat, dirs, map(len, self.steps)))
+        return list(map(float, map(self.weight, at, on))), wz
 
     @cached_property
     def forward_table(self) -> ForwardTable:
-        """The rays as they are now, compiled for ``forward_family``, with
-        the plan's own target tuples and, through the step map, line keys;
-        a ray not compiled by the plan is keyed afresh."""
-        r2 = ball_radius(self.d, self.support_radius) ** 2
-        rays = tuple(self.rays.values())
-        if not set(map(len, chain.from_iterable(rays))) <= {self.d}:
-            raise PreconditionError("ray and grid dimensions differ")
-        points, gather, lens = ray_table(rays, self.d, r2.numerator,
+        """The rays compiled for ``forward_family``, in step order, with
+        the plan's own target tuples."""
+        r2 = self.support_radius ** 2
+        points, gather, lens = ray_table(self.sweep_rays, self.d, r2.numerator,
                                          r2.denominator)
-        _, _, at, keys, _ = self.step_map()
-        if -1 in at:
-            keys = list(keys)
-            for j in compress(count(), map(lt, at, repeat(0))):
-                keys[j] = ray_key(rays[j])
-            keys = tuple(keys)
         mine = dict(zip(self.order, self.order))
-        return ForwardTable(r2, rays, list(map(mine.get, points, points)),
-                            gather, lens, keys)
+        return ForwardTable(self.sweep_rays, list(map(mine.get, points, points)),
+                            gather, lens)
 
     @cached_property
     def chord_table(self) -> ChordTable:
@@ -248,7 +191,7 @@ class ReconPlan:
         once), and the layer sweep's steps."""
         radius = walk_radius(self.d, self.support_radius)
         place, offset = walk_box(self.d, radius)
-        rays = list(map(self.rays.__getitem__, self.order))
+        rays = self.sweep_rays
         walks: list[tuple] = [((), (), ())] * len(rays)
         for i, walk_ids, chords, on_line in walk_cells(rays, radius):
             walks[i] = walk_ids, chords, on_line
@@ -283,11 +226,7 @@ class ReconPlan:
         outer_ids = iter(compress(ids, outer))
         outer_lens = map(sum, map(islice, repeat(iter(outer)), lens))
         steps = tuple(map(tuple, map(islice, repeat(outer_ids), outer_lens)))
-        m = self.step_map()
-        held = list(map(ge, m.at, repeat(0)))
-        at = array("i", compress(m.at, held))
         return ChordTable(
-            r2, tuple(map(rays.__getitem__, at)), tuple(compress(m.keys, held)), at,
             (*self.order, *compress(others, inside)), ids, chords, off_line,
             lens, array("i", map(sum, map(islice, repeat(iter(off_line)), lens))),
             array("i", accumulate(lens)), array("d", map(cell_chord, rays, self.order)),
@@ -348,15 +287,12 @@ def make_plan(d: int, support_radius, points: Iterable[IntVec] | None = None,
 
 def sweep_data(g: Sinogram, plan: ReconPlan) -> list[float]:
     """Each sweep step's datum, in step order; the first missing one is an
-    error. Entries keyed, in order, by the keys of the plan's built step
-    map (its tables write these very objects, so the compare is by
-    pointer) are read by position, through the map's inverse, with no
-    lookup per step; any other sinogram is read by key."""
-    m = vars(plan).get("_step_map")
-    if (m is not None and m.inverse and len(g.entries) == len(m.keys)
-            and tuple(g.entries) == m.keys):
-        return list(itemgetter(*m.inverse)(tuple(g.entries.values())))
-    vals = list(map(g.entries.get, plan.keys))
+    error. Entries keyed by the plan's keys in step order, as its tables
+    write them, are read by position; any other sinogram is read by key."""
+    entries = g.entries
+    if len(entries) == len(plan.keys) and tuple(entries) == plan.keys:
+        return list(entries.values())
+    vals = list(map(entries.get, plan.keys))
     if None in vals:
         raise MissingDataError(
             f"no sinogram entry for ray of {plan.order[vals.index(None)]}")
@@ -377,7 +313,7 @@ def recon_shells(g: Sinogram, plan: ReconPlan) -> GridFunction:
             # zeros are skipped: -0.0 - -0.0 would be +0.0
             vals[i] = reduce(sub, filter(None, map(get, s)), vals[i])
     else:
-        vals = weighted_sweep(vals, steps, *plan.sweep_weights(w))
+        vals = weighted_sweep(vals, steps, *plan.sweep_weights)
     return GridFunction.over_checked_points(plan.d, plan.support_radius,
                                             plan.order, vals)
 

@@ -163,19 +163,16 @@ def weight_column(weight: Weight, points: Sequence[IntVec],
 
 
 class ForwardTable(NamedTuple):
-    """Rays compiled for the forward in the ball |z|^2 <= r2 (``ray_table``):
-    ray i sums points[gather[j]] over its next lens[i] slots j; each read
-    of the columns is one ``gather_at``. A plan's table keeps its rays' line
-    keys, the plan's own key objects in ``plan.rays`` order, so the plan's
-    sweep reads its sinogram by position; a fresh one leaves them to the
-    caller."""
+    """Rays compiled for the forward in a ball (``ray_table``): ray i sums
+    points[gather[j]] over its next lens[i] slots j; each read of the
+    columns is one ``gather_at``. A plan's table holds its rays in step
+    order, so its sums are keyed by the plan's keys and its sweep reads
+    them by position."""
 
-    r2: Fraction
     rays: tuple[Ray, ...]
     points: list[IntVec]
     gather: tuple[int, ...]
     lens: list[int]
-    keys: tuple[RayKey, ...] = ()
 
     def weights(self, weight: Weight) -> list[float]:
         """weight(point, ray.dir) per incidence, in gather order."""
@@ -199,8 +196,8 @@ def _fresh_sums(f: GridFunction, rays: Sequence[Ray],
     """The rays' sums by a fresh ``ForwardTable`` of them, as on the plan
     path: the same terms, in the same order, summed alike."""
     r2 = f.support_radius ** 2
-    t = ForwardTable(r2, tuple(rays),
-                     *ray_table(rays, f.d, r2.numerator, r2.denominator))
+    t = ForwardTable(tuple(rays), *ray_table(rays, f.d, r2.numerator,
+                                             r2.denominator))
     return list(t.sums(f.values, None if weight is None else t.weights(weight)))
 
 
@@ -217,17 +214,15 @@ def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
 
 
 def _plan_table(f: GridFunction, rays: tuple[Ray, ...],
-                weight: Weight | None = None, name: str = "forward_table"):
-    """A live plan whose table ``name`` (``forward_table`` or
-    ``chord_table``) serves f on these rays (and weight)."""
-    r2 = f.support_radius ** 2
+                weight: Weight | None = None):
+    """A live plan of f's dimension and radius compiled on these very rays
+    in step order (weighted: for this very weight), whose tables serve f."""
     for plan in [ref() for ref in PLANS.valuerefs()]:  # a C copy: atomic
-        if plan is not None and plan.d == f.d and len(plan.rays) == len(rays) and (
-                weight is None or weight is plan.weight) and (
-                name in vars(plan) or tuple(plan.rays.values()) == rays):
-            t = getattr(plan, name)
-            if (t.r2, t.rays) == (r2, rays):
-                return plan
+        if (plan is not None and plan.d == f.d
+                and plan.support_radius == f.support_radius
+                and (weight is None or weight is plan.weight)
+                and plan.sweep_rays == rays):
+            return plan
     return None
 
 
@@ -235,8 +230,8 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None = None,
                    weight: Weight | None = None) -> Sinogram:
     """Project f along every ray of a family: by the ``forward_table`` of a
-    live plan compiled for these rays (weighted: for this very weight), else
-    by a fresh table of the lines' first rays."""
+    live plan compiled on these rays in sweep order (weighted: for this very
+    weight), else by a fresh table of the lines' first rays."""
     return project_family(f, family, meta, partial(_fresh_sums, f, weight=weight),
                           "forward_table", weight)
 
@@ -255,11 +250,11 @@ def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
     if not (set(map(type, chain(family, zs))) <= {tuple}
             and set(map(len, family)) <= {2}):  # else new (z, ray) pairs
         family = tuple(zip(map(tuple, zs), rays))
-    plan = _plan_table(f, rays, weight, table) if table else None
-    if plan is not None:  # its table checked its rays' dimensions
+    plan = _plan_table(f, rays, weight) if table else None
+    if plan is not None:  # its compile checked its rays' dimensions
         t = getattr(plan, table)
-        entries = dict(zip(t.keys, t.sums(f.values) if weight is None else
-                           t.sums(f.values, plan.forward_weights(weight))))
+        entries = dict(zip(plan.keys, t.sums(f.values) if weight is None else
+                           t.sums(f.values, plan.forward_weights)))
     else:
         if not set(map(len, chain.from_iterable(rays))) <= {f.d}:
             raise PreconditionError("ray and grid dimensions differ")

@@ -9,7 +9,8 @@ the per-call forward fails here instead of only slowing the benchmark, and
 their sweeps must read those tables' sinograms by position, not by key, and
 their phantoms must pass ``GridFunction``'s column checks with their keys
 kept, never walked point by point, and the continuum forward and rounds
-must read their plans' chord tables, one pass per forward and per iterate.
+must read their plans' chord tables, one pass per forward and per iterate,
+and their sinograms by position.
 The counting kernels' small pass runs here too, so a wrong count or
 separation margin fails the suite and not only the benchmark.
 """
@@ -82,6 +83,40 @@ def test_shell_round_trips_read_their_sinograms_by_position(monkeypatch):
     assert sorted(op.label for op in ops) == sorted(c.label for c in shell.TINY)
     for op in ops:
         op.check(op.run())
+
+
+def test_continuum_rounds_read_their_sinograms_by_position(monkeypatch):
+    # the family forward and each round's corrected data are keyed by the
+    # plan's keys in step order: layer_recon, iterate_recon and
+    # data_residual look up no key
+    refine = runpy.run_path(str(PERFBENCH / "workloads.py"))["ContinuumRefine"]
+    work = refine(5, refine.TINY)
+    work.prepare()
+
+    class Unkeyed(dict):
+        def get(self, *args):
+            raise AssertionError("a datum was looked up by key")
+
+        __getitem__ = get
+
+    def unkeyed(make):
+        def made(*args, **kwargs):
+            g = make(*args, **kwargs)
+            g.entries = Unkeyed(g.entries)
+            return g
+        return made
+
+    for name in ("forward_continuous_family", "_corrected_sinogram"):
+        monkeypatch.setattr(continuum, name, unkeyed(getattr(continuum, name)))
+    ops = work.ops(0)
+    assert sorted(op.label for op in ops) == sorted(c.label for c in refine.TINY)
+    for op in ops:
+        op.check(op.run())
+    for c in refine.TINY:
+        plan, family = work.plans[c.label]
+        f, _ = work.inputs[c.label][0]
+        g = continuum.forward_continuous_family(f, family)
+        assert continuum.data_residual(g, plan, f) == 0.0
 
 
 def test_continuum_rounds_pass_over_the_chord_table_once_per_iterate(

@@ -502,16 +502,16 @@ def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
     d, r, plane, alpha, beta, seed = case
     rng = random.Random(seed)
     f = _phantoms(d, r, seed)[0]
-    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    order = make_plan(d, r, plane=plane, alpha=alpha, beta=beta).order
     # W vanishes at two targets (or none): the first in ray and point
     # order, or in sweep order, is named
-    dead = set(rng.sample(plan.order, min(2, len(plan.order))))
+    dead = set(rng.sample(order, min(2, len(order))))
     base = WEIGHTS[name]
 
     def weight(z, p):
         return 0.0 if z in dead else base(z, p)
 
-    plan.weight = weight
+    plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
               for z, ray in plan.rays.items()]
     with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
@@ -590,28 +590,29 @@ def _sweep_read(read, g, plan):
 def test_the_sweep_reads_a_table_sinogram_by_position_as_by_key(case, name):
     # sinograms of the plan's own tables (read by position), of a fresh
     # table with equal keys and of a shuffled family, on distinct values
-    # so that a wrong step map shows; then each less one entry
+    # so that a wrong order shows; then each less one entry
     d, r, plane, alpha, beta, seed = case
     weight, rng = WEIGHTS[name], random.Random(seed)
     f = _phantoms(d, r, seed)[1]
     gc.collect()  # no earlier example's plan serves these rays
     plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
     family = list(plan.rays.items())
-    own = forward_family(f, family, weight=weight)
-    m = vars(plan)["_step_map"]
-    assert all(map(is_, own.entries, m.keys)) and len(own.entries) == len(m.keys)
-    assert bool(m.inverse) == (len(plan.order) > 1)
-    if m.inverse:  # read by position: no key is looked up
+    assert tuple(plan.rays) == plan.order
+    assert tuple(plan.rays.values()) == plan.sweep_rays
+    assert plan.forward_table.rays is plan.sweep_rays
+    sinos = [forward_family(f, family, weight=weight)]
+    if weight is None:
+        sinos.append(forward_continuous_family(f, family))
+    for own in sinos:  # both tables key their sums by the plan's key objects
+        assert len(own.entries) == len(plan.keys)
+        assert all(map(is_, own.entries, plan.keys))
+        # read by position: no key is looked up
         unkeyed = transform.Sinogram(d, _Unkeyed(own.entries), own.meta, own.family)
         assert _sweep_read(sweep_data, unkeyed, plan) == _sweep_read(
             _read_by_key, own, plan)
-    sinos = [own]
-    if weight is None:
-        sinos.append(forward_continuous_family(f, family))
-        assert all(map(is_, sinos[-1].entries, m.keys))
     with mock.patch.object(transform, "_plan_table", return_value=None):
         fresh = forward_family(f, family, weight=weight)
-    assert list(fresh.entries) == list(m.keys)
+    assert list(fresh.entries) == list(plan.keys)
     shuffled = rng.sample(family, len(family))
     sinos += [fresh, forward_family(f, shuffled, weight=weight)]
     for g in sinos:
@@ -653,7 +654,9 @@ def test_tables_of_fewer_than_two_incidences_sum_as_before():
         g = forward_family(zero, family)
         assert len(plan.forward_table.gather) == len(plan.chord_table.ids) == 1
         assert _hexed(g) == [(plan.keys[0], (-1.25).hex())]
-        assert sweep_data(g, plan) == [-1.25] and not plan.step_map().inverse
+        assert sweep_data(g, plan) == [-1.25]
+        unkeyed = transform.Sinogram(d, _Unkeyed(g.entries), g.meta, g.family)
+        assert sweep_data(unkeyed, plan) == [-1.25]  # by position
         assert values_equal(recon_shells(g, plan), zero)
         assert _hexed(forward_continuous_family(zero, family)) == [
             (plan.keys[0], reference_forward_continuous(zero, family[0][1]).hex())]
@@ -663,8 +666,7 @@ def _weight_runs(d, r, plane, alpha, beta, f, weight):
     """One weight's results, as float.hex, on every weighted path: the plan
     table, the sweep, the fresh table and forward_weighted per first ray;
     or the ZeroWeightError message of each path."""
-    plan = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
-    plan.weight = weight
+    plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
               for z, ray in plan.rays.items()]
     with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
@@ -672,9 +674,8 @@ def _weight_runs(d, r, plane, alpha, beta, f, weight):
                                                 weight=weight))
         if on_plan is None:
             on_plan = _hexed(forward_family(f, plan.rays.items(), weight=weight))
-            assert {type(w) for w in plan.forward_weights(weight)} <= {float}
-            assert {type(w) for ws in plan.sweep_weights(weight)
-                    for w in ws} <= {float}
+            assert {type(w) for w in plan.forward_weights} <= {float}
+            assert {type(w) for ws in plan.sweep_weights for w in ws} <= {float}
     g = forward_family(f, family, weight=constant_weight(1.5))
     swept = _error(lambda: recon_shells(g, plan))
     if swept is None:
@@ -1185,11 +1186,12 @@ def test_continuous_family_forward_reads_a_live_plans_chord_table(case):
         assert _hex(forward_continuous_family(h, family).entries) == walked(h, family)
     turned = family[::-1] + family[:2]  # reordered, with repeats
     assert _hex(forward_continuous_family(f, turned).entries) == walked(f, turned)
-    # a ray changed after the compile: the new family is walked, the old
-    # one still read off the table it was walked for
-    z, ray = family[rng.randrange(len(family))]
-    plan.rays[z] = Ray(z, (1,) * d if ray.dir != (1,) * d else (1,) + (0,) * (d - 1))
-    moved = list(plan.rays.items())
+    # a family with one ray moved is walked, the plan's own one still
+    # read off its table
+    i = rng.randrange(len(family))
+    z, ray = family[i]
+    moved = family[:i] + [(z, Ray(z, (1,) * d if ray.dir != (1,) * d
+                                  else (1,) + (0,) * (d - 1)))] + family[i + 1:]
     assert _hex(forward_continuous_family(f, moved).entries) == walked(f, moved)
     assert _hex(forward_continuous_family(f, family).entries) == served
     del plan

@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import random
 import re
 import sys
 import threading
 from fractions import Fraction
-from unittest import mock
+from operator import is_
 
 import pytest
 
@@ -15,14 +16,13 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    forward_family, make_plan, norm2, one_point_directions,
                    one_point_family, perp_family, Ray, recon_annulus,
                    recon_one_point, recon_shells, recon_shells_weighted,
-                   Sinogram, ZeroWeightError, forward,
-                   forward_continuous_family, ray_key)
+                   Sinogram, ZeroWeightError, forward, ray_key)
 from lxray import transform
 
 
 def tstar_data(f, plan, weight=None):
-    fam = perp_family(plan.points, plan.plane)
-    return forward_family(f, fam, weight=weight)
+    # the plan's own family, in step order, so its table serves the forward
+    return forward_family(f, plan.rays.items(), weight=weight)
 
 
 def test_one_point_round_trip_indicator():
@@ -439,77 +439,65 @@ def test_plan_table_misses_other_grids_and_families():
 
 
 def test_a_new_plan_weight_is_compiled_afresh():
-    # stale columns would scale the data or the quotients by the old weight
+    # one plan per weight: stale columns would scale the data or the
+    # quotients by another weight
     f = random_int_grid(2, 4, seed=8)
-    plan = make_plan(2, 4, weight=constant_weight(2.0))
-    for w in (plan.weight, constant_weight(4.0), lambda z, p: 1.0 + z[0] % 2,
-              None):
-        plan.weight = w
+    for w in (constant_weight(2.0), constant_weight(4.0),
+              lambda z, p: 1.0 + z[0] % 2, None):
+        plan = make_plan(2, 4, weight=w)
         g = forward_family(f, plan.rays.items(), weight=w)
         assert values_equal(recon_shells(g, plan), f)
-    assert "_sweep_weights" in vars(plan) and "_forward_weights" in vars(plan)
-    plan.weight = lambda z, p: float(z != plan.order[-1])
+    last = plan.order[-1]
+    plan = make_plan(2, 4, weight=lambda z, p: float(z != last))
     with pytest.raises(ZeroWeightError,
-                       match=re.escape(f"weight vanishes at {plan.order[-1]}")):
+                       match=re.escape(f"weight vanishes at {last}")):
         recon_shells(g, plan)
 
 
+def test_a_compiled_plan_cannot_be_changed():
+    plan = make_plan(2, 3, weight=constant_weight(2.0))
+    f = random_int_grid(2, 3, seed=5)
+    w = plan.weight
+    g = forward_family(f, plan.rays.items(), weight=w)
+    tables = plan.forward_table, plan.chord_table, plan.forward_weights
+    z = next(y for y, ray in plan.rays.items() if ray.dir != (1, 0))
+    ray = plan.rays[z]
+    with pytest.raises(TypeError):
+        plan.rays[z] = Ray(z, (1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.weight = constant_weight(4.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.support_radius = Fraction(5, 2)
+    assert plan.rays[z] is ray and plan.weight is w
+    assert plan.support_radius == 3
+    assert all(map(is_, (plan.forward_table, plan.chord_table,
+                         plan.forward_weights), tables))
+    assert transform._plan_table(f, tuple(plan.rays.values()), w) is plan
+    again = forward_family(f, plan.rays.items(), weight=w)
+    assert hexed(again) == hexed(g)
+    assert values_equal(recon_shells(again, plan), f)
+
+
 def test_a_plan_changed_after_compiling_never_gives_stale_sums():
+    # a family with one ray moved, or a grid of another radius, is
+    # projected afresh; the plan's own family still reads its table
     plan = make_plan(2, 3)
     f = random_int_grid(2, 3, seed=5)
     family = list(plan.rays.items())
     forward_family(f, family)
     table = plan.forward_table
     z = next(y for y, ray in family if ray.dir != (1, 0))
-    plan.rays[z] = Ray(z, (1, 0))
-    assert hexed(forward_family(f, plan.rays.items())) == \
-        per_ray(f, plan.rays.values())
-    # the family the table was compiled from still reads it
+    moved = [(y, Ray(z, (1, 0)) if y == z else ray) for y, ray in family]
+    assert transform._plan_table(f, tuple(r for _, r in moved)) is None
+    assert hexed(forward_family(f, moved)) == per_ray(f, [r for _, r in moved])
     assert transform._plan_table(f, tuple(r for _, r in family)) is plan
     assert hexed(forward_family(f, family)) == per_ray(f, [r for _, r in family])
-    plan.rays[z] = family[[y for y, _ in family].index(z)][1]
-    plan.support_radius = Fraction(5, 2)
     small = GridFunction(2, Fraction(5, 2), {y: v for y, v in f.values.items()
                                              if 4 * sum(c * c for c in y) <= 25})
     assert transform._plan_table(small, tuple(plan.rays.values())) is None
-    assert hexed(forward_family(small, plan.rays.items())) == \
+    assert hexed(forward_family(small, family)) == \
         per_ray(small, plan.rays.values())
     assert plan.forward_table is table
-
-
-def test_a_ray_replaced_after_the_step_map_is_built_is_keyed_afresh():
-    # the chord table builds the step map; the forward table compiled
-    # after a ray is replaced must key that ray by its own line
-    plan = make_plan(2, 3)
-    f = random_int_grid(2, 3, seed=7)
-    plan.chord_table
-    z = next(y for y, ray in plan.rays.items() if ray.dir != (1, 0))
-    old = plan.rays[z]
-    plan.rays[z] = Ray(z, (1, 0))
-    g = forward_family(f, plan.rays.items())
-    assert hexed(g) == per_ray(f, plan.rays.values())
-    assert ray_key(old) not in g.entries
-    with pytest.raises(MissingDataError,
-                       match=re.escape(f"no sinogram entry for ray of {z}")):
-        recon_shells(g, plan)
-    plan.rays[z] = old
-    assert values_equal(recon_shells(forward_family(f, plan.rays.items()), plan), f)
-
-
-def test_a_ray_replaced_before_the_tables_are_built_is_keyed_by_its_line():
-    # both tables are compiled after the change: neither may key the new
-    # ray by the line the plan compiled for its target
-    plan = make_plan(2, 3)
-    f = random_int_grid(2, 3, seed=7)
-    z = next(y for y, ray in plan.rays.items() if ray.dir != (1, 0))
-    plan.rays[z] = Ray(z, (1, 0))
-    lines = list(dict.fromkeys(map(ray_key, plan.rays.values())))
-    for project in (forward_continuous_family, forward_family):
-        g = project(f, plan.rays.items())
-        with mock.patch.object(transform, "_plan_table", return_value=None):
-            assert hexed(g) == hexed(project(f, plan.rays.items()))
-        assert list(g.entries) == lines
-    assert "chord_table" in vars(plan) and "forward_table" in vars(plan)
 
 
 def test_threads_building_and_projecting_plans_agree():
