@@ -18,10 +18,9 @@ from .transform import (FamilyMeta, GridFunction, Sinogram, constant_weight,
 from .recon import (ReconPlan, make_plan, one_point_directions, one_point_family,
                     recon_annulus, recon_one_point, recon_shells,
                     recon_shells_weighted)
-from .continuum import (BallField, cell_chord, chord_weight,
-                        correction_identity_check, data_residual, forward_balls,
-                        forward_continuous, forward_continuous_family,
-                        hits_centers_only, iterate_recon, layer_recon)
+from .continuum import (cell_chord, chord_weight, correction_identity_check,
+                        data_residual, forward_continuous_family, iterate_recon,
+                        layer_recon)
 from .counting import (CountReport, canonical_primitives, count_connecting_lines,
                        farey_asymptotic_report, separation_margin,
                        verify_count_bounds)

@@ -1,20 +1,18 @@
 """Continuous transform of the field constant on the unit cells at lattice
 points (the chord-weighted sum of cell values along a ray), the correction
-identity, the disjoint-ball model, and layer and iterative reconstructions
-over the plan's chord table; in doubles, identities to 1e-9 relative.
+identity, and layer and iterative reconstructions over the plan's chord
+table; in doubles, identities to 1e-9 relative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
-from .lattice import IntVec, ball_radius, box_ids, box_points, norm2
+from .lattice import IntVec, box_ids, box_points
 from .rays import (Ray, cell_chord, perp_ray, walk_box, walk_cells,
                    walk_radius)
 from .recon import (ReconPlan, recon_shells, step_sums, sweep_data,
@@ -30,7 +28,7 @@ def chord_weight() -> Weight:
 
 def _continuous_sums(f: GridFunction, rays: Sequence[Ray], radius: float
                      ) -> list[float]:
-    """``forward_continuous`` of each ray, the rays walked together.
+    """Each ray's line integral of f's cell field, the rays walked together.
 
     Values are looked up by cell number, so no cell tuple is made. Unset
     cells add 0.0, which leaves the double sum as it was: it starts at +0.0
@@ -44,37 +42,14 @@ def _continuous_sums(f: GridFunction, rays: Sequence[Ray], radius: float
     return sums
 
 
-def _lone_walk(f: GridFunction, ray: Ray
-               ) -> tuple[list[IntVec], list[float], list[float], list[bool]]:
-    """One ray's cells in the ball of radius r + sqrt(d), in walk order:
-    (cells, f's values there (0.0 if unset), chords, on-line flags), all
-    empty for a ray that misses the ball."""
-    if set(map(len, ray)) != {f.d}:
-        raise PreconditionError("ray and grid dimensions differ")
-    radius = walk_radius(f.d, f.support_radius)
-    place, offset = walk_box(f.d, radius)
-    for _, ids, chords, on_line in walk_cells([ray], radius):
-        cells = list(box_points(ids, place, offset))
-        return cells, list(map(f.values.get, cells, repeat(0.0))), chords, on_line
-    return [], [], [], []
-
-
-def forward_continuous(f: GridFunction, ray: Ray) -> float:
-    """Line integral of the piecewise-constant cell field defined by f.
-
-    Walks the cells along the ray, clipped to the ball that contains every
-    cell meeting the declared support; no global cell scan.
-    """
-    _, vals, chords, _ = _lone_walk(f, ray)
-    return reduce(add, map(mul, vals, chords), 0.0)
-
-
 def forward_continuous_family(f: GridFunction,
                               family: Iterable[tuple[IntVec, Ray]],
                               meta: FamilyMeta | None = None) -> Sinogram:
-    """``forward_continuous`` of every line of the family: by the
-    ``chord_table`` of a live plan of f's radius walked on these very rays,
-    else walked together."""
+    """Line integral of the piecewise-constant cell field defined by f
+    along every line of the family: by the ``chord_table`` of a live plan
+    of f's radius walked on these very rays, else walked together. Each
+    ray's cells are walked in the ball that holds every cell meeting the
+    declared support; no global cell scan."""
     radius = walk_radius(f.d, f.support_radius)
     return project_family(f, family, meta,
                           lambda rays: _continuous_sums(f, rays, radius),
@@ -84,7 +59,9 @@ def forward_continuous_family(f: GridFunction,
 def correction_identity_check(f: GridFunction, z: IntVec,
                               ray: Ray | None = None) -> tuple[float, float]:
     """Both sides of the exact chord-correction identity along a ray
-    (default: ``perp_ray(z)``), read off one walk of it.
+    (default: ``perp_ray(z)``), read off one walk of it: the ray's cells in
+    the ball of radius r + sqrt(d), in walk order, and f's values there
+    (0.0 if unset). A ray that misses the ball gives (0.0, 0.0).
 
     lhs: chord-weighted discrete transform of f along the ray, the sum of
     ``forward_weighted(f, ray, chord_weight())``: the walk's on-line cells
@@ -98,7 +75,15 @@ def correction_identity_check(f: GridFunction, z: IntVec,
     """
     if ray is None:
         ray = perp_ray(z)
-    cells, vals, chords, on_line = _lone_walk(f, ray)
+    if set(map(len, ray)) != {f.d}:
+        raise PreconditionError("ray and grid dimensions differ")
+    radius = walk_radius(f.d, f.support_radius)
+    walk = next(walk_cells([ray], radius), None)
+    if walk is None:
+        return 0.0, 0.0
+    _, ids, chords, on_line = walk
+    cells = list(box_points(ids, *walk_box(f.d, radius)))
+    vals = list(map(f.values.get, cells, repeat(0.0)))
     zero = (0,) * f.d
     weight = cell_chord(Ray(zero, ray.dir), zero)
     lhs = sum(map(mul, repeat(weight), compress(vals, on_line)), 0.0)
@@ -107,80 +92,6 @@ def correction_identity_check(f: GridFunction, z: IntVec,
         if v:
             correction += v * cell_chord(ray, zeta)
     return lhs, reduce(add, map(mul, vals, chords), 0.0) - correction
-
-
-@dataclass
-class BallField:
-    """Disjoint balls at lattice centers: value, radius < 1/2, nonzero weight.
-
-    balls maps each center to (radius, weight, value); radii below one half
-    make disjointness automatic for distinct lattice centers.
-    """
-
-    d: int
-    support_radius: Fraction
-    balls: dict[IntVec, tuple[float, float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.support_radius = ball_radius(self.d, self.support_radius)
-        r2 = self.support_radius * self.support_radius
-        den, num = r2.denominator, r2.numerator
-        clean = {}
-        for z, (rho, w, v) in self.balls.items():
-            z = tuple(int(c) for c in z)
-            if len(z) != self.d:
-                raise PreconditionError(f"center {z} has wrong dimension")
-            if den * norm2(z) > num:
-                raise PreconditionError(f"center {z} outside the support ball")
-            if not 0 < rho < 0.5:
-                raise PreconditionError(f"ball radius at {z} must be in (0, 1/2)")
-            if w == 0:
-                raise PreconditionError(f"ball weight at {z} must be nonzero")
-            clean[z] = (float(rho), float(w), float(v))
-        self.balls = clean
-
-
-def _ball_line_status(ray: Ray, center: IntVec, rho: float) -> str:
-    """'center', 'miss', or 'graze' for one ball against the ray's line.
-
-    The squared distance from center to the line is q/|p|^2, q = |p|^2|u|^2
-    - (u.p)^2, u = center - base, compared with rho^2 = (n/m)^2 in integers.
-    """
-    u = list(map(sub, center, ray.base))
-    p = ray.dir
-    pp, up = norm2(p), sum(map(mul, u, p))
-    q = norm2(u) * pp - up * up
-    if q == 0:
-        return "center"
-    n, m = rho.as_integer_ratio()
-    return "miss" if q * m * m > n * n * pp else "graze"
-
-
-def hits_centers_only(ray: Ray, bf: BallField) -> bool:
-    """True iff the ray meets every ball through its center or not at all."""
-    if ray.d != bf.d:
-        raise PreconditionError("ray and field dimensions differ")
-    return all(_ball_line_status(ray, z, rho) != "graze"
-               for z, (rho, _, _) in bf.balls.items())
-
-
-def forward_balls(bf: BallField, ray: Ray) -> float:
-    """Continuous transform of the ball field along a center-hitting ray.
-
-    Each ball met through its center contributes diameter * weight * value;
-    a ray grazing some ball off-center is outside this model and rejected.
-    """
-    if ray.d != bf.d:
-        raise PreconditionError("ray and field dimensions differ")
-    total = 0.0
-    for z, (rho, w, v) in sorted(bf.balls.items()):
-        status = _ball_line_status(ray, z, rho)
-        if status == "graze":
-            raise PreconditionError(
-                f"ray meets the ball at {z} off-center; not in the model family")
-        if status == "center":
-            total += 2.0 * rho * w * v
-    return total
 
 
 def layer_recon(g: Sinogram, plan: ReconPlan) -> GridFunction:

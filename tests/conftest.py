@@ -11,7 +11,9 @@ The separation reference keeps the per-pair scan that the orbit scan
 replaced, and the family reference the one ``primitive()`` per point that
 the gcd column of ``perp_family`` replaced. The counting references keep the gcd-per-tuple Farey count, the
 ``primitive()`` filter for canonical primitives and the row-by-row lens
-size that the prime sieve, the gcd column and the lens columns replaced.
+size that the prime sieve, the gcd column and the lens columns replaced;
+the line-count reference counts pairs by congruence classes, a route apart
+from both the pair scan and the lens sums.
 The file-reader references keep the row-by-row checks that the column
 checks replaced, and the grid reference the point-by-point walk that
 ``GridFunction``'s column checks replaced. The last group holds helpers
@@ -23,12 +25,13 @@ table-weight models, the one-ray cell walk and function equality.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from lxray import (FileFormatError, GridFunction, MissingDataError,
                    PreconditionError, Ray, RayKey, Sinogram, ZeroWeightError,
-                   chord_weight, enumerate_ball, forward_continuous,
-                   forward_weighted, perp_ray, primitive)
+                   chord_weight, enumerate_ball, forward_weighted, perp_ray, primitive)
 from lxray import io as lio
 from lxray.lattice import ball_radius, box_points, norm2
 from lxray.rays import cell_chord, walk_box, walk_cells
@@ -61,17 +64,6 @@ def on_line(z, ray):
             if u[i] * p[j] != u[j] * p[i]:
                 return False
     return True
-
-
-def reference_ball_line_status(ray, center, rho):
-    """'center', 'miss' or 'graze' by the exact rational squared distance
-    |u|^2 - (u.p)^2/|p|^2, u = center - base, against rho^2 (oracle)."""
-    if on_line(center, ray):
-        return "center"
-    u = [a - b for a, b in zip(center, ray.base)]
-    up = sum(a * b for a, b in zip(u, ray.dir))
-    d2 = Fraction(sum(c * c for c in u)) - Fraction(up * up, norm2(ray.dir))
-    return "miss" if d2 > Fraction(rho) * Fraction(rho) else "graze"
 
 
 def brute_forward(f, ray):
@@ -248,7 +240,8 @@ def reference_correction_identity(f, z, ray=None):
     lhs by ``forward_weighted`` with the chord weight; the off-line cells
     by a scan of f's whole support for 0 < 4q <= d|p|^2, q = |p|^2|u|^2 -
     (u.p)^2, u = cell - base (a cell farther from the line has chord 0.0),
-    their terms summed in sorted order; rhs by ``forward_continuous``."""
+    their terms summed in sorted order; rhs by
+    ``reference_forward_continuous``."""
     if ray is None:
         ray = perp_ray(z)
     lhs = forward_weighted(f, ray, chord_weight())
@@ -260,7 +253,7 @@ def reference_correction_identity(f, z, ray=None):
         v = f.values[zeta]
         if 0 < 4 * (norm2(u) * pp - up * up) <= f.d * pp and v:
             correction += v * cell_chord(ray, zeta)
-    return lhs, forward_continuous(f, ray) - correction
+    return lhs, reference_forward_continuous(f, ray) - correction
 
 
 def reference_layer_recon(g, plan):
@@ -360,6 +353,42 @@ def brute_line_count(r, d=2):
                 base = tuple(a - q * b for a, b in zip(zi, p))
                 seen.add((p, base))
     return len(seen)
+
+
+def _mobius(n):
+    """mu(n) by trial division (oracle's own)."""
+    mu, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            mu = -mu
+        k += 1
+    return -mu if n > 1 else mu
+
+
+def reference_line_count(r, d=2):
+    """Lines through >= 2 points of the r-ball by congruence classes (oracle).
+
+    A line's ball points are consecutive multiples of its primitive
+    direction, so a line holding n >= 2 of them has n - 1 pairs whose
+    difference has gcd 1 and n - 2 of gcd 2. N(m), the unordered pairs of
+    ball points congruent mod m, counts the pairs whose gcd m divides, so
+    by Moebius inversion the count is sum_j mu(j) (N(j) - N(2j)); N(m) is
+    0 for m above twice the largest coordinate.
+    """
+    pts = enumerate_ball(d, r)
+    top = 2 * max(map(abs, itertools.chain.from_iterable(pts)))
+
+    @cache
+    def pairs(m):
+        if m > top:
+            return 0
+        classes = Counter(tuple(c % m for c in z) for z in pts)
+        return sum(n * (n - 1) // 2 for n in classes.values())
+
+    return sum(_mobius(j) * (pairs(j) - pairs(2 * j)) for j in range(1, top + 1))
 
 
 def reference_farey_count(n, d=2):

@@ -8,12 +8,10 @@ import pytest
 
 from conftest import random_int_grid, reference_data_residual, traverse_cells
 from lxray import continuum, rays, recon
-from lxray import (BallField, GridFunction, MissingDataError, Plane,
-                   PreconditionError, Ray, cell_chord, data_residual,
-                   enumerate_ball, forward_balls, forward_continuous,
+from lxray import (GridFunction, MissingDataError, Plane, PreconditionError,
+                   Ray, cell_chord, data_residual, enumerate_ball,
                    forward_continuous_family, correction_identity_check,
-                   hits_centers_only, iterate_recon, layer_recon, make_plan,
-                   perp_family, perp_ray)
+                   iterate_recon, layer_recon, make_plan, perp_family, perp_ray)
 
 
 def test_cell_chord_examples():
@@ -41,12 +39,18 @@ def test_central_chord_at_least_one():
         assert 1.0 <= w <= math.sqrt(2) + 1e-12
 
 
+def one_ray_forward(f, ray):
+    """The single entry of a one-ray ``forward_continuous_family``."""
+    [value] = forward_continuous_family(f, [(ray.base, ray)]).entries.values()
+    return value
+
+
 def test_forward_continuous_examples():
     cell = GridFunction(2, 1, {(0, 0): 1.0})
-    assert forward_continuous(cell, Ray((0, 0), (0, 1))) == pytest.approx(1.0)
+    assert one_ray_forward(cell, Ray((0, 0), (0, 1))) == pytest.approx(1.0)
     two = GridFunction(2, 2, {(0, 0): 1.0, (1, 0): 1.0})
-    assert forward_continuous(two, Ray((1, 0), (0, 1))) == pytest.approx(1.0)
-    assert forward_continuous(GridFunction(2, 3), perp_ray((1, 1))) == 0.0
+    assert one_ray_forward(two, Ray((1, 0), (0, 1))) == pytest.approx(1.0)
+    assert one_ray_forward(GridFunction(2, 3), perp_ray((1, 1))) == 0.0
 
 
 def test_forward_continuous_against_global_scan():
@@ -56,7 +60,7 @@ def test_forward_continuous_against_global_scan():
         return sum(v * cell_chord(ray, z) for z, v in f.values.items())
 
     for z, ray in perp_family(enumerate_ball(2, 6)):
-        assert forward_continuous(f, ray) == pytest.approx(oracle(ray), abs=1e-9)
+        assert one_ray_forward(f, ray) == pytest.approx(oracle(ray), abs=1e-9)
 
 
 def test_forward_continuous_linearity():
@@ -65,8 +69,8 @@ def test_forward_continuous_linearity():
     combo = GridFunction(2, 4, {z: 2.0 * f.get(z) + 0.5 * g.get(z)
                                 for z in enumerate_ball(2, 4)})
     ray = perp_ray((2, 3))
-    lhs = forward_continuous(combo, ray)
-    rhs = 2.0 * forward_continuous(f, ray) + 0.5 * forward_continuous(g, ray)
+    lhs = one_ray_forward(combo, ray)
+    rhs = 2.0 * one_ray_forward(f, ray) + 0.5 * one_ray_forward(g, ray)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -106,10 +110,9 @@ def test_correction_identity_random_field():
 
 
 @pytest.mark.parametrize("walk", [
-    lambda f, ray: forward_continuous(f, ray),
     lambda f, ray: forward_continuous_family(f, [(ray.base, ray)]),
     lambda f, ray: correction_identity_check(f, ray.base, ray),
-], ids=["forward_continuous", "family", "identity"])
+], ids=["family", "identity"])
 def test_walks_refuse_a_radius_no_double_holds(walk):
     # refused before any walk or listing of the ball's points
     f = GridFunction(2, 10 ** 400, {(0, 0): 1.0})
@@ -117,50 +120,13 @@ def test_walks_refuse_a_radius_no_double_holds(walk):
         walk(f, perp_ray((0, 0)))
 
 
-def test_ball_field_validation():
-    with pytest.raises(PreconditionError):
-        BallField(2, 2, {(0, 0): (0.6, 1.0, 1.0)})
-    with pytest.raises(PreconditionError):
-        BallField(2, 2, {(0, 0): (0.25, 0.0, 1.0)})
-    with pytest.raises(PreconditionError):
-        BallField(2, 2, {(5, 5): (0.25, 1.0, 1.0)})
-    with pytest.raises(PreconditionError, match="nonnegative"):
-        BallField(2, -1)
-
-
-def test_forward_balls_example():
-    bf = BallField(2, 4, {(0, 0): (0.25, 2.0, 3.0)})
-    assert forward_balls(bf, Ray((0, 0), (0, 1))) == pytest.approx(3.0)
-    assert forward_balls(bf, Ray((2, 0), (0, 1))) == 0.0
-
-
-def test_forward_balls_family_membership():
-    rng = random.Random(44)
-    balls = {z: (0.3, rng.uniform(0.5, 2.0), float(rng.randint(-5, 5)))
-             for z in enumerate_ball(2, 3)}
-    bf = BallField(2, 3, balls)
-    for z, ray in perp_family(enumerate_ball(2, 3)):
-        assert hits_centers_only(ray, bf)
-        forward_balls(bf, ray)  # does not raise
-
-
-def test_forward_balls_grazing_rejected():
-    bf = BallField(2, 2, {(0, 0): (0.45, 1.0, 1.0)})
-    # line through (1,0) with direction (2,1): distance to origin is
-    # 1/sqrt(5) ~ 0.447 < 0.45, and the origin is not on the line
-    graze = Ray((1, 0), (2, 1))
-    assert not hits_centers_only(graze, bf)
-    with pytest.raises(PreconditionError):
-        forward_balls(bf, graze)
-
-
 @pytest.mark.parametrize("ray", [Ray((0, 0), (0, 1)),
-                                 Ray((0, 0, 0, 0), (0, 0, 0, 1))])
-def test_ball_contact_refuses_a_ray_of_another_dimension(ray):
-    bf = BallField(3, 2, {(0, 0, 0): (0.25, 1.0, 1.0), (1, 0, 0): (0.25, 1.0, 2.0)})
-    for call in (hits_centers_only, lambda r, b: forward_balls(b, r)):
-        with pytest.raises(PreconditionError, match="dimensions differ"):
-            call(ray, bf)
+                                 Ray((0, 0, 0, 0), (0, 0, 0, 1)),
+                                 Ray((0, 0, 0), (0, 1))])
+def test_the_identity_refuses_a_ray_of_another_dimension(ray):
+    f = GridFunction(3, 2, {(0, 0, 0): 1.0, (1, 0, 0): 2.0})
+    with pytest.raises(PreconditionError, match="dimensions differ"):
+        correction_identity_check(f, ray.base, ray)
 
 
 def test_layer_recon_lone_outer_cell():
