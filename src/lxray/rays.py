@@ -192,15 +192,17 @@ def ray_spans(rays: Sequence[Ray], num: int, den: int
 
 
 def ray_boxes(rays: Sequence[Ray], num: int, den: int, place: IntVec,
-              offset: int) -> tuple[list[int], list[int], list[int]]:
-    """``ray_spans`` in ``box_index(d, num, den)``'s numbers: ray i's ball
-    points are firsts[i] + j*steps[i], j < counts[i]. A step is 0 only for a
-    direction too long for two points of the box, so for at most one."""
+              offset: int) -> list[range]:
+    """``ray_spans`` in ``box_index(d, num, den)``'s numbers: range i
+    numbers ray i's ball points in ray order. A step is 0 (read as 1) only
+    for a direction too long for two points of the box."""
     ks, counts = ray_spans(rays, num, den)
     steps = box_ids(list(map(itemgetter(1), rays)), place, 0)
     firsts = list(map(add, box_ids(list(map(itemgetter(0), rays)), place, offset),
                       map(mul, ks, steps)))
-    return firsts, steps, counts
+    steps = [s or 1 for s in steps]
+    return list(map(range, firsts, map(add, firsts, map(mul, counts, steps)),
+                    steps))
 
 
 def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
@@ -210,12 +212,11 @@ def ray_table(rays: Sequence[Ray], d: int, num: int, den: int
     distinct point is listed once, numbered by one int object. Rays of
     dimension d (``ray_boxes``)."""
     place, offset, _ = box_index(d, num, den)
-    firsts, steps, counts = ray_boxes(rays, num, den, place, offset)
-    steps = [s or 1 for s in steps]  # a 0 step has one point at most
-    number = defaultdict(count().__next__)  # box id -> point number
-    gather = tuple(map(number.__getitem__, chain.from_iterable(map(
-        range, firsts, map(add, firsts, map(mul, counts, steps)), steps))))
-    return list(box_points(list(number), place, offset)), gather, counts
+    spans = ray_boxes(rays, num, den, place, offset)
+    number = defaultdict(count().__next__)
+    gather = tuple(map(number.__getitem__, chain.from_iterable(spans)))
+    return (list(box_points(number, place, offset)), gather,
+            list(map(len, spans)))
 
 
 def points_on_ray(ray: Ray, r) -> list[IntVec]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -23,7 +24,7 @@ from .lattice import (IntVec, ShellDecomposition, as_fraction, ball_radius,
                       enumerate_ball)
 from .rays import (Plane, Ray, RayKey, cell_chord, coordinate_plane,
                    effectively_irrational, perp_family, ray_boxes, ray_key,
-                   ray_table, walk_box, walk_cells, walk_radius)
+                   ray_spans, walk_box, walk_cells, walk_radius)
 from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
                         gather_at, weight_column)
 
@@ -73,14 +74,15 @@ def step_sums(terms: Iterator[float], lens: Iterable[int]) -> Iterator[float]:
 class ReconPlan:
     """Everything a shell sweep needs, compiled once and immutable (slices
     by key, shells outermost first): step i recovers ``order[i]`` from line
-    ``keys[i]``, on ray ``sweep_rays[i]``; ``steps[i]`` holds the steps of
-    the other plan points on that ray, in ray order (``()`` if none).
-    ``rays`` is read-only, each target's ray in step order. It refuses a
-    negative radius, a target outside the ball or of another dimension, a
-    ray missing its target or of another dimension, and a plan point on a
-    target's ray not in an earlier shell, the one exactness certificate.
-    The tables and weight columns are built when first read, out of
-    equality and repr; each plan is in ``PLANS``.
+    ``keys[i]`` on ray ``sweep_rays[i]``; ``rays`` is read-only, in step
+    order. One column numbers each ray's points out to the farthest target,
+    target i as i: it is ``forward_table``, and ``steps[i]`` holds ray i's
+    targets of earlier shells. It refuses a negative radius, a target or
+    ray of another dimension, a target outside the ball or off its ray, and
+    a target on another's ray not in an earlier shell, the one exactness
+    certificate. W is called once per slot, when first read; tables are out
+    of equality and repr. A plan is in ``PLANS`` only if its rays hold no
+    ball point past the column.
     """
 
     d: int
@@ -94,6 +96,7 @@ class ReconPlan:
     keys: tuple[RayKey, ...] = field(init=False, repr=False)
     steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     sweep_rays: tuple[Ray, ...] = field(init=False, repr=False)
+    forward_table: ForwardTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         radius = ball_radius(self.d, self.support_radius)
@@ -123,67 +126,68 @@ class ReconPlan:
             bad = canonical.index(False)
             raise PlanError(f"the ray of {order[bad]} has direction "
                             f"{dirs[bad]}, not a canonical primitive vector")
-        firsts, strides, counts = ray_boxes(rays, top, 1, place, offset)
+        spans = ray_boxes(rays, top, 1, place, offset)
         boxes = box_ids(order, place, offset)
         # a ray based at its target holds it; only one based elsewhere, or
         # with base.dir != 0, is looked for on its line and keyed afresh
         keys = list(map(tuple.__new__, repeat(RayKey), zip(dirs, order)))
         for i in compress(count(), map(or_, map(ne, bases, order),
                                       dots(order, dirs))):
-            k, rest = divmod(boxes[i] - firsts[i], strides[i] or 1)
-            if rest or not 0 <= k < counts[i]:
+            if boxes[i] not in spans[i]:
                 raise PlanError(f"the ray of {order[i]} does not pass through it")
             keys[i] = ray_key(rays[i])
-        step_of = dict(zip(boxes, count()))
-        # each step's first step of its shell: from there on, not yet swept
-        heads = chain.from_iterable(map(repeat, accumulate(
-            map(len, shells), initial=0), map(len, shells)))
-        steps = [()] * len(rays)
-        for me, lo, step, n, home, head in compress(zip(
-                count(), firsts, strides, counts, boxes, heads),
-                map(gt, counts, repeat(1))):
-            # the ray's other ball points; hits shares step_of's ints
-            span = chain(range(lo, home, step),
-                         range(home + step, lo + n * step, step))
-            hits = tuple(map(step_of.__getitem__,
-                             filter(step_of.__contains__, span)))
-            if hits and max(hits) >= head:
-                late = order[next(i for i in hits if i >= head)]
-                raise PlanError(f"{late} on the ray of {order[me]} "
-                                f"is not in an earlier shell")
-            steps[me] = hits
+        # the column: each ray's points as numbers, one int each
+        number = defaultdict(count(len(order)).__next__, zip(boxes, count()))
+        column = tuple(map(number.__getitem__, chain.from_iterable(spans)))
+        counts = list(map(len, spans))
+        # steps: targets of earlier shells; any other but its own fails
+        heads = list(chain.from_iterable(map(repeat, accumulate(
+            map(len, shells), initial=0), map(len, shells))))
+        early = list(map(lt, column, chain.from_iterable(map(
+            repeat, heads, counts))))
+        k = len(order) + sum(early)
+        if len(column) > k and sum(map(lt, column, repeat(len(order)))) > k:
+            slots = iter(column)
+            me, i = next((me, i) for me, n, h in zip(count(), counts, heads)
+                         for i in islice(slots, n)
+                         if h <= i < len(order) and i != me)
+            raise PlanError(f"{order[i]} on the ray of {order[me]} "
+                            f"is not in an earlier shell")
+        steps = tuple(map(tuple, map(islice, repeat(compress(column, early)), map(
+            sum, map(islice, repeat(iter(early)), counts)))))
+        table = ForwardTable(rays, [*order, *box_points(islice(
+            number, len(order), None), place, offset)], column, counts)
         for name, value in (("support_radius", radius), ("order", order),
-                            ("keys", tuple(keys)), ("steps", tuple(steps)),
-                            ("sweep_rays", rays),
+                            ("keys", tuple(keys)), ("steps", steps),
+                            ("sweep_rays", rays), ("forward_table", table),
                             ("rays", MappingProxyType(dict(zip(order, rays))))):
             object.__setattr__(self, name, value)
-        PLANS[id(self)] = self
+        # a column that is not the ball's forward serves no call
+        if top == math.floor(r2) or ray_spans(
+                rays, r2.numerator, r2.denominator)[1] == counts:
+            PLANS[id(self)] = self
 
     @cached_property
-    def forward_weights(self) -> list[float]:
-        """The weight at each ``forward_table`` incidence, in gather order."""
+    def _weights(self) -> list[float]:
+        """W per ``forward_table`` slot."""
         return self.forward_table.weights(self.weight)
 
     @cached_property
-    def sweep_weights(self) -> tuple[list, list]:
-        """The weight at each ``steps`` incidence (flat) and each target,
-        on the compiled ray's direction."""
-        dirs = list(map(itemgetter(0), self.keys))
-        wz = weight_column(self.weight, self.order, dirs)
-        at = map(self.order.__getitem__, chain.from_iterable(self.steps))
-        on = chain.from_iterable(map(repeat, dirs, map(len, self.steps)))
-        return list(map(float, map(self.weight, at, on))), wz
+    def forward_weights(self) -> list[float]:
+        """``_weights``, refused at the first zero."""
+        t = self.forward_table
+        return weight_column(self._weights, gather_at(t.points, t.gather))
 
     @cached_property
-    def forward_table(self) -> ForwardTable:
-        """The rays compiled for ``forward_family``, in step order, with
-        the plan's own target tuples."""
-        r2 = self.support_radius ** 2
-        points, gather, lens = ray_table(self.sweep_rays, self.d, r2.numerator,
-                                         r2.denominator)
-        mine = dict(zip(self.order, self.order))
-        return ForwardTable(self.sweep_rays, list(map(mine.get, points, points)),
-                            gather, lens)
+    def sweep_weights(self) -> tuple[list, list]:
+        """``_weights`` at each ``steps`` incidence (flat) and each target,
+        refused at the first zero target."""
+        t, ws = self.forward_table, self._weights
+        own = list(map(eq, t.gather, chain.from_iterable(
+            map(repeat, count(), t.lens))))
+        step = map(gt, map(lt, t.gather, repeat(len(self.order))), own)
+        return list(compress(ws, step)), weight_column(list(compress(ws, own)),
+                                                       self.order)
 
     @cached_property
     def chord_table(self) -> ChordTable:

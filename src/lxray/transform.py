@@ -22,7 +22,7 @@ from .rays import Ray, RayKey, ray_key, ray_keys, ray_table
 # weight contract: W(point, direction) -> nonzero float
 Weight = Callable[[IntVec, IntVec], float]
 
-# live plans by id: forward_family reads their tables
+# live plans by id: families read their tables
 PLANS = weakref.WeakValueDictionary()
 
 
@@ -139,11 +139,6 @@ class Sinogram:
     family: tuple[tuple[IntVec, Ray], ...] = ()
 
 
-def _check_dim(f: GridFunction, ray: Ray) -> None:
-    if set(map(len, ray)) != {f.d}:
-        raise PreconditionError("ray and grid dimensions differ")
-
-
 def gather_at(values: Sequence, at: tuple[int, ...]) -> Sequence:
     """values[i] for each i of at: one ``itemgetter`` call, which shares the
     tuple at, where at holds two or more; else by ``map``, since there the
@@ -153,10 +148,8 @@ def gather_at(values: Sequence, at: tuple[int, ...]) -> Sequence:
     return list(map(values.__getitem__, at))
 
 
-def weight_column(weight: Weight, points: Sequence[IntVec],
-                  dirs: Iterable[IntVec]) -> list[float]:
-    """weight(points[i], dirs[i]) as doubles, refused at the first zero."""
-    ws = list(map(float, map(weight, points, dirs)))
+def weight_column(ws: list[float], points: Sequence[IntVec]) -> list[float]:
+    """Weights ws[i] at points[i], refused at the first zero."""
     if 0 in ws:
         raise ZeroWeightError(f"weight vanishes at {points[ws.index(0)]}")
     return ws
@@ -165,8 +158,8 @@ def weight_column(weight: Weight, points: Sequence[IntVec],
 class ForwardTable(NamedTuple):
     """Rays compiled for the forward in a ball (``ray_table``): ray i sums
     points[gather[j]] over its next lens[i] slots j; each read of the
-    columns is one ``gather_at``. A plan's table holds its rays in step
-    order, so its sums are keyed by the plan's keys and its sweep reads
+    columns is one ``gather_at``. A plan's table is its column: its rays in
+    step order, so its sums are keyed by the plan's keys and its sweep reads
     them by position."""
 
     rays: tuple[Ray, ...]
@@ -175,10 +168,10 @@ class ForwardTable(NamedTuple):
     lens: list[int]
 
     def weights(self, weight: Weight) -> list[float]:
-        """weight(point, ray.dir) per incidence, in gather order."""
+        """float(weight(point, ray.dir)) per incidence, in gather order."""
         dirs = map(repeat, map(itemgetter(1), self.rays), self.lens)
-        return weight_column(weight, gather_at(self.points, self.gather),
-                             chain.from_iterable(dirs))
+        return list(map(float, map(weight, gather_at(self.points, self.gather),
+                                   chain.from_iterable(dirs))))
 
     def sums(self, values: dict[IntVec, float],
              weights: list[float] | None = None) -> Iterator[float]:
@@ -193,23 +186,25 @@ class ForwardTable(NamedTuple):
 
 def _fresh_sums(f: GridFunction, rays: Sequence[Ray],
                 weight: Weight | None = None) -> list[float]:
-    """The rays' sums by a fresh ``ForwardTable`` of them, as on the plan
-    path: the same terms, in the same order, summed alike."""
+    """The rays' sums by a fresh ``ForwardTable``, as on the plan path."""
     r2 = f.support_radius ** 2
     t = ForwardTable(tuple(rays), *ray_table(rays, f.d, r2.numerator,
                                              r2.denominator))
-    return list(t.sums(f.values, None if weight is None else t.weights(weight)))
+    ws = None if weight is None else weight_column(
+        t.weights(weight), gather_at(t.points, t.gather))
+    return list(t.sums(f.values, ws))
 
 
 def forward(f: GridFunction, ray: Ray) -> float:
     """Sum of f over the lattice points of the ray inside the support ball."""
-    _check_dim(f, ray)
-    return _fresh_sums(f, [ray])[0]
+    return forward_weighted(f, ray, None)
 
 
-def forward_weighted(f: GridFunction, ray: Ray, weight: Weight) -> float:
-    """Weighted sum of f over the ray's lattice points in the support ball."""
-    _check_dim(f, ray)
+def forward_weighted(f: GridFunction, ray: Ray, weight: Weight | None) -> float:
+    """Weighted (or for None plain) sum of f over the ray's lattice points
+    in the support ball."""
+    if set(map(len, ray)) != {f.d}:
+        raise PreconditionError("ray and grid dimensions differ")
     return _fresh_sums(f, [ray], weight)[0]
 
 
@@ -239,18 +234,17 @@ def forward_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
 def project_family(f: GridFunction, family: Iterable[tuple[IntVec, Ray]],
                    meta: FamilyMeta | None,
                    values: Callable[[Sequence[Ray]], list[float]],
-                   table: str | None = None,
-                   weight: Weight | None = None) -> Sinogram:
+                   table: str, weight: Weight | None = None) -> Sinogram:
     """A sinogram with one entry per line of the family, in order of first
     appearance; values maps the lines' first rays to their entries (a live
-    plan's compiled ``table``, if named, may serve instead)."""
+    plan's compiled ``table`` may serve instead)."""
     family = tuple(family)
     rays = tuple(map(itemgetter(1), family))
     zs = list(map(itemgetter(0), family))
     if not (set(map(type, chain(family, zs))) <= {tuple}
             and set(map(len, family)) <= {2}):  # else new (z, ray) pairs
         family = tuple(zip(map(tuple, zs), rays))
-    plan = _plan_table(f, rays, weight) if table else None
+    plan = _plan_table(f, rays, weight)
     if plan is not None:  # its compile checked its rays' dimensions
         t = getattr(plan, table)
         entries = dict(zip(plan.keys, t.sums(f.values) if weight is None else

@@ -317,9 +317,14 @@ def plan_forward_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(plan_forward_cases())
+@example((2, Fraction(2), None, Fraction(3), Fraction(3), None, "int", 0))
+@example((2, Fraction(3), None, None, None, [(0, 0), (1, 0)], "int", 0))
 def test_plan_forward_matches_the_column_path(case):
     # through a live plan's table and, once the plan is gone, through the
-    # one-shot columns on an equal family: same entries, order and float.hex
+    # one-shot columns on an equal family: same entries, order and float.hex.
+    # A plan whose rays hold a ball point past its farthest target (a
+    # subset, say) compiles one fresh table instead; one with no targets
+    # serves its empty family.
     d, r, plane, alpha, beta, points, kind, seed = case
     rng = random.Random(seed)
     values = {z: float(rng.randint(-9, 9)) for z in enumerate_ball(d, r)}
@@ -330,8 +335,12 @@ def test_plan_forward_matches_the_column_path(case):
                   for z in values}
     f = GridFunction(d, r, values)
     plan = make_plan(d, r, points=points, plane=plane, alpha=alpha, beta=beta)
-    got = forward_family(f, plan.rays.items())
-    assert "forward_table" in vars(plan)
+    top = max(map(norm2, plan.order), default=0)
+    beyond = any(norm2(y) > top for ray in plan.sweep_rays
+                 for y in brute_ray_points(ray, r))
+    with mock.patch.object(transform, "ray_table", side_effect=ray_table) as compile_:
+        got = forward_family(f, plan.rays.items())
+    assert compile_.call_count == beyond
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
               for z, ray in plan.rays.items()]
     del plan
@@ -517,14 +526,22 @@ def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
     d, r, plane, alpha, beta, seed = case
     rng = random.Random(seed)
     f = _phantoms(d, r, seed)[0]
-    order = make_plan(d, r, plane=plane, alpha=alpha, beta=beta).order
-    # W vanishes at two targets (or none): the first in ray and point
-    # order, or in sweep order, is named
+    plain = make_plan(d, r, plane=plane, alpha=alpha, beta=beta)
+    order, table = plain.order, plain.forward_table
+    # W vanishes at two targets (or none), at a point of no target on a
+    # plan ray (an annulus hole) and at a target on another target's
+    # direction: the forward names the first zero in ray and point order,
+    # the sweep only a zero at a target, the first in sweep order
     dead = set(rng.sample(order, min(2, len(order))))
+    holes = table.points[len(order):]
+    hole = rng.choice(holes) if holes else None
+    on = [(order[j], plain.sweep_rays[i].dir)
+          for i, s in enumerate(plain.steps) for j in s]
+    crossing = rng.choice(on) if on else None
     base = WEIGHTS[name]
 
     def weight(z, p):
-        return 0.0 if z in dead else base(z, p)
+        return 0.0 if z in dead or z == hole or (z, p) == crossing else base(z, p)
 
     plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
     family = [(z, Ray(tuple(ray.base), tuple(ray.dir)))
@@ -532,7 +549,11 @@ def test_a_vanishing_weight_is_named_alike_on_both_paths(case, name):
     with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
         message = _error(lambda: forward_family(f, plan.rays.items(),
                                                 weight=weight))
-    assert (message is None) == (not dead)
+    first = next((y for ray in _first_rays(family).values()
+                  for y in brute_ray_points(ray, r) if weight(y, ray.dir) == 0),
+                 None)
+    assert message == (None if first is None else f"weight vanishes at {first}")
+    assert (message is None) == (not dead and hole is None and crossing is None)
     g = forward_family(f, family, weight=base)
     swept = _error(lambda: recon_shells(g, plan))
     assert swept == _error(lambda: reference_sweep(g, plan))
@@ -555,10 +576,11 @@ def test_a_plan_calls_its_weight_once_per_incidence(case):
         return 1.5
 
     plan = make_plan(d, r, plane=plane, weight=weight, alpha=alpha, beta=beta)
-    for f in _phantoms(d, r, seed):
-        recon_shells(forward_family(f, plan.rays.items(), weight=weight), plan)
-    assert len(calls) == len(plan.forward_table.gather) + len(plan.order) + \
-        sum(map(len, plan.steps))
+    with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
+        for f in _phantoms(d, r, seed):
+            recon_shells(forward_family(f, plan.rays.items(), weight=weight), plan)
+    # the forward and the sweep read one double per column slot
+    assert len(calls) == len(plan.forward_table.gather)
 
 
 @settings(max_examples=30, deadline=None)

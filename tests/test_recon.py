@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 from operator import is_
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from lxray import (GridFunction, MissingDataError, Plane, PlanError,
                    recon_one_point, recon_shells, recon_shells_weighted,
                    Sinogram, ZeroWeightError, forward, ray_key)
 from lxray import transform
+from lxray.rays import ray_boxes
 
 
 def tstar_data(f, plan, weight=None):
@@ -240,8 +242,10 @@ def test_shells_round_trip_high_dimension_small_radius():
     for d in (12, 40):
         f = random_int_grid(d, 1, seed=d)
         plan = make_plan(d, 1)
-        assert values_equal(recon_shells(tstar_data(f, plan), plan), f)
-        assert "forward_table" in vars(plan)  # the forward read the plan's table
+        # the forward reads the plan's table: no fresh compile
+        with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
+            g = tstar_data(f, plan)
+        assert values_equal(recon_shells(g, plan), f)
 
 
 def test_plan_refuses_targets_outside_the_ball():
@@ -256,6 +260,13 @@ def test_a_sparse_plan_compiles_as_far_as_its_farthest_point():
     assert any(near.steps)
     for name in ("order", "keys", "steps"):
         assert getattr(far, name) == getattr(near, name)
+    for name in ("points", "gather", "lens"):
+        assert getattr(far.forward_table, name) == getattr(near.forward_table, name)
+    # far's rays run on past its farthest target, so its column serves no
+    # grid of its radius; near's rays end there
+    assert transform._plan_table(GridFunction(3, 4, {}), near.sweep_rays) is near
+    assert transform._plan_table(GridFunction(3, 10 ** 12, {}),
+                                 far.sweep_rays) is None
     with pytest.raises(PreconditionError, match="outside the support ball"):
         make_plan(3, Fraction(39, 10), points=pts)
 
@@ -409,11 +420,29 @@ def test_plans_register_until_deleted():
     gc.collect()
     plan = make_plan(2, 3)
     assert transform.PLANS[id(plan)] is plan
-    forward_family(random_int_grid(2, 3, seed=1), plan.rays.items())
-    assert "forward_table" in vars(plan)
+    with mock.patch.object(transform, "ray_table", side_effect=AssertionError):
+        forward_family(random_int_grid(2, 3, seed=1), plan.rays.items())
     del plan
     gc.collect()
     assert not transform.PLANS
+
+
+@pytest.mark.parametrize("weight", [None, constant_weight(2.0)])
+def test_a_plan_solves_its_spans_once(weight):
+    # compile, forward and sweep read one column: one span solve per plan
+    # (counted wherever it is called from), and no table compiled afresh
+    boxes = mock.Mock(side_effect=ray_boxes)
+    fresh = mock.Mock(side_effect=AssertionError)
+    with mock.patch("lxray.recon.ray_boxes", boxes), \
+            mock.patch("lxray.rays.ray_boxes", boxes), \
+            mock.patch("lxray.transform.ray_table", fresh), \
+            mock.patch("lxray.rays.ray_table", fresh):
+        for d, r in ((2, 4), (3, Fraction(5, 2))):
+            f = random_int_grid(d, r, seed=d)
+            plan = make_plan(d, r, weight=weight)
+            g = tstar_data(f, plan, weight)
+            assert values_equal(recon_shells(g, plan), f)
+    assert boxes.call_count == 2 and fresh.call_count == 0
 
 
 def test_plan_table_misses_other_grids_and_families():
