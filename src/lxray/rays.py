@@ -241,36 +241,46 @@ def effectively_irrational(theta: Sequence[int], r) -> bool:
 def cell_chord(ray: Ray, cell: IntVec) -> float:
     """Length of the ray in the closed unit cube at cell, by slab clipping;
     0.0 if it misses. Faces sit at half-integers, so no lattice-based ray
-    lies in one."""
+    lies in one. A ray or cell no double holds is refused."""
     tmin, tmax = -math.inf, math.inf
-    for bi, pi, ci in zip(ray.base, ray.dir, cell):
-        if pi == 0:
-            if abs(bi - ci) > 0.5:
-                return 0.0
-            continue
-        t1 = (ci - 0.5 - bi) / pi
-        t2 = (ci + 0.5 - bi) / pi
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > tmin:
-            tmin = t1
-        if t2 < tmax:
-            tmax = t2
-    if tmax <= tmin:
-        return 0.0
-    return (tmax - tmin) * math.sqrt(norm2(ray.dir))
+    try:
+        for bi, pi, ci in zip(ray.base, ray.dir, cell):
+            if pi == 0:
+                if abs(bi - ci) > 0.5:
+                    return 0.0
+                continue
+            t1 = (ci - 0.5 - bi) / pi
+            t2 = (ci + 0.5 - bi) / pi
+            if t1 > t2:
+                t1, t2 = t2, t1
+            if t1 > tmin:
+                tmin = t1
+            if t2 < tmax:
+                tmax = t2
+        if tmax <= tmin:
+            return 0.0
+        return (tmax - tmin) * math.sqrt(norm2(ray.dir))
+    except OverflowError:
+        raise PreconditionError("ray too large to clip") from None
 
 
 def _ball_window(ray: Ray, radius: float) -> tuple[float, float] | None:
-    """Parameter interval where |base + t*dir| <= radius, or None."""
-    a = float(sum(map(mul, ray.dir, ray.dir)))
-    b = 2.0 * float(sum(map(mul, ray.base, ray.dir)))
-    c = float(sum(map(mul, ray.base, ray.base))) - radius * radius
+    """Parameter interval where |base + t*dir| <= radius, or None. A ray
+    or radius whose squares no double holds is refused."""
+    try:
+        a = float(sum(map(mul, ray.dir, ray.dir)))
+        b = 2.0 * float(sum(map(mul, ray.base, ray.dir)))
+        c = float(sum(map(mul, ray.base, ray.base))) - radius * radius
+    except OverflowError:
+        raise PreconditionError("ray too large to walk") from None
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         return None
     s = math.sqrt(disc)
-    return (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
+    t0, t1 = (-b - s) / (2.0 * a), (-b + s) / (2.0 * a)
+    if not math.isfinite(t1 - t0):  # a square past the largest double
+        raise PreconditionError("ray or radius too large to walk")
+    return t0, t1
 
 
 def _cut_pattern(p: IntVec, spans: list[list[float]], place: IntVec
@@ -304,22 +314,6 @@ def _cut_pattern(p: IntVec, spans: list[list[float]], place: IntVec
             list(map(ne, map(math.floor, cuts), map(math.floor, nxt))))
 
 
-def _lone_walk_cut(ray: Ray, t0: float, t1: float, t: float) -> bool:
-    """Does a walk of this ray alone over the window (t0, t1) cut at t?
-
-    It takes axis i's cuts (k + 1/2 - b_i)/p_i from k = floor(lo + 1/2),
-    lo = b_i + t p_i rounded at the window's low-coordinate end, so it can
-    miss a cut within roundoff of the window; its top reaches past it.
-    """
-    for bi, pi in zip(ray.base, ray.dir):
-        if pi:
-            m = math.floor(t * pi)  # t = (m + 1/2)/p_i if axis i cuts at t
-            lo = bi + (t0 if pi > 0 else t1) * pi
-            if (m + 0.5) / pi == t and math.floor(lo + 0.5) <= m + bi:
-                return True
-    return False
-
-
 def walk_cells(rays: Sequence[Ray], radius: float
                ) -> Iterator[tuple[int, list[int], list[float], list[bool]]]:
     """Each ray's cells inside the ball of the given radius, in walk order.
@@ -327,13 +321,16 @@ def walk_cells(rays: Sequence[Ray], radius: float
     Yields (position in rays, ids, chords, on_line) per ray meeting the
     ball, by direction: cell numbers in ``walk_box(d, radius)``, chords and
     whether each cell is on the line. A direction's cut pattern is built
-    once over its rays' ball windows; per ray the window is bisected and
-    its end segments clipped, bit for bit as a lone walk would.
+    once over its rays' ball windows; a ray's walk is that pattern bisected
+    at its window, the two end chords clipped to it. It can differ from a
+    walk of the ray alone only where a cut lies within roundoff of a window
+    end, at a cell whose centre lies past radius - sqrt(d)/2: for the walk
+    radius r + sqrt(d), outside the support ball.
     """
     windows = [_ball_window(ray, radius) for ray in rays]
     by_dir: dict[IntVec, list[int]] = {}
     for i, w in enumerate(windows):
-        if w is not None:
+        if w is not None and w[0] < w[1]:
             by_dir.setdefault(rays[i].dir, []).append(i)
     if not by_dir:
         return
@@ -346,50 +343,16 @@ def walk_cells(rays: Sequence[Ray], radius: float
             else:
                 spans.append([t0, t1])
         cuts, chords, offsets, on_line = _cut_pattern(p, spans, place)
-        pp = norm2(p)
-        speed = math.sqrt(pp)
-        # Only a cut within this of a window end can be one a lone walk's
-        # k-ranges leave out, or put an end segment's midpoint so near a face
-        # that the rounded floor(b_i + t p_i + 1/2) leaves its pattern cell:
-        # with no cut that near, end() would return the pattern's cells.
-        slack = 2.0 ** -40 * (radius + 2.0 * max(-spans[0][0], spans[-1][1])
-                              + 1.0)
-
-        def end(base: IntVec, home: int, ta: float, tb: float
-                ) -> tuple[int, float, bool]:
-            tm = 0.5 * (ta + tb)
-            u = [math.floor(bi + tm * pi + 0.5) - bi for bi, pi in zip(base, p)]
-            up = sum(map(mul, u, p))  # u is a multiple of p iff parallel to it
-            return (home + sum(map(mul, u, place)), (tb - ta) * speed,
-                    sum(map(mul, u, u)) * pp == up * up)
-
+        speed = math.sqrt(norm2(p))
         for i in members:
-            ray = rays[i]
             t0, t1 = windows[i]
             j0, j1 = bisect_right(cuts, t0), bisect_left(cuts, t1)
-            home = offset + sum(map(mul, ray.base, place))
-            if j0 < j1 and cuts[j0] - t0 > slack and t1 - cuts[j1 - 1] > slack:
-                # no cut near an end: the ends lie in segments j0 - 1 and j1 - 1
-                yield (i, list(map(add, offsets[j0 - 1:j1], repeat(home))),
-                       [(cuts[j0] - t0) * speed, *chords[j0:j1 - 1],
-                        (t1 - cuts[j1 - 1]) * speed], on_line[j0 - 1:j1])
-                continue
-            # a cut near a window end is kept only if a lone walk makes it
-            while (j0 < j1 and cuts[j0] - t0 <= slack
-                   and not _lone_walk_cut(ray, t0, t1, cuts[j0])):
-                j0 += 1
-            while (j0 < j1 and t1 - cuts[j1 - 1] <= slack
-                   and not _lone_walk_cut(ray, t0, t1, cuts[j1 - 1])):
-                j1 -= 1
-            if j0 >= j1:  # no face crossed inside the ball
-                if t0 < t1:
-                    c, w, on = end(ray.base, home, t0, t1)
-                    yield i, [c], [w], [on]
-                continue
-            ca, wa, oa = end(ray.base, home, t0, cuts[j0])
-            cb, wb, ob = end(ray.base, home, cuts[j1 - 1], t1)
-            yield (i, [ca, *map(add, offsets[j0:j1 - 1], repeat(home)), cb],
-                   [wa, *chords[j0:j1 - 1], wb], [oa, *on_line[j0:j1 - 1], ob])
+            home = offset + sum(map(mul, rays[i].base, place))
+            clipped = ([(cuts[j0] - t0) * speed, *chords[j0:j1 - 1],
+                        (t1 - cuts[j1 - 1]) * speed] if j0 < j1
+                       else [(t1 - t0) * speed])  # no cut in the window
+            yield (i, list(map(add, offsets[j0 - 1:j1], repeat(home))), clipped,
+                   on_line[j0 - 1:j1])
 
 
 def walk_radius(d: int, r) -> float:

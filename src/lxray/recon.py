@@ -31,12 +31,12 @@ from .transform import (PLANS, ForwardTable, GridFunction, Sinogram, Weight,
 
 class ChordTable(NamedTuple):
     """Each sweep step's cell walk in the ball of radius r + sqrt(d), kept
-    only at cells of the support ball: step i's ray crosses the
-    ``lens[i]`` cells ``ids[ends[i-1]:ends[i]]`` (chords and off-line
-    flags in the same slots), ``off_lens[i]`` of them off its line;
-    ``central[i]`` is the chord through its target's cell. A cell outside
-    the ball holds no value of an f of at most the plan's radius: its term
-    chord * 0.0 = +0.0 would change no sum from +0.0. Cell i is
+    only at cells of the support ball: step i's ray crosses the next
+    ``lens[i]`` cells of ``ids`` after those of steps before it (chords
+    and off-line flags in the same slots), ``off_lens[i]`` of them off its
+    line; ``central[i]`` is the chord through its target's cell. A cell
+    outside the ball holds no value of an f of at most the plan's radius:
+    its term chord * 0.0 = +0.0 would change no sum from +0.0. Cell i is
     ``order[i]``, then cells of no target. ``outer[i]`` lists the earlier
     targets of strictly larger in-plane norm that step i crosses, in walk
     order, their chords flat in ``outer_chords``: the layer sweep's steps.
@@ -49,7 +49,6 @@ class ChordTable(NamedTuple):
     off_line: array
     lens: array
     off_lens: array
-    ends: array
     central: array
     outer: tuple[tuple[int, ...], ...]
     outer_chords: array
@@ -233,7 +232,7 @@ class ReconPlan:
         return ChordTable(
             (*self.order, *compress(others, inside)), ids, chords, off_line,
             lens, array("i", map(sum, map(islice, repeat(iter(off_line)), lens))),
-            array("i", accumulate(lens)), array("d", map(cell_chord, rays, self.order)),
+            array("d", map(cell_chord, rays, self.order)),
             steps, array("d", compress(chords, outer)))
 
 

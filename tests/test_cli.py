@@ -306,6 +306,20 @@ def test_iterate_refuses_a_radius_past_the_doubles(tmp_path, capsys):
     assert not r.exists()
 
 
+@pytest.mark.parametrize("mode", [["--iterate", "1"], ["--weight", "cell-chord"]],
+                         ids=["iterate", "cell-chord"])
+def test_recon_refuses_a_ray_past_the_doubles(tmp_path, mode, capsys):
+    # a direction no double holds: the walk and the chord refuse it, exit 2
+    s, r = tmp_path / "s.json", tmp_path / "r.json"
+    lio.write_json_atomic(s, {"d": 2, "family": {"kind": "free", "r": "1"},
+                              "rays": [{"z": [0, 0], "dir": [10 ** 400, 1],
+                                        "base": [0, 0], "v": 1.0}]})
+    assert run(["recon", "--sino", str(s), *mode, "--out", str(r)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "too large" in line
+    assert not r.exists()
+
+
 def test_iterate_writes_min_residual_iterate(tmp_path):
     g, s, r = (tmp_path / n for n in ("g.json", "s.json", "r.json"))
     res = tmp_path / "res.csv"

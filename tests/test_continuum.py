@@ -18,6 +18,8 @@ def test_cell_chord_examples():
     assert cell_chord(Ray((0, 0), (0, 1)), (0, 0)) == 1.0
     assert cell_chord(Ray((0, 0), (1, 1)), (0, 0)) == pytest.approx(math.sqrt(2))
     assert cell_chord(Ray((3, 0), (0, 1)), (0, 0)) == 0.0
+    with pytest.raises(PreconditionError, match="ray too large to clip"):
+        cell_chord(Ray((0, 0), (10 ** 400, 1)), (0, 0))
 
 
 def test_cell_chord_symmetries():
@@ -118,6 +120,23 @@ def test_walks_refuse_a_radius_no_double_holds(walk):
     f = GridFunction(2, 10 ** 400, {(0, 0): 1.0})
     with pytest.raises(PreconditionError, match="radius too large to walk"):
         walk(f, perp_ray((0, 0)))
+
+
+@pytest.mark.parametrize("r, ray", [(1, Ray((0, 0), (10 ** 400, 1))),
+                                    (1, Ray((10 ** 154, 0), (1, 0))),
+                                    (10 ** 200, perp_ray((0, 0)))],
+                         ids=["dir", "far-base", "radius-squared"])
+@pytest.mark.parametrize("walk", [
+    lambda f, ray: forward_continuous_family(f, [(ray.base, ray)]),
+    lambda f, ray: correction_identity_check(f, ray.base, ray),
+], ids=["family", "identity"])
+def test_walks_refuse_a_window_no_double_holds(walk, r, ray):
+    # no double holds the direction, |base|^2 or radius^2: refused, where
+    # a window of non-finite ends would walk no cell (these rays cross the
+    # ball at the origin)
+    f = GridFunction(2, r, {(0, 0): 1.0})
+    with pytest.raises(PreconditionError, match="too large to walk"):
+        walk(f, ray)
 
 
 @pytest.mark.parametrize("ray", [Ray((0, 0), (0, 1)),
