@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat, takewhile
 from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -17,7 +17,8 @@ from .errors import BudgetError, PreconditionError
 
 IntVec = tuple[int, ...]
 
-# ceiling on the tuples farey_count decides
+# ceiling on a Farey level's tuple count sum_{q<=n} q^(d-1), the last entry
+# of the power-sum column farey_count weighs by one Moebius term per e <= n
 FAREY_ENUM_BUDGET = 60_000_000
 
 
@@ -229,40 +230,26 @@ def build_shells(points: Iterable[IntVec], plane=None) -> ShellDecomposition:
 
 
 def farey_count(n: int, d: int = 2) -> int:
-    """Number of level-n Farey points in dimension d, tuple by tuple.
+    """Number of level-n Farey points in dimension d, by Moebius inversion.
 
     Counts tuples (p_1,...,p_{d-1}, q) with 0 <= p_i < q <= n whose d
-    entries have gcd 1: per q one byte per tuple, zeroed by slice if some
-    prime of q divides every p_i. ``totient_sieve`` is the cross-check.
+    entries have gcd 1 as sum_{e<=n} mu(e) S(n // e), S(m) = sum_{j<=m}
+    j^(d-1): a tuple whose entries share e is e times one of level n // e.
+    S(n) is the level's tuple count, which the budget caps. It reads no
+    totient, so ``totient_sieve`` stays an independent cross-check.
     """
     if n < 1:
         raise PreconditionError("Farey level must be >= 1")
     if d < 2:
         raise PreconditionError("dimension must be >= 2")
-    work = 0
-    for q in range(1, n + 1):  # stops as soon as the work passes the budget
-        work += q ** (d - 1)
-        if work > FAREY_ENUM_BUDGET:
-            raise BudgetError(f"farey_count({n}, {d}) needs more steps "
-                              f"than the budget of {FAREY_ENUM_BUDGET}")
-    primes = [[] for _ in range(n + 1)]  # the primes of each q
-    for p in range(2, n + 1):
-        if not primes[p]:
-            for m in range(p, n + 1, p):
-                primes[m].append(p)
-    total = 0
-    for q in range(1, n + 1):
-        step = q ** (d - 2)  # byte p_1 step + (p_2..p_{d-1} in base q)
-        tuples = bytearray(b"\x01") * (q * step)
-        for p in primes[q]:
-            tails = [0]  # bytes of the p_2..p_{d-1} all multiples of p
-            for _ in range(d - 2):
-                tails = [s * q + t for s in tails for t in range(0, q, p)]
-            gap = bytes(q // p)  # p_1 = 0, p, 2p, ...
-            for s in tails:
-                tuples[s::p * step] = gap
-        total += tuples.count(1)
-    return total
+    # S(0..n), cut as soon as it passes the budget
+    tuples = list(takewhile(FAREY_ENUM_BUDGET.__ge__, accumulate(
+        map(pow, range(1, n + 1), repeat(d - 1)), initial=0)))
+    if len(tuples) <= n:
+        raise BudgetError(f"farey_count({n}, {d}) needs more steps "
+                          f"than the budget of {FAREY_ENUM_BUDGET}")
+    return sum(map(mul, mobius_sieve(n)[1:], map(
+        tuples.__getitem__, map(floordiv, repeat(n), range(1, n + 1)))))
 
 
 def totient_sieve(n: int) -> list[int]:

@@ -527,6 +527,15 @@ def test_count_farey_counts_once(monkeypatch, capsys):
     assert payload["asymptotic_ratio"] == 278 * math.pi ** 2 / (3.0 * 30 * 30)
 
 
+def test_count_farey_at_the_budget_boundary(capsys):
+    # the last level whose tuple count fits the budget, then one more
+    assert run(["count", "farey", "--n", "10953"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["oracle_match"] is True
+    assert run(["count", "farey", "--n", "10954"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_budget_exit_code():
     assert run(["count", "tmin", "--r", "20", "--budget", "10"]) == 3
 

@@ -10,8 +10,8 @@ from lxray import (BudgetError, Plane, PreconditionError, as_fraction,
                    ball_count, build_shells, coordinate_plane, enumerate_ball,
                    farey_count, primitive, totient_sieve, totient_sum)
 from lxray.cli import BALL_BUDGET
-from lxray.lattice import (box_ids, box_index, box_points, count_within,
-                           mobius_sieve)
+from lxray.lattice import (FAREY_ENUM_BUDGET, box_ids, box_index, box_points,
+                           count_within, mobius_sieve)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), [1]])
@@ -190,6 +190,21 @@ def test_farey_count_budget():
     # the work sum stops at the budget instead of running to n
     with pytest.raises(BudgetError):
         farey_count(10 ** 10)
+
+
+def test_farey_budget_boundary_is_the_tuple_count():
+    # the budget caps the level's tuple count sum_{q<=n} q^(d-1): n* is the
+    # last level whose count fits, and one level more is refused
+    for d, expected in ((2, 10953), (3, 564), (4, 123)):
+        n, tuples = 0, 0
+        while tuples + (n + 1) ** (d - 1) <= FAREY_ENUM_BUDGET:
+            n += 1
+            tuples += n ** (d - 1)
+        assert n == expected
+        assert farey_count(n, d) > 0
+        with pytest.raises(BudgetError, match="budget"):
+            farey_count(n + 1, d)
+    assert farey_count(10953) == totient_sum(10953)
 
 
 def test_enumerate_ball_refuses_a_ball_past_its_budget():

@@ -42,13 +42,13 @@ from lxray import (GridFunction, Plane, PreconditionError, Ray, ball_count,
                    one_point_family, perp_family, perp_ray, points_on_ray,
                    primitive, ray_key, recon_annulus, recon_shells,
                    separation_margin)
-from lxray import MissingDataError, PlanError, ZeroWeightError, cli
+from lxray import MissingDataError, PlanError, ZeroWeightError, cli, lattice
 from lxray import io as lio
 from lxray import counting, transform
 from lxray.continuum import _chord_sums, _corrected_sinogram
 from lxray.counting import (_direction_minimum, _lens_sizes,
                             _orbit_representatives, primitive_count)
-from lxray.lattice import as_fraction, count_within
+from lxray.lattice import as_fraction, count_within, totient_sum
 from lxray.recon import sweep_data
 from lxray.rays import is_perp_ray, ray_table, walk_box, walk_cells
 from lxray.transform import FamilyMeta
@@ -219,6 +219,34 @@ def farey_cases(draw):
 def test_farey_sieve_count_matches_gcd_per_tuple(case):
     d, n = case
     assert farey_count(n, d) == reference_farey_count(n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10953))
+@example(1)
+@example(10953)
+def test_farey_count_is_the_totient_sum(n):
+    assert farey_count(n, 2) == totient_sum(n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from((5, 6)), st.integers(1, 5))
+@example(5, 5)
+@example(6, 5)
+def test_farey_count_matches_gcd_per_tuple_in_five_and_six_dimensions(d, n):
+    assert farey_count(n, d) == reference_farey_count(n, d)
+
+
+def test_farey_count_reads_no_totient():
+    # count farey's totient-sieve oracle stays an independent check
+    def forbidden(*args):
+        raise AssertionError("farey_count read a totient")
+
+    with mock.patch.object(lattice, "totient_sieve", forbidden), \
+            mock.patch.object(lattice, "totient_sum", forbidden):
+        counts = {(n, d): farey_count(n, d)
+                  for d, top in ((2, 300), (3, 25), (4, 10)) for n in (1, top)}
+    assert counts == {k: reference_farey_count(*k) for k in counts}
 
 
 @settings(max_examples=100, deadline=None)
